@@ -19,6 +19,7 @@ Euclidean because no division is implemented for them).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -384,36 +385,26 @@ class Classification:
 
 
 def units_of(ctx):
-    """Units by definition-checking: a with a.b = b.a = 1 for some b.
+    """Elements with a two-sided inverse, found by try_inverse.
 
     The trivial ring has no units under the usual 1 != 0 convention.
     """
     if ctx.is_zero(ctx.one):
         return ()
-    elems = [e.val for e in enumerate_elements(ctx)]
-    out = []
-    for a in elems:
-        for b in elems:
-            if ctx.eq(ctx.mul(a, b), ctx.one) and ctx.eq(ctx.mul(b, a), ctx.one):
-                out.append(a)
-                break
-    return tuple(Element(ctx, a) for a in out)
+    return tuple(e for e in enumerate_elements(ctx)
+                 if ctx.try_inverse(e.val) is not None)
 
 
 def zero_divisors_of(ctx):
-    """Nonzero a annihilating some nonzero b on either side."""
-    elems = [e.val for e in enumerate_elements(ctx)]
-    out = []
-    for a in elems:
-        if ctx.is_zero(a):
-            continue
-        for b in elems:
-            if ctx.is_zero(b):
-                continue
-            if ctx.is_zero(ctx.mul(a, b)) or ctx.is_zero(ctx.mul(b, a)):
-                out.append(a)
-                break
-    return tuple(Element(ctx, a) for a in out)
+    """Nonzero a annihilating some nonzero b on either side.
+
+    In a finite ring these are exactly the nonzero non-units: if a
+    annihilates nothing on either side, x -> ax and x -> xa are
+    injective on a finite set, hence onto, so ab = 1 = ca for some b, c,
+    and then b = c is a two-sided inverse.  No commutativity is needed.
+    """
+    return tuple(e for e in enumerate_elements(ctx)
+                 if not ctx.is_zero(e.val) and ctx.try_inverse(e.val) is None)
 
 
 def nilpotents_of(ctx):
@@ -541,17 +532,7 @@ class ProductRing(RingContext):
         return itertools.product(*(c.elements() for c in self.components))
 
     def characteristic(self):
-        m = 1
-        for c in self.components:
-            k = c.characteristic()
-            if k == 0:
-                return 0
-            # lcm accumulation
-            g, a = m, k
-            while a:
-                g, a = a, g % a
-            m = m * k // g
-        return m
+        return math.lcm(*(c.characteristic() for c in self.components))
 
     def parse(self, text):
         from .parsing import split_top

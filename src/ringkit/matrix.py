@@ -1,12 +1,16 @@
 """Square matrices over a commutative ring, with exact inversion.
 
-Payload: an n-tuple of n-tuples of base payloads, row major.  The
-determinant is computed by cofactor expansion (the context refuses
-n > 8 at construction, which keeps that honest), and a matrix is
-invertible exactly when its determinant is a unit of the base; the
-inverse is det^-1 times the adjugate, and Cramer's rule solves linear
-systems under the same condition, with the solution re-checked against
-the system before it is returned.
+Payload: an n-tuple of n-tuples of base payloads, row major.  One
+division-free path serves all of linear algebra: Berkowitz's algorithm
+gives the characteristic polynomial with O(n^4) ring operations, using
+only add, mul and neg, so it is exact over any commutative base,
+zero divisors included.  The determinant is its constant term up to
+sign, and Cayley-Hamilton turns the remaining coefficients into the
+adjugate.  A matrix is invertible exactly when its determinant is a
+unit of the base; the inverse is det^-1 times the adjugate, and
+Cramer's rule solves linear systems as det^-1 (adj A) b under the same
+condition, with the solution re-checked against the system before it
+is returned.
 """
 
 from .algebra import Element, RingContext
@@ -35,8 +39,7 @@ class MatrixRing(RingContext):
             raise InvalidParameters(f"dimension must be >= 1, got {n!r}")
         if n > MAX_DIMENSION:
             raise TooLarge(
-                f"cofactor expansion is capped at {MAX_DIMENSION} x "
-                f"{MAX_DIMENSION}")
+                f"matrices are capped at {MAX_DIMENSION} x {MAX_DIMENSION}")
         self.base = base
         self.n = n
 
@@ -132,11 +135,10 @@ class MatrixRing(RingContext):
             for i in range(self.n))
 
     def try_inverse(self, a):
-        d = det_payload(self.base, a)
+        d, adj = _det_adjugate(self, a)
         dinv = self.base.try_inverse(d)
         if dinv is None:
             return None
-        adj = adjugate_payload(self.base, a)
         return tuple(
             tuple(self.base.mul(dinv, x) for x in row) for row in adj)
 
@@ -183,34 +185,61 @@ class MatrixRing(RingContext):
             for row in a) + "]"
 
 
-def det_payload(base, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
+def _dot(base, xs, ys):
     acc = base.zero
-    for j in range(n):
-        if base.is_zero(rows[0][j]):
-            continue
-        minor = tuple(
-            tuple(row[k] for k in range(n) if k != j) for row in rows[1:])
-        term = base.mul(rows[0][j], det_payload(base, minor))
-        acc = base.add(acc, base.neg(term) if j % 2 else term)
+    for x, y in zip(xs, ys):
+        acc = base.add(acc, base.mul(x, y))
     return acc
 
 
-def adjugate_payload(base, rows):
-    n = len(rows)
-    if n == 1:
-        return ((base.one,),)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(rows[r][c] for c in range(n) if c != j)
-                for r in range(n) if r != i)
-            cof = det_payload(base, minor)
-            out[j][i] = base.neg(cof) if (i + j) % 2 else cof
-    return tuple(tuple(row) for row in out)
+def _charpoly(base, rows):
+    """Coefficients [1, c1, ..., cn] of det(tI - A), by Berkowitz (1984).
+
+    The polynomial grows one leading principal block at a time: bordering
+    the r x r block M with column C, row R and corner a multiplies its
+    coefficient vector by the lower-triangular Toeplitz matrix whose first
+    column is (1, -a, -RC, -RMC, ..., -RM^(r-1)C).
+    """
+    poly = [base.one, base.neg(rows[0][0])]
+    for r in range(1, len(rows)):
+        row = rows[r][:r]
+        v = [rows[i][r] for i in range(r)]
+        col = [base.one, base.neg(rows[r][r]), base.neg(_dot(base, row, v))]
+        for _ in range(r - 1):
+            v = [_dot(base, rows[i][:r], v) for i in range(r)]
+            col.append(base.neg(_dot(base, row, v)))
+        poly = [_dot(base, col[i::-1], poly) for i in range(r + 2)]
+    return poly
+
+
+def det_payload(base, rows):
+    c = _charpoly(base, rows)[-1]
+    return base.neg(c) if len(rows) % 2 else c
+
+
+def _det_adjugate(ctx, rows):
+    """(det A, adj A) from one characteristic polynomial.
+
+    Cayley-Hamilton gives adj A = (-1)^(n-1) (A^(n-1) + c1 A^(n-2) + ...
+    + c(n-1) I), evaluated by Horner's rule.
+    """
+    base, n = ctx.base, ctx.n
+    c = _charpoly(base, rows)
+    adj = ctx.one
+    for k in range(1, n):
+        adj = tuple(
+            tuple(base.add(x, c[k]) if i == j else x
+                  for j, x in enumerate(row))
+            for i, row in enumerate(ctx.mul(adj, rows)))
+    if n % 2:
+        return base.neg(c[n]), adj
+    return c[n], ctx.neg(adj)
+
+
+def _not_unit(base, d):
+    return DeterminantNotUnit(
+        f"determinant {base.show(d)} is not a unit in {base.name()}",
+        det=Element(base, d))
 
 
 def _as_matrix(a):
@@ -243,25 +272,20 @@ def transpose(a):
 
 def adjugate(a):
     ctx = _as_matrix(a)
-    return Element(ctx, adjugate_payload(ctx.base, a.val))
+    return Element(ctx, _det_adjugate(ctx, a.val)[1])
 
 
 def mat_inverse(a):
     """det^-1 times the adjugate; the determinant must be a unit."""
     ctx = _as_matrix(a)
-    d = det_payload(ctx.base, a.val)
-    dinv = ctx.base.try_inverse(d)
-    if dinv is None:
-        raise DeterminantNotUnit(
-            f"determinant {ctx.base.show(d)} is not a unit in "
-            f"{ctx.base.name()}", det=Element(ctx.base, d))
-    adj = adjugate_payload(ctx.base, a.val)
-    return Element(ctx, tuple(
-        tuple(ctx.base.mul(dinv, x) for x in row) for row in adj))
+    inv = ctx.try_inverse(a.val)
+    if inv is None:
+        raise _not_unit(ctx.base, det_payload(ctx.base, a.val))
+    return Element(ctx, inv)
 
 
 def cramer_solve(a, rhs):
-    """Solve A x = b by determinant ratios when det(A) is a unit.
+    """Solve A x = b as det(A)^-1 (adj A) b when det(A) is a unit.
 
     The solution is substituted back into the system before returning;
     over a ring with zero divisors a non-unit determinant means Cramer
@@ -279,22 +303,12 @@ def cramer_solve(a, rhs):
             b.append(base.canon(x))
     if len(b) != ctx.n:
         raise ShapeMismatch(f"expected {ctx.n} right-hand side entries")
-    d = det_payload(base, a.val)
+    d, adj = _det_adjugate(ctx, a.val)
     dinv = base.try_inverse(d)
     if dinv is None:
-        raise DeterminantNotUnit(
-            f"determinant {base.show(d)} is not a unit in {base.name()}",
-            det=Element(base, d))
-    out = []
-    for j in range(ctx.n):
-        cols = tuple(
-            tuple(b[i] if k == j else a.val[i][k] for k in range(ctx.n))
-            for i in range(ctx.n))
-        out.append(base.mul(dinv, det_payload(base, cols)))
-    for i in range(ctx.n):
-        acc = base.zero
-        for k in range(ctx.n):
-            acc = base.add(acc, base.mul(a.val[i][k], out[k]))
-        if not base.eq(acc, b[i]):
+        raise _not_unit(base, d)
+    out = [base.mul(dinv, _dot(base, row, b)) for row in adj]
+    for row, y in zip(a.val, b):
+        if not base.eq(_dot(base, row, out), y):
             raise RingError("Cramer solution failed verification")
     return [Element(base, x) for x in out]

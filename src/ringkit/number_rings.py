@@ -15,7 +15,6 @@ Euclidean hooks; its canonical gcd representative is the associate in
 the first quadrant (positive real part, nonnegative imaginary part).
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -146,7 +145,7 @@ class RationalField(RingContext):
         return Fraction(n)
 
     def try_inverse(self, a):
-        return None if a == 0 else 1 / a
+        return None if a == 0 else Fraction(1, a)
 
     def characteristic(self):
         return 0
@@ -581,31 +580,6 @@ QQ = RationalField()
 HH = QuaternionAlgebra()
 
 GAUSSIAN = QuadIntRing(-1)
-
-
-def mod_inv(x):
-    """Inverse of a unit in Z/n; raises NotInvertible with the gcd witness."""
-    if not isinstance(x.ctx, ModRing):
-        raise RingError("mod_inv needs an element of some Z/n")
-    return Element(x.ctx, x.ctx.inverse(x.val))
-
-
-def field_div(x, y):
-    """Division in Z/p for prime p."""
-    ctx = x.ctx
-    if not isinstance(ctx, ModRing):
-        raise RingError("field_div needs elements of some Z/p")
-    if not ctx.is_field:
-        from .errors import NotAField
-
-        raise NotAField(f"{ctx.name()} is not a field")
-    if y.ctx != ctx:
-        from .errors import ContextMismatch
-
-        raise ContextMismatch(f"{x.ctx.name()} vs {y.ctx.name()}")
-    if y.val == 0:
-        raise DivisionByZero("division by zero")
-    return x * y.inverse()
 
 
 def euler_phi(n):

@@ -14,6 +14,7 @@ for bijectivity on all of Z/n and for respecting + and * (every pair
 for small n, a seeded sample otherwise).
 """
 
+import functools
 import itertools
 import random
 
@@ -67,21 +68,22 @@ class QuotientRing(RingContext):
 
     @property
     def is_field(self):
-        return self._modulus_is_prime()
+        return self._modulus_is_prime
 
     @property
     def is_euclidean(self):
-        return self._modulus_is_prime()
+        return self._modulus_is_prime
 
     @property
     def is_gcd_domain(self):
-        return self._modulus_is_prime()
+        return self._modulus_is_prime
 
     @property
     def is_domain(self):
         # in these principal ideal contexts nonzero primes are maximal
-        return self._modulus_is_prime()
+        return self._modulus_is_prime
 
+    @functools.cached_property
     def _modulus_is_prime(self):
         base, m = self.base, self.modulus
         if isinstance(base, IntegerRing):

@@ -18,6 +18,7 @@ from ringkit import (
     idempotents_of,
     int_scale,
     nilpotents_of,
+    parse_context,
     ring_pow,
     units_of,
     zero_divisors_of,
@@ -185,3 +186,32 @@ def test_product_ring_units_are_componentwise_units():
 def test_element_repr_uses_context_show():
     assert repr(ZZ.element(-5)) == "-5"
     assert repr(ModRing(7).element(3)) == "3"
+
+
+def _units_by_pairs(ctx):
+    if ctx.is_zero(ctx.one):
+        return []
+    elems = [e.val for e in enumerate_elements(ctx)]
+    return [a for a in elems
+            if any(ctx.eq(ctx.mul(a, b), ctx.one)
+                   and ctx.eq(ctx.mul(b, a), ctx.one) for b in elems)]
+
+
+def _zero_divisors_by_pairs(ctx):
+    elems = [e.val for e in enumerate_elements(ctx)]
+    nonzero = [a for a in elems if not ctx.is_zero(a)]
+    return [a for a in nonzero
+            if any(ctx.is_zero(ctx.mul(a, b)) or ctx.is_zero(ctx.mul(b, a))
+                   for b in nonzero)]
+
+
+@pytest.mark.parametrize("literal", [
+    "Zn:1", "Zn:12", "Quot(Z,12)", "Quot(Fp:2,[1,0,0,1])",
+    "Quot(Quad:-1,3)", "Quot(Quad:-1,2+2i)", "Quot(Quad:-1,3+2i)",
+    "Series(Zn:4,3)", "Series(Zn:1,2)", "Mat(Zn:2,2)", "Mat(Zn:3,2)",
+    "Prod(Zn:4,Zn:6)", "Prod(Zn:1,Fp:3)", "Frac(Fp:5)",
+])
+def test_probes_match_the_pairwise_definitions(literal):
+    ctx = parse_context(literal)
+    assert [e.val for e in units_of(ctx)] == _units_by_pairs(ctx)
+    assert [e.val for e in zero_divisors_of(ctx)] == _zero_divisors_by_pairs(ctx)

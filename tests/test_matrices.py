@@ -1,5 +1,7 @@
 """Square-matrix contexts: determinants, adjugates, exact inversion, Cramer solving."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,3 +164,70 @@ def test_cramer_solutions_satisfy_the_system(rows, rhs):
         for j, coeff in enumerate(row):
             acc = F.add(acc, F.mul(F.element(coeff).val, sol[j].val))
         assert acc == F.element(rhs[i]).val
+
+
+# -- Berkowitz against cofactor expansion, kept here only as the oracle
+
+def _cofactor_det(base, rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = base.zero
+    for j in range(n):
+        minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
+        term = base.mul(rows[0][j], _cofactor_det(base, minor))
+        acc = base.add(acc, base.neg(term) if j % 2 else term)
+    return acc
+
+
+def _cofactor_adjugate(base, rows):
+    n = len(rows)
+    if n == 1:
+        return ((base.one,),)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = tuple(row[:j] + row[j + 1:]
+                          for r, row in enumerate(rows) if r != i)
+            cof = _cofactor_det(base, minor)
+            adj[j][i] = base.neg(cof) if (i + j) % 2 else cof
+    return tuple(tuple(row) for row in adj)
+
+
+ORACLE_BASES = [ZZ, ModRing(9), ModRing(12), ModRing(101)]
+
+
+@st.composite
+def square_matrices(draw, bases, sizes):
+    base = draw(st.sampled_from(bases))
+    n = draw(sizes)
+    entries = st.integers(-30, 30) if base == ZZ else st.integers(0, base.n - 1)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return matrix_ring(base, n).element(rows)
+
+
+@given(square_matrices(ORACLE_BASES, st.integers(1, 5)))
+@settings(max_examples=80, deadline=None)
+def test_det_and_adjugate_match_cofactor_expansion(a):
+    base = a.ctx.base
+    assert det(a).val == _cofactor_det(base, a.val)
+    assert adjugate(a).val == _cofactor_adjugate(base, a.val)
+
+
+@given(square_matrices([ModRing(12)], st.integers(3, 6)))
+@settings(max_examples=40, deadline=None)
+def test_adjugate_identity_over_zn12(a):
+    scalar = a.ctx.embed(det(a).val)
+    assert a * adjugate(a) == scalar
+    assert adjugate(a) * a == scalar
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_det_matches_sympy_over_the_integers(n):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(n)
+    M = matrix_ring(ZZ, n)
+    for _ in range(5):
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        assert det(M.element(rows)).val == int(sympy.Matrix(rows).det())

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ringkit import (
+    Element,
     GAUSSIAN,
     HH,
     ModRing,
+    PolyRing,
     QQ,
     QuadFieldRing,
     QuadIntRing,
     ZZ,
     euler_phi,
+    extended_gcd,
     fundamental_unit_search,
     gaussian_divmod,
     imaginary_unit_group,
@@ -54,6 +57,20 @@ def test_rational_field_arithmetic():
     assert (a + b).val == Fraction(1, 2)
     assert (a / b).val == Fraction(-4)
     assert QQ.parse_element("2/3").val == Fraction(2, 3)
+
+
+def test_rational_inverse_is_exact_for_an_int_payload():
+    inv = Element(QQ, 3).inverse().val
+    assert inv == Fraction(1, 3) and isinstance(inv, Fraction)
+
+
+def test_bezout_over_q_x_from_int_payloads():
+    Qx = PolyRing(QQ)
+    a, b = Element(Qx, (1, 0, 3)), Element(Qx, (2, 3))
+    cert = extended_gcd(a, b)
+    assert cert.g == 1
+    assert cert.check(a, b)
+    assert all(isinstance(c, Fraction) for c in cert.x.val + cert.y.val)
 
 
 def test_mod_ring_rejects_silly_moduli():

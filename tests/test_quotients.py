@@ -152,3 +152,24 @@ def test_cardinality_of_polynomial_quotients_is_a_prime_power():
         P = poly_ring(ModRing(p))
         Q = quotient_ring(P, P.element(mod))
         assert q_cardinality(Q) == p**deg
+
+
+def test_modulus_primality_is_decided_once_per_context(monkeypatch):
+    import ringkit.factor
+
+    calls = []
+    real = ringkit.factor.poly_is_irreducible_fp
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(ringkit.factor, "poly_is_irreducible_fp", counting)
+    gf256 = quotient_ring(P2, P2.element([1, 1, 0, 1, 1, 0, 0, 0, 1]))
+    R = poly_ring(gf256)
+    a = R.element([[1, 1], [], [], [], [1], [0, 0, 1]])
+    b = R.element([[1], [0, 1], [1]])
+    for _ in range(100):
+        q, r = R.divmod_(a.val, b.val)
+    assert R.add(R.mul(q, b.val), r) == a.val
+    assert len(calls) == 1
