@@ -322,8 +322,9 @@ def ring_pow_payload(ctx, a, n):
     while n:
         if n & 1:
             result = ctx.mul(result, base)
-        base = ctx.mul(base, base)
         n >>= 1
+        if n:
+            base = ctx.mul(base, base)
     return result
 
 

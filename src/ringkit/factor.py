@@ -1,13 +1,13 @@
-"""Factorization by exhaustion and irreducibility certificates.
+"""Factorization and irreducibility certificates.
 
 Everything here is exact and certificate-driven.  Integers factor by
-trial division below a hard cap; polynomials over a prime field factor
-against a cached sieve of monic irreducibles built degree by degree;
-elements of imaginary quadratic rings are tested by exhausting the
-divisors allowed by the norm.  For Z[x] and Q[x], where no complete
-factorization is attempted, irreducibility is reported as a verdict
-carrying a checkable certificate (Eisenstein after a shift, reduction
-mod p, a rational root, a trial divisor) or as an honest INCONCLUSIVE.
+trial division below a hard cap; polynomials over a prime field by
+distinct-degree factorization and Cantor-Zassenhaus splitting, in
+polynomial time; elements of imaginary quadratic rings are tested by
+exhausting the divisors allowed by the norm.  For Z[x] and Q[x], where
+no complete factorization is attempted, irreducibility is reported as a
+verdict carrying a checkable certificate (Eisenstein after a shift,
+reduction mod p, a rational root, a trial divisor) or INCONCLUSIVE.
 
 verify_certificate replays any certificate against the element it
 claims to describe, so a verdict never has to be taken on faith.
@@ -15,10 +15,12 @@ claims to describe, so a verdict never has to be taken on faith.
 
 import itertools
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element
+from .algebra import ENUMERATION_CAP, Element, ring_pow_payload
 from .errors import (
     ConstantPolynomial,
     DegreeDrops,
@@ -41,9 +43,9 @@ from .number_rings import (
     RationalField,
 )
 from .poly import PolyRing, derivative
+from .quotient import QuotientRing
 
 TRIAL_DIVISION_CAP = 10**12
-SIEVE_CANDIDATE_CAP = 10**6
 
 DEFAULT_PRIME_BOUND = 50
 DEFAULT_SHIFT_BOUND = 10
@@ -183,37 +185,73 @@ def squarefree_part_int(n):
 
 # ------------------------------------------------- prime-field polynomials
 
-_IRR_CACHE = {}
+def _distinct_degree(ctx, f):
+    """Distinct-degree factorization of a monic f over F_p.
+
+    For d = 1, 2, ... yields (g, d) with g = gcd(rest, x^(p^d) - x), the
+    product of the distinct irreducible factors of degree d, and divides
+    it out of rest, again while factors of degree d remain: the j-th g of
+    a degree holds its factors of multiplicity >= j.  The last rest, too
+    small for two factors of degree above d, is irreducible.
+    """
+    p = ctx.base.n
+    x = ctx.gen.val
+    rest, h, d = f, x, 0
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = ctx.divmod_(h, rest)[1]
+        h = ring_pow_payload(QuotientRing(ctx, rest), h, p)
+        g = gcd_payload(ctx, rest, ctx.sub(h, x))
+        while len(g) > 1:
+            yield g, d
+            rest = ctx.divmod_(rest, g)[0]
+            g = gcd_payload(ctx, rest, g)
+    if len(rest) > 1:
+        yield rest, len(rest) - 1
 
 
-def _irr_table(p, maxdeg):
-    ctx = PolyRing(ModRing(p))
-    table = _IRR_CACHE.setdefault(p, [])
-    while len(table) < maxdeg:
-        d = len(table) + 1
-        if p ** d > SIEVE_CANDIDATE_CAP:
-            raise TooLarge(
-                f"sieving degree {d} over F_{p} needs {p ** d} candidates")
-        divisors = [g for dd in range(1, d // 2 + 1) for g in table[dd - 1]]
-        found = []
-        for tup in itertools.product(range(p), repeat=d):
-            cand = tup + (1,)
-            if any(not ctx.divmod_(cand, g)[1] for g in divisors):
-                continue
-            found.append(cand)
-        table.append(found)
-    return table
+def _equal_degree_split(ctx, g, d):
+    """Cantor-Zassenhaus (1981): the factors of g, a product of distinct
+    monic irreducibles of degree d, split off by gcd(g, t) for random a,
+    t = a^((p^d - 1)/2) - 1 for odd p and the trace a + a^2 + ... +
+    a^(2^(d-1)) for p = 2.  Its random source is seeded from g."""
+    p = ctx.base.n
+    rng = random.Random(repr(g))
+    todo, out = [g], []
+    while todo:
+        g = todo.pop()
+        if len(g) - 1 == d:
+            out.append(g)
+            continue
+        quot = QuotientRing(ctx, g)
+        h = ()
+        while not 0 < len(h) - 1 < len(g) - 1:
+            a = ctx._strip([rng.randrange(p) for _ in range(len(g) - 1)])
+            if p == 2:
+                t = s = a
+                for _ in range(d - 1):
+                    s = quot.mul(s, s)
+                    t = ctx.add(t, s)
+            else:
+                t = ctx.sub(ring_pow_payload(quot, a, (p ** d - 1) // 2),
+                            ctx.one)
+            h = gcd_payload(ctx, g, t)
+        todo += [h, ctx.divmod_(g, h)[0]]
+    return out
 
 
 def monic_irreducibles(p, maxdeg):
-    """All monic irreducibles over F_p of degree 1..maxdeg, sieve order."""
+    """Monic irreducibles over F_p of degree 1..maxdeg, in factor order."""
     if not is_prime(p):
         raise InvalidParameters(f"{p} is not prime")
     if not isinstance(maxdeg, int) or maxdeg < 1:
         raise InvalidParameters(f"need a degree bound >= 1, got {maxdeg!r}")
-    table = _irr_table(p, maxdeg)
+    if p ** maxdeg > ENUMERATION_CAP:
+        raise TooLarge(f"{p ** maxdeg} candidates exceed the enumeration cap")
     ctx = PolyRing(ModRing(p))
-    return [Element(ctx, pl) for d in range(maxdeg) for pl in table[d]]
+    monics = (Element(ctx, tail + (1,)) for d in range(1, maxdeg + 1)
+              for tail in itertools.product(range(p), repeat=d))
+    return [m for m in monics if poly_is_irreducible_fp(m)]
 
 
 def _fp_poly_ctx(f):
@@ -223,50 +261,42 @@ def _fp_poly_ctx(f):
     raise RingError("expected a polynomial over a prime field")
 
 
-def _fp_divisor(f):
-    """A monic irreducible proper divisor, or None when f is irreducible."""
+def _fp_monic(f):
     ctx = _fp_poly_ctx(f)
-    deg = len(f.val) - 1
-    if deg < 1:
+    if len(f.val) < 2:
         raise ConstantPolynomial("constants are not tested for divisors")
-    monic = ctx.mul(ctx.canon_unit(f.val), f.val)
-    table = _irr_table(ctx.base.n, max(deg // 2, 1))
-    for d in range(1, deg // 2 + 1):
-        for g in table[d - 1]:
-            if not ctx.divmod_(monic, g)[1]:
-                return g
-    return None
+    return ctx, ctx.mul(ctx.canon_unit(f.val), f.val)
+
+
+def _fp_divisor(f):
+    """The least irreducible proper divisor, or None when f is irreducible."""
+    ctx, monic = _fp_monic(f)
+    g, d = next(_distinct_degree(ctx, monic))
+    if d == len(monic) - 1:
+        return None
+    return min(_equal_degree_split(ctx, g, d))
 
 
 def poly_is_irreducible_fp(f):
-    return _fp_divisor(f) is None
+    """Rabin (1980): f is irreducible exactly when its first
+    distinct-degree group is f itself."""
+    ctx, monic = _fp_monic(f)
+    return next(_distinct_degree(ctx, monic))[1] == len(monic) - 1
 
 
 def factor_poly_fp(f):
-    """Complete factorization over a prime field, by sieve exhaustion."""
+    """Complete factorization over a prime field: monic factors ordered
+    by degree, then by ascending coefficient tuple.  A factor's
+    multiplicity is the number of distinct-degree groups it lies in."""
     ctx = _fp_poly_ctx(f)
     if not f.val:
         raise ZeroInput("0 has no factorization")
     unit = ctx._strip((f.val[-1],))
-    work = ctx.mul(ctx.canon_unit(f.val), f.val)
-    factors = []
-    d = 1
-    while 2 * d <= len(work) - 1:
-        for g in _irr_table(ctx.base.n, d)[d - 1]:
-            e = 0
-            while True:
-                q, r = ctx.divmod_(work, g)
-                if r:
-                    break
-                work = q
-                e += 1
-            if e:
-                factors.append((g, e))
-            if 2 * d > len(work) - 1:
-                break
-        d += 1
-    if len(work) - 1 >= 1:
-        factors.append((work, 1))
+    monic = ctx.mul(ctx.canon_unit(f.val), f.val)
+    counts = Counter()
+    for g, d in _distinct_degree(ctx, monic):
+        counts.update(_equal_degree_split(ctx, g, d))
+    factors = sorted(counts.items(), key=lambda he: (len(he[0]), he[0]))
     return Factorization(ctx, unit, tuple(factors))
 
 
@@ -647,8 +677,8 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
 
     Over Q the stages are: primitive associate, degree screen, rational
     roots, Eisenstein with shifts, reduction mod small primes; anything
-    that survives is INCONCLUSIVE.  Over F_p and imaginary quadratic
-    rings exhaustion decides outright.
+    that survives is INCONCLUSIVE.  Over F_p Rabin's test and over
+    imaginary quadratic rings norm exhaustion decide outright.
     """
     if isinstance(f, Element) and isinstance(f.ctx, QuadIntRing):
         return quad_irreducible_check(f)
@@ -686,7 +716,7 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     while count < REDUCTION_PRIME_COUNT:
         if is_prime(p):
             count += 1
-            if prim.val[-1] % p and p ** (deg // 2) <= SIEVE_CANDIDATE_CAP:
+            if prim.val[-1] % p:
                 v = reduction_mod_p_check(prim, p)
                 if v.is_irreducible:
                     return v

@@ -135,12 +135,7 @@ class MatrixRing(RingContext):
             for i in range(self.n))
 
     def try_inverse(self, a):
-        d, adj = _det_adjugate(self, a)
-        dinv = self.base.try_inverse(d)
-        if dinv is None:
-            return None
-        return tuple(
-            tuple(self.base.mul(dinv, x) for x in row) for row in adj)
+        return _inverse_det(self, a)[0]
 
     def characteristic(self):
         return self.base.characteristic()
@@ -212,28 +207,52 @@ def _charpoly(base, rows):
     return poly
 
 
+def _det_from(base, c):
+    """det A = (-1)^n c_n from the characteristic polynomial [1, ..., c_n]."""
+    return base.neg(c[-1]) if len(c) % 2 == 0 else c[-1]
+
+
 def det_payload(base, rows):
-    c = _charpoly(base, rows)[-1]
-    return base.neg(c) if len(rows) % 2 else c
+    return _det_from(base, _charpoly(base, rows))
 
 
-def _det_adjugate(ctx, rows):
-    """(det A, adj A) from one characteristic polynomial.
+def _adjugate_from(ctx, rows, c):
+    """adj A from the characteristic polynomial c of A.
 
     Cayley-Hamilton gives adj A = (-1)^(n-1) (A^(n-1) + c1 A^(n-2) + ...
     + c(n-1) I), evaluated by Horner's rule.
     """
     base, n = ctx.base, ctx.n
-    c = _charpoly(base, rows)
     adj = ctx.one
     for k in range(1, n):
         adj = tuple(
             tuple(base.add(x, c[k]) if i == j else x
                   for j, x in enumerate(row))
             for i, row in enumerate(ctx.mul(adj, rows)))
-    if n % 2:
-        return base.neg(c[n]), adj
-    return c[n], ctx.neg(adj)
+    return adj if n % 2 else ctx.neg(adj)
+
+
+def _unit_adjugate(ctx, rows):
+    """(det A, det A^-1, adj A) from one characteristic polynomial.
+
+    When det A is not a unit the last two are None: the adjugate is
+    built only for a unit determinant.
+    """
+    base = ctx.base
+    c = _charpoly(base, rows)
+    d = _det_from(base, c)
+    dinv = base.try_inverse(d)
+    if dinv is None:
+        return d, None, None
+    return d, dinv, _adjugate_from(ctx, rows, c)
+
+
+def _inverse_det(ctx, rows):
+    """(A^-1, or None when det A is not a unit, and det A)."""
+    d, dinv, adj = _unit_adjugate(ctx, rows)
+    if dinv is None:
+        return None, d
+    return tuple(tuple(ctx.base.mul(dinv, x) for x in row) for row in adj), d
 
 
 def _not_unit(base, d):
@@ -272,15 +291,15 @@ def transpose(a):
 
 def adjugate(a):
     ctx = _as_matrix(a)
-    return Element(ctx, _det_adjugate(ctx, a.val)[1])
+    return Element(ctx, _adjugate_from(ctx, a.val, _charpoly(ctx.base, a.val)))
 
 
 def mat_inverse(a):
     """det^-1 times the adjugate; the determinant must be a unit."""
     ctx = _as_matrix(a)
-    inv = ctx.try_inverse(a.val)
+    inv, d = _inverse_det(ctx, a.val)
     if inv is None:
-        raise _not_unit(ctx.base, det_payload(ctx.base, a.val))
+        raise _not_unit(ctx.base, d)
     return Element(ctx, inv)
 
 
@@ -303,8 +322,7 @@ def cramer_solve(a, rhs):
             b.append(base.canon(x))
     if len(b) != ctx.n:
         raise ShapeMismatch(f"expected {ctx.n} right-hand side entries")
-    d, adj = _det_adjugate(ctx, a.val)
-    dinv = base.try_inverse(d)
+    d, dinv, adj = _unit_adjugate(ctx, a.val)
     if dinv is None:
         raise _not_unit(base, d)
     out = [base.mul(dinv, _dot(base, row, b)) for row in adj]

@@ -213,8 +213,14 @@ class ModRing(RingContext):
     def neg(self, a):
         return -a % self.n
 
+    def sub(self, a, b):
+        return (a - b) % self.n
+
     def mul(self, a, b):
         return (a * b) % self.n
+
+    def is_zero(self, a):
+        return a == 0
 
     def from_int(self, n):
         return n % self.n

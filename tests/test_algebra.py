@@ -215,3 +215,33 @@ def test_probes_match_the_pairwise_definitions(literal):
     ctx = parse_context(literal)
     assert [e.val for e in units_of(ctx)] == _units_by_pairs(ctx)
     assert [e.val for e in zero_divisors_of(ctx)] == _zero_divisors_by_pairs(ctx)
+
+
+class _CountingZn(ModRing):
+    def __init__(self, n):
+        super().__init__(n)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+@pytest.mark.parametrize("n, muls", [(0, 0), (1, 1), (2, 2), (5, 4), (8, 4)])
+def test_ring_pow_squares_only_while_bits_remain(n, muls):
+    ctx = _CountingZn(1009)
+    assert (ctx.element(3) ** n).val == pow(3, n, 1009)
+    assert ctx.muls == muls
+
+
+def test_all_is_the_public_names_of_the_package():
+    import types
+
+    import ringkit
+
+    for name in ringkit.__all__:
+        assert not isinstance(getattr(ringkit, name), types.ModuleType)
+    namespace = {}
+    exec("from ringkit import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(ringkit.__all__)

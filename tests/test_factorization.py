@@ -1,13 +1,15 @@
 """Factorization and irreducibility: integers, prime-field polynomials, certificates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringkit import GAUSSIAN, ModRing, QQ, ZZ, poly_ring
+from ringkit import GAUSSIAN, ModRing, QQ, ZZ, poly_ring, quotient_ring
 from ringkit.factor import (
     INCONCLUSIVE,
+    _fp_divisor,
     content,
     eisenstein_check,
     eisenstein_translate_search,
@@ -127,6 +129,116 @@ def test_prime_field_factorization_fixture():
     assert fac.unit == (2,)
     assert fac.factors == (((1, 0, 1), 1),)
     assert str(fac) == "2 * (x^2+1)"
+
+
+# ------------------------------------- prime-field path against trial division
+
+def _divmod_fp(p, f, g):
+    """Quotient and remainder of ascending coefficient lists, g monic."""
+    r = list(f)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + len(g) - 1]
+        for i, gc in enumerate(g):
+            r[k + i] = (r[k + i] - c * gc) % p
+    r = r[:len(g) - 1]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _trial_factor(p, f):
+    """(unit, factors) of a nonzero f by dividing with every monic
+    candidate in (degree, coefficient tuple) order.  Smaller degrees are
+    divided out first, so each candidate that divides is irreducible."""
+    inv = pow(f[-1], -1, p)
+    work = [c * inv % p for c in f]
+    factors = []
+    d = 1
+    while len(work) - 1 >= 2 * d:
+        for tail in itertools.product(range(p), repeat=d):
+            g = list(tail) + [1]
+            e = 0
+            while True:
+                q, r = _divmod_fp(p, work, g)
+                if r:
+                    break
+                work, e = q, e + 1
+            if e:
+                factors.append((tuple(g), e))
+        d += 1
+    if len(work) > 1:
+        factors.append((tuple(work), 1))
+    return (f[-1],), tuple(factors)
+
+
+# degree caps keep the oracle's p^(deg/2) candidates small
+_FP_DEGREES = {2: 14, 3: 9, 5: 7, 7: 6, 101: 4}
+
+
+@st.composite
+def fp_polys(draw):
+    """(p, coefficients of a * b^2) for random a, b over F_p, so that
+    repeated factors are common."""
+    p = draw(st.sampled_from(sorted(_FP_DEGREES)))
+    top = _FP_DEGREES[p]
+    db = draw(st.integers(0, top // 2))
+    da = draw(st.integers(0, top - 2 * db))
+    P = poly_ring(ModRing(p))
+    coeffs = st.integers(0, p - 1)
+    a, b = (P.element(draw(st.lists(coeffs, min_size=n, max_size=n))
+                      + [draw(st.integers(1, p - 1))]) for n in (da, db))
+    return p, list((a * b * b).val)
+
+
+@given(fp_polys())
+@settings(max_examples=150, deadline=None)
+def test_prime_field_path_matches_trial_division(case):
+    p, coeffs = case
+    f = poly_ring(ModRing(p)).element(coeffs)
+    unit, factors = _trial_factor(p, coeffs)
+    fac = factor_poly_fp(f)
+    assert (fac.unit, fac.factors) == (unit, factors)
+    if len(coeffs) > 1:
+        whole = factors == ((tuple(c * pow(coeffs[-1], -1, p) % p
+                                   for c in coeffs), 1),)
+        assert poly_is_irreducible_fp(f) == whole
+        assert _fp_divisor(f) == (None if whole else factors[0][0])
+
+
+@given(fp_polys())
+@settings(max_examples=60, deadline=None)
+def test_prime_field_path_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, coeffs = case
+    x = sympy.Symbol("x")
+    lead, parts = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()
+    want = sorted(((tuple(int(c) % p for c in g.all_coeffs()[::-1]), e)
+                   for g, e in parts), key=lambda ge: (len(ge[0]), ge[0]))
+    fac = factor_poly_fp(poly_ring(ModRing(p)).element(coeffs))
+    assert fac.unit == (int(lead) % p,)
+    assert list(fac.factors) == want
+
+
+def test_pipeline_reduction_runs_at_every_degree():
+    # no stage decides: reduction tries all of the first ten primes
+    assert irreducibility_pipeline(
+        PZ.element([-9, 13, -20, 4, 17, -18, 1])) is INCONCLUSIVE
+    # reducible mod 2, 3, 5, 7, 11, 13 and irreducible mod 17
+    f = PZ.element([1, -3, -3, -3, -2, -2, 1, -3, 3, 0, 1])
+    v = irreducibility_pipeline(f)
+    assert v.serialize() == "IRREDUCIBLE cert=reduction p=17"
+    assert verify_certificate(f, v)
+
+
+def test_prime_field_path_takes_large_primes():
+    P = poly_ring(ModRing(1009))
+    fac = factor_poly_fp(P.element([5, 0, 0, 0, 1]))
+    assert fac.factors == (((419, 0, 1), 1), ((590, 0, 1), 1))
+    assert str(fac) == "(x^2+419) * (x^2+590)"
+    P101 = poly_ring(ModRing(101))
+    x8_plus_3 = P101.element([3] + [0] * 7 + [1])
+    assert quotient_ring(P101, x8_plus_3).is_field is True
 
 
 # --------------------------------------------------- content and primitivity

@@ -231,3 +231,37 @@ def test_det_matches_sympy_over_the_integers(n):
     for _ in range(5):
         rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
         assert det(M.element(rows)).val == int(sympy.Matrix(rows).det())
+
+
+def test_singular_matrix_is_refused_before_the_adjugate(monkeypatch):
+    import ringkit.matrix as rm
+
+    muls, charpolys = [], []
+    real_mul, real_charpoly = rm.MatrixRing.mul, rm._charpoly
+
+    def counting_mul(self, a, b):
+        muls.append(1)
+        return real_mul(self, a, b)
+
+    def counting_charpoly(base, rows):
+        charpolys.append(1)
+        return real_charpoly(base, rows)
+
+    monkeypatch.setattr(rm.MatrixRing, "mul", counting_mul)
+    monkeypatch.setattr(rm, "_charpoly", counting_charpoly)
+    ctx = matrix_ring(ModRing(9), 6)
+    rng = random.Random(4)
+    rows = [[rng.randrange(9) for _ in range(6)] for _ in range(6)]
+    rows[5] = [3 * x % 9 for x in rows[0]]  # det is a multiple of 3
+    a = ctx.element(rows)
+    d = det(a).val
+    assert d % 3 == 0
+    charpolys.clear()
+    assert ctx.try_inverse(a.val) is None
+    assert muls == []
+    assert len(charpolys) == 1
+    charpolys.clear()
+    with pytest.raises(DeterminantNotUnit) as exc:
+        mat_inverse(a)
+    assert exc.value.det.val == d
+    assert len(charpolys) == 1
