@@ -20,7 +20,7 @@ Euclidean because no division is implemented for them).
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ContextMismatch,
@@ -154,6 +154,15 @@ class RingContext:
 
     def characteristic(self):
         raise NotImplementedError
+
+    def dense_modulus(self):
+        """n when payloads are the ints of Z/n (0 for Z itself), else None.
+
+        Polynomial and series contexts over such a base multiply by
+        packing coefficients into one int (poly.kron_mul); every other
+        base keeps the coefficient loops.
+        """
+        return None
 
     # -- Euclidean hooks (Z, polynomials over a field, Gaussian integers;
     #    fields get the trivial division for free)
@@ -377,12 +386,9 @@ def enumerate_elements(ctx):
     return [Element(ctx, v) for v in ctx.elements()]
 
 
-@dataclass(frozen=True)
-class Classification:
-    units: tuple
-    zero_divisors: tuple
-    nilpotents: tuple
-    idempotents: tuple
+class Classification(namedtuple(
+        "Classification", "units zero_divisors nilpotents idempotents")):
+    __slots__ = ()
 
 
 def units_of(ctx):

@@ -13,7 +13,7 @@ j != k is an idempotent e_k picking out the k-th congruence, and
 x = sum b_k e_k solves the whole system modulo the product.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Element
 from .errors import (
@@ -55,13 +55,10 @@ def _shared_euclidean_ctx(*elems):
     return ctx
 
 
-@dataclass(frozen=True)
-class BezoutCert:
+class BezoutCert(namedtuple("BezoutCert", "g x y")):
     """gcd g together with cofactors: a*x + b*y = g, re-checkable."""
 
-    g: Element
-    x: Element
-    y: Element
+    __slots__ = ()
 
     def check(self, a, b):
         return a * self.x + b * self.y == self.g

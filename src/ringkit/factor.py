@@ -16,8 +16,7 @@ claims to describe, so a verdict never has to be taken on faith.
 import itertools
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .algebra import ENUMERATION_CAP, Element, ring_pow_payload
@@ -42,7 +41,7 @@ from .number_rings import (
     QuadIntRing,
     RationalField,
 )
-from .poly import PolyRing, derivative
+from .poly import PolyRing, derivative, horner
 from .quotient import QuotientRing
 
 TRIAL_DIVISION_CAP = 10**12
@@ -54,13 +53,10 @@ REDUCTION_PRIME_COUNT = 10
 
 # --------------------------------------------------------------- results
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "ctx unit factors")):
     """unit * prod(factor^multiplicity) with payload-level parts."""
 
-    ctx: object
-    unit: object
-    factors: tuple
+    __slots__ = ()
 
     def value(self):
         acc = self.unit
@@ -84,13 +80,11 @@ class Factorization:
         return text if mult == 1 else f"{text}^{mult}"
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(namedtuple(
+        "IrreducibilityVerdict", "status cert data", defaults=(None, ()))):
     """IRREDUCIBLE / REDUCIBLE / INCONCLUSIVE plus its certificate."""
 
-    status: str
-    cert: str | None = None
-    data: tuple = ()
+    __slots__ = ()
 
     def serialize(self):
         head = self.status.upper()
@@ -374,10 +368,7 @@ def rational_roots(f):
         for p in _divisors(a0):
             for q in _divisors(an):
                 for cand in (Fraction(p, q), Fraction(-p, q)):
-                    val = Fraction(0)
-                    for c in reversed(coeffs):
-                        val = val * cand + c
-                    if val == 0:
+                    if horner(QQ, coeffs, cand) == 0:
                         roots.add(cand)
     return sorted(roots)
 
@@ -614,16 +605,8 @@ def verify_certificate(f, verdict):
             return False
         base = f.ctx.base
         if isinstance(base, (IntegerRing, RationalField)):
-            root = Fraction(data["root"])
-            val = Fraction(0)
-            for c in reversed(f.val):
-                val = val * root + Fraction(c)
-            return val == 0
-        r = base.parse(data["root"])
-        acc = base.zero
-        for c in reversed(f.val):
-            acc = base.add(base.mul(acc, r), c)
-        return base.is_zero(acc)
+            return horner(QQ, f.val, Fraction(data["root"])) == 0
+        return base.is_zero(horner(base, f.val, base.parse(data["root"])))
     if kind == "low-degree-no-root":
         g = f
         if isinstance(f.ctx.base, IntegerRing):

@@ -74,6 +74,9 @@ class IntegerRing(RingContext):
     def characteristic(self):
         return 0
 
+    def dense_modulus(self):
+        return 0
+
     def divmod_(self, a, b):
         if b == 0:
             raise DivisionByZero("division by zero")
@@ -248,6 +251,9 @@ class ModRing(RingContext):
         return x == 0
 
     def characteristic(self):
+        return self.n
+
+    def dense_modulus(self):
         return self.n
 
     def cardinality(self):

@@ -13,6 +13,14 @@ field coefficients (this one backs the Euclidean hooks), and
 divrem_scaled over any commutative base, which scales f by the leading
 coefficient of g just often enough to keep every division step exact
 and reports the scaling exponent.
+
+Over Z and Z/n (the bases whose dense_modulus() is not None) products
+go through Kronecker substitution: kron_mul packs each operand into one
+int, lets CPython's Karatsuba multiply them and reads the coefficients
+back.  Division with a long quotient multiplies by a Newton inverse of
+the reversed divisor (kron_inverse).  Short operands, and every other
+base, keep the coefficient loops; KRONECKER_MIN and NEWTON_MIN are the
+measured crossovers.
 """
 
 import itertools
@@ -66,6 +74,65 @@ class _NegInfinity:
 
 NEG_INF = _NegInfinity()
 
+# Measured crossovers: Kronecker products from KRONECKER_MIN coefficients
+# in the shorter factor; Newton division once quotient and divisor both
+# have NEWTON_MIN (with a short divisor the O(len(q) len(b)) loop stays
+# cheaper at any quotient length); Newton series inversion from that
+# precision.
+KRONECKER_MIN = 7
+NEWTON_MIN = 48
+
+
+def _pack(c, w, bias=0):
+    return int.from_bytes(
+        b"".join([(x + bias).to_bytes(w, "little") for x in c]), "little")
+
+
+def kron_mul(a, b, n):
+    """Coefficients of a*b over Z/n (n > 0) or Z (n == 0), a and b nonempty.
+
+    Each coefficient gets a slot of w bytes wide enough for any product
+    coefficient, so the slots never carry into each other.  Over Z every
+    slot is biased by half its range, which keeps signed coefficients
+    apart without a carry loop; the width is taken from max|.| of at
+    least 1, so a zero operand still leaves room for the other one.
+    """
+    k = min(len(a), len(b))
+    m = len(a) + len(b) - 1
+    if n:
+        w = (((n - 1) ** 2 * k).bit_length() + 7) // 8 or 1
+        pa = _pack(a, w)
+        data = (pa * (pa if a is b else _pack(b, w))).to_bytes(m * w, "little")
+        return [int.from_bytes(data[i:i + w], "little") % n
+                for i in range(0, m * w, w)]
+    w = (k * max(1, *map(abs, a)) * max(1, *map(abs, b))).bit_length() // 8 + 1
+    h = 1 << (8 * w - 1)
+    slot = h.to_bytes(w, "little")
+    pa = _pack(a, w, h) - int.from_bytes(slot * len(a), "little")
+    pb = pa if a is b else \
+        _pack(b, w, h) - int.from_bytes(slot * len(b), "little")
+    data = (pa * pb + int.from_bytes(slot * m, "little")).to_bytes(
+        m * w, "little")
+    return [int.from_bytes(data[i:i + w], "little") - h
+            for i in range(0, m * w, w)]
+
+
+def kron_inverse(f, prec, n):
+    """First prec coefficients of 1/f over Z/n or Z; f[0] must be a unit.
+
+    Newton iteration g <- g(2 - fg) mod x^k for k = 2, 4, ..., prec,
+    with f padded by zeros to prec coefficients: fg = 1 mod x^h already,
+    so only its coefficients h..k-1 enter.
+    """
+    f = list(f[:prec]) + [0] * (prec - len(f))
+    g = [pow(f[0], -1, n) if n else f[0]]
+    while len(g) < prec:
+        h = len(g)
+        k = min(2 * h, prec)
+        d = [-c % n if n else -c for c in kron_mul(f[:k], g, n)[h:k]]
+        g += kron_mul(g, d, n)[:k - h]
+    return g
+
 
 class PolyRing(RingContext):
     """Polynomials base[x] as a ring context."""
@@ -74,6 +141,7 @@ class PolyRing(RingContext):
         if not isinstance(base, RingContext):
             raise RingError(f"expected a ring context, got {base!r}")
         self.base = base
+        self.dense = base.dense_modulus()
 
     def _key(self):
         return ("Poly", self.base)
@@ -140,6 +208,9 @@ class PolyRing(RingContext):
     def mul(self, a, b):
         if not a or not b:
             return ()
+        if (self.dense is not None and len(a) >= KRONECKER_MIN
+                and len(b) >= KRONECKER_MIN):
+            return self._strip(kron_mul(a, b, self.dense))
         z = self.base.zero
         out = [z] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -165,7 +236,7 @@ class PolyRing(RingContext):
         if len(a) == 1:
             inv = self.base.try_inverse(a[0])
             return None if inv is None else self._strip((inv,))
-        if not self.base.is_commutative:
+        if not self.base.is_commutative or self.base.is_domain:
             return None
         # f is a unit iff its constant term is and every higher
         # coefficient is nilpotent; invert through the geometric series
@@ -207,7 +278,16 @@ class PolyRing(RingContext):
                 "coefficients")
         if not b:
             raise DivisionByZero("division by zero polynomial")
-        lead = self.base.inverse(b[-1])
+        m = len(a) - len(b) + 1
+        if self.dense is not None and m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
+            n = self.dense
+            rq = kron_mul(a[::-1][:m], kron_inverse(b[::-1], m, n), n)[:m]
+            q = self._strip(rq[::-1])
+            qb = kron_mul(q, b, n)
+            return q, self._strip(
+                [(x - y) % n for x, y in zip(a[:len(b) - 1], qb)])
+        one = self.base.one
+        lead = one if self.base.eq(b[-1], one) else self.base.inverse(b[-1])
         db = len(b) - 1
         q = [self.base.zero] * max(len(a) - db, 0)
         r = list(a)
@@ -315,10 +395,15 @@ def poly_eval(p, point):
     r = point.val if isinstance(point, Element) else base.canon(point)
     if isinstance(point, Element) and point.ctx != base:
         raise RingError("evaluation point must live in the coefficient ring")
+    return Element(base, horner(base, p.val, r))
+
+
+def horner(base, coeffs, r):
+    """sum(c_k r^k) in base, by Horner's rule, r right of each partial sum."""
     acc = base.zero
-    for c in reversed(p.val):
+    for c in reversed(coeffs):
         acc = base.add(base.mul(acc, r), c)
-    return Element(base, acc)
+    return acc
 
 
 def derivative(p):
@@ -395,14 +480,8 @@ def roots_over_finite(p):
     if not ctx.base.is_finite:
         raise InfiniteRing(f"{ctx.base.name()} is not finite")
     base = ctx.base
-    roots = []
-    for r in base.elements():
-        acc = base.zero
-        for c in reversed(p.val):
-            acc = base.add(base.mul(acc, r), c)
-        if base.is_zero(acc):
-            roots.append(Element(base, r))
-    return roots
+    return [Element(base, r) for r in base.elements()
+            if base.is_zero(horner(base, p.val, r))]
 
 
 def lagrange_interpolate(base, points):

@@ -128,11 +128,15 @@ class QuotientRing(RingContext):
 
     @property
     def zero(self):
-        return self._reduce(self.base.zero)
+        # zero is its own remainder in all three bases
+        return self.base.zero
 
-    @property
+    @functools.cached_property
     def one(self):
         return self._reduce(self.base.one)
+
+    def is_zero(self, a):
+        return self.base.is_zero(a)
 
     def canon(self, raw):
         return self._reduce(self.base.canon(raw))

@@ -7,6 +7,12 @@ different precisions over the same base meet at the minimum precision
 (ts_add/ts_mul below); the context's own operators require equal
 contexts like everywhere else.
 
+Over Z and Z/n (dense_modulus() not None) products from KRONECKER_MIN
+coefficients go through poly.kron_mul, and inverses from NEWTON_MIN
+through the Newton iteration poly.kron_inverse: O(M(prec)) instead of
+O(prec^2) coefficient operations.  Other bases, and shorter windows,
+keep the coefficient loops.
+
 Orders of vanishing are only known up to the window, so ts_ord returns
 either a known order (index of the first nonzero coefficient) or the
 statement "at least prec" when the window is all zeros.
@@ -17,7 +23,7 @@ truncated tail; printing appends the O(x^N) marker for the tail window.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Element, RingContext
 from .errors import (
@@ -31,6 +37,7 @@ from .errors import (
     RingError,
 )
 from .number_rings import IntegerRing, RationalField
+from .poly import KRONECKER_MIN, NEWTON_MIN, kron_inverse, kron_mul
 
 
 class SeriesRing(RingContext):
@@ -43,6 +50,7 @@ class SeriesRing(RingContext):
             raise InvalidParameters(f"precision must be >= 1, got {prec!r}")
         self.base = base
         self.prec = prec
+        self.dense = base.dense_modulus()
 
     def _key(self):
         return ("Series", self.base, self.prec)
@@ -102,6 +110,8 @@ class SeriesRing(RingContext):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
+        if self.dense is not None and self.prec >= KRONECKER_MIN:
+            return self._fit(kron_mul(a, b, self.dense))
         base = self.base
         out = [base.zero] * self.prec
         for i, x in enumerate(a):
@@ -126,6 +136,8 @@ class SeriesRing(RingContext):
         u = self.base.try_inverse(a[0])
         if u is None:
             return None
+        if self.dense is not None and self.prec >= NEWTON_MIN:
+            return tuple(kron_inverse(a, self.prec, self.dense))
         base = self.base
         out = [u] + [base.zero] * (self.prec - 1)
         for n in range(1, self.prec):
@@ -187,12 +199,10 @@ class SeriesRing(RingContext):
         return f"[{inner};{self.prec}]"
 
 
-@dataclass(frozen=True)
-class OrderVal:
+class OrderVal(namedtuple("OrderVal", "kind n")):
     """Order of vanishing: an exact value or a lower bound at the window."""
 
-    kind: str
-    n: int
+    __slots__ = ()
 
     @classmethod
     def known(cls, n):
@@ -265,12 +275,10 @@ def ts_invert(x):
     return Element(ctx, inv)
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(namedtuple("LaurentSeries", "principal tail")):
     """Finitely many negative-exponent terms plus a truncated tail."""
 
-    principal: tuple
-    tail: Element
+    __slots__ = ()
 
     @property
     def base(self):

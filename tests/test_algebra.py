@@ -245,3 +245,64 @@ def test_all_is_the_public_names_of_the_package():
     exec("from ringkit import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(ringkit.__all__)
+
+
+# -- result records ---------------------------------------------------------
+
+def _records():
+    import ringkit as rk
+
+    P5 = rk.poly_ring(ModRing(5))
+    PZ = rk.poly_ring(ZZ)
+    S = rk.series_ring(QQ, 5)
+    return [
+        (rk.classify(ModRing(4)),
+         "Classification(units=(1, 3), zero_divisors=(2,), "
+         "nilpotents=(0, 2), idempotents=(0, 1))", None),
+        (rk.extended_gcd(P5.element([1, 2, 3]), P5.element([1, 1])),
+         "BezoutCert(g=1, x=3, y=x+3)", None),
+        (rk.factor_poly_fp(P5.element([0, 0, 1, 1])),
+         "Factorization(ctx=Poly(Fp:5), unit=(1,), "
+         "factors=(((0, 1), 2), ((1, 1), 1)))", "(x)^2 * (x+1)"),
+        (rk.factor_integer(360),
+         "Factorization(ctx=Z, unit=1, factors=((2, 3), (3, 2), (5, 1)))",
+         "2^3 * 3^2 * 5"),
+        (rk.irreducibility_pipeline(PZ.element([-1, 0, 1])),
+         "IrreducibilityVerdict(status='reducible', cert='rational-root', "
+         "data=(('root', '-1'),))", "REDUCIBLE cert=rational-root root=-1"),
+        (rk.ts_ord(S.element([0])), "OrderVal(kind='at_least', n=5)", ">=5"),
+        (rk.laurent_from_fraction(S.element([1, 1]), S.element([0, 0, 1, 1])),
+         "x^-2+O(x^1)", "x^-2+O(x^1)"),
+    ]
+
+
+def test_result_records_keep_their_text():
+    for rec, rep, text in _records():
+        assert repr(rec) == rep
+        assert str(rec) == (rep if text is None else text)
+
+
+def test_result_records_are_immutable():
+    for rec, _, _ in _records():
+        field = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    import os
+    import subprocess
+    import sys
+
+    import ringkit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ringkit.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ringkit.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,10 @@
 """Dense univariate polynomials: division flavors, roots, interpolation."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ringkit import (
     GAUSSIAN,
@@ -30,7 +31,16 @@ from ringkit.errors import (
     NotInvertible,
     ParseError,
 )
-from ringkit.poly import NEG_INF
+from ringkit.poly import (
+    KRONECKER_MIN,
+    NEG_INF,
+    NEWTON_MIN,
+    PolyRing,
+    kron_inverse,
+    kron_mul,
+)
+
+from loop_bases import dense_and_loop_bases
 
 PZ = poly_ring(ZZ)
 P7 = poly_ring(ModRing(7))
@@ -212,3 +222,164 @@ def test_show_parse_round_trip_over_f7(f):
 def test_parse_rejects_unknown_symbols():
     with pytest.raises(ParseError):
         PZ.parse_element("3*y+1")
+
+
+# -- dense kernels over Z and Z/n ------------------------------------------
+
+# 10**18 + 8 stands in for a large modulus: building ModRing(10**18 + 9)
+# costs half a minute of trial-division primality testing.
+DENSE_MODULI = [1, 2, 12, 101, 10**18 + 8]
+BIG_PRIME = 10**12 + 39
+
+
+def dense_and_loop(n):
+    return tuple(map(PolyRing, dense_and_loop_bases(n)))
+
+
+@st.composite
+def dense_products(draw):
+    n = draw(st.sampled_from(DENSE_MODULI + [0]))
+    coeff = st.integers(-10**40, 10**40) if n == 0 else st.integers(0, n - 1)
+    coeffs = st.lists(st.just(0) | coeff, max_size=2 * KRONECKER_MIN + 20)
+    a = draw(coeffs)
+    b = None if draw(st.booleans()) else draw(coeffs)
+    return n, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_products())
+def test_dense_products_match_the_coefficient_loops(case):
+    n, a, b = case
+    dense, loop = dense_and_loop(n)
+    a = dense.canon(a)
+    b = a if b is None else dense.canon(b)
+    want = loop.mul(a, b)
+    assert dense.mul(a, b) == want
+    if a and b:
+        assert dense._strip(kron_mul(a, b, n)) == want
+
+
+def test_kron_mul_over_z_with_a_zero_operand():
+    # Unstripped zero operands (series payloads, Newton corrections) must
+    # still leave each slot room for the other operand's coefficients.
+    loop = PolyRing(dense_and_loop_bases(0)[1])
+    for a in ([200, -128, 127, 1], [-200] * 9, [10**30, -5, 0, 7]):
+        for zeros in ([0], [0] * 3, [0] * 12):
+            want = [0] * (len(a) + len(zeros) - 1)
+            assert kron_mul(a, zeros, 0) == want
+            assert kron_mul(zeros, a, 0) == want
+        assert kron_mul(a, [0, 1], 0) == [0] + a
+        assert loop._strip(kron_mul(a, a, 0)) == loop.mul(a, a)
+
+
+def test_kron_inverse_over_z_with_a_vanishing_correction():
+    # 1 - 200x inverts sum 200^i x^i exactly, so the Newton correction
+    # is zero from the second step on.
+    f = [200**i for i in range(48)]
+    assert kron_inverse(f, 48, 0) == [1, -200] + [0] * 46
+    assert kron_inverse([1] + [0] * 20, 21, 0) == [1] + [0] * 20
+    assert kron_inverse([1] + [0] * 20, 21, 101) == [1] + [0] * 20
+
+
+def test_dense_products_on_both_sides_of_the_threshold():
+    rng = random.Random(7)
+    for n in DENSE_MODULI + [0]:
+        dense, loop = dense_and_loop(n)
+        for la in (1, KRONECKER_MIN - 1, KRONECKER_MIN, 3 * KRONECKER_MIN):
+            for lb in (1, KRONECKER_MIN - 1, KRONECKER_MIN, 200):
+                top = 10**40 if n == 0 else n - 1
+                a = dense.canon([rng.randint(-top if n == 0 else 0, top)
+                                 for _ in range(la)])
+                b = dense.canon([rng.randint(-top if n == 0 else 0, top)
+                                 for _ in range(lb)])
+                assert dense.mul(a, b) == loop.mul(a, b)
+                assert dense.mul(a, a) == loop.mul(a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 101, BIG_PRIME]), st.integers(1, 300),
+       st.integers(1, 80), st.randoms(use_true_random=False))
+def test_newton_division_matches_the_coefficient_loop(p, m, lb, rng):
+    dense, loop = dense_and_loop(p)
+    b = dense.canon([rng.randrange(p) for _ in range(lb - 1)]
+                    + [rng.randrange(1, p)])
+    a = dense.canon([rng.randrange(p) for _ in range(lb + m - 2)]
+                    + [rng.randrange(1, p)])
+    assert dense.divmod_(a, b) == loop.divmod_(a, b)
+
+
+def test_newton_division_runs_from_the_threshold(monkeypatch):
+    import ringkit.poly
+
+    calls = []
+    real = ringkit.poly.kron_inverse
+
+    def counting(f, prec, n):
+        calls.append(prec)
+        return real(f, prec, n)
+
+    monkeypatch.setattr(ringkit.poly, "kron_inverse", counting)
+    rng = random.Random(3)
+    dense, loop = dense_and_loop(101)
+    for m in (1, NEWTON_MIN - 1, NEWTON_MIN, 300):
+        for lb in (1, NEWTON_MIN - 1, NEWTON_MIN, 120):
+            calls.clear()
+            b = dense.canon([rng.randrange(101) for _ in range(lb - 1)] + [5])
+            a = dense.canon([rng.randrange(101) for _ in range(lb + m - 2)]
+                            + [7])
+            assert dense.divmod_(a, b) == loop.divmod_(a, b)
+            assert calls == ([m] if min(m, lb) >= NEWTON_MIN else [])
+
+
+def test_dense_products_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    for p in (2, 101, BIG_PRIME):
+        R = poly_ring(ModRing(p))
+        for la, lb in ((1, 9), (8, 8), (40, 300), (120, 60)):
+            a = R.canon([rng.randrange(p) for _ in range(la - 1)] + [1])
+            b = R.canon([rng.randrange(p) for _ in range(lb - 1)] + [3])
+            sa = sympy.Poly(list(reversed(a)), x, modulus=p)
+            sb = sympy.Poly(list(reversed(b)), x, modulus=p)
+
+            def back(poly):
+                return R.canon([int(c) for c in reversed(poly.all_coeffs())])
+
+            assert R.mul(a, b) == back(sa * sb)
+            q, r = sympy.div(sb, sa) if lb >= la else sympy.div(sa, sb)
+            num, den = (b, a) if lb >= la else (a, b)
+            assert R.divmod_(num, den) == (back(q), back(r))
+
+
+def test_monic_division_makes_no_inversion(monkeypatch):
+    calls = []
+    real = ModRing.inverse
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(ModRing, "inverse", counting)
+    R = poly_ring(ModRing(101))
+    q, r = R.divmod_(R.canon([3, 1, 4, 1, 5, 9]), R.canon([2, 7, 1]))
+    assert R.add(R.mul(q, (2, 7, 1)), r) == R.canon([3, 1, 4, 1, 5, 9])
+    assert calls == []
+    R.divmod_(R.canon([3, 1, 4, 1, 5, 9]), R.canon([2, 7, 3]))
+    assert len(calls) == 1
+
+
+def test_nonconstant_polynomials_over_a_domain_skip_the_nilpotence_test(
+        monkeypatch):
+    calls = []
+    real = ModRing.is_nilpotent
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(ModRing, "is_nilpotent", counting)
+    assert poly_ring(ModRing(101)).try_inverse((1, 1)) is None
+    assert calls == []
+    assert poly_ring(ModRing(4)).try_inverse((1, 2)) == (1, 2)
+    assert calls

@@ -173,3 +173,27 @@ def test_modulus_primality_is_decided_once_per_context(monkeypatch):
         q, r = R.divmod_(a.val, b.val)
     assert R.add(R.mul(q, b.val), r) == a.val
     assert len(calls) == 1
+
+
+def test_zero_one_and_is_zero_make_no_division(monkeypatch):
+    from ringkit.poly import PolyRing
+
+    calls = []
+    real = PolyRing.divmod_
+
+    def counting(self, a, b):
+        calls.append(a)
+        return real(self, a, b)
+
+    Q = quotient_ring(P2, P2.element([1, 1, 0, 1, 1, 0, 0, 0, 1]))
+    monkeypatch.setattr(PolyRing, "divmod_", counting)
+    assert Q.one == (1,)
+    assert len(calls) == 1
+    calls.clear()
+    for _ in range(10):
+        assert Q.is_zero(Q.zero)
+        assert not Q.is_zero(Q.one)
+    assert calls == []
+    for base, m in ((ZZ, 12), (GAUSSIAN, (1, 1)), (P2, (1, 1, 1))):
+        R = quotient_ring(base, m)
+        assert R.zero == R._reduce(base.zero)

@@ -1,9 +1,10 @@
 """Truncated power series: Cauchy products, inversion, order, Laurent."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ringkit import (
     ModRing,
@@ -25,6 +26,10 @@ from ringkit.errors import (
     InvalidParameters,
     NotAField,
 )
+from ringkit.poly import KRONECKER_MIN, NEWTON_MIN
+from ringkit.series import SeriesRing
+
+from loop_bases import dense_and_loop_bases
 
 S7 = series_ring(ModRing(7), 5)
 
@@ -161,3 +166,83 @@ def test_laurent_guards():
         laurent_from_fraction(SQ.element([1]), SQ.element([]))
     with pytest.raises(InvalidParameters):
         laurent_from_fraction(SQ.element([1]), SQ.element([0, 0, 0, 1]))
+
+
+# -- dense kernels over Z and Z/n ------------------------------------------
+
+@st.composite
+def dense_series(draw):
+    n = draw(st.sampled_from([101, 12, 0]))
+    prec = draw(st.integers(1, 120) | st.sampled_from(
+        [KRONECKER_MIN - 1, KRONECKER_MIN, NEWTON_MIN - 1, NEWTON_MIN]))
+    rng = draw(st.randoms(use_true_random=False))
+    if n:
+        a = [rng.randrange(n) for _ in range(prec)]
+        b = [rng.randrange(n) for _ in range(prec)]
+        a[0] = rng.choice([1, 5, 7, 11] if n == 12 else range(1, n))
+    else:
+        a = [rng.randint(-10**20, 10**20) for _ in range(prec)]
+        b = [rng.randint(-10**20, 10**20) for _ in range(prec)]
+        a[0] = rng.choice([1, -1])
+    if rng.random() < 0.1:
+        b = [0] * prec
+    return n, prec, a, b
+
+
+def dense_and_loop(n, prec):
+    return tuple(SeriesRing(base, prec) for base in dense_and_loop_bases(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_series())
+def test_dense_series_match_the_coefficient_loops(case):
+    n, prec, a, b = case
+    dense, loop = dense_and_loop(n, prec)
+    a, b = dense.canon(a), dense.canon(b)
+    assert dense.mul(a, b) == loop.mul(a, b)
+    assert dense.mul(b, b) == loop.mul(b, b)
+    inv = dense.try_inverse(a)
+    assert inv == loop.try_inverse(a)
+    assert dense.mul(a, inv) == dense.one
+
+
+def test_dense_series_products_with_zero_over_z():
+    for prec in (KRONECKER_MIN, 8, NEWTON_MIN):
+        S = series_ring(ZZ, prec)
+        zero = S.element([])
+        for c in (200, -200, 10**30):
+            f = S.element([c, 1, -c])
+            assert zero * f == zero
+            assert f * zero == zero
+            assert 0 * f == zero
+            assert S.mul(S.zero, f.val) == S.zero
+
+
+def test_dense_series_inversion_over_z_with_a_vanishing_correction():
+    dense, loop = dense_and_loop(0, 48)
+    f = dense.canon([200**i for i in range(48)])
+    assert ts_invert(dense.element(f)).val == (1, -200) + (0,) * 46
+    assert dense.try_inverse(f) == loop.try_inverse(f)
+
+
+def test_dense_inversion_still_needs_a_unit_constant_term():
+    rng = random.Random(5)
+    for base, c0 in ((ModRing(12), 4), (ModRing(101), 0), (ZZ, 2), (ZZ, 0)):
+        for prec in (KRONECKER_MIN, NEWTON_MIN, 120):
+            S = series_ring(base, prec)
+            f = S.element([c0] + [rng.randrange(12) for _ in range(prec - 1)])
+            with pytest.raises(ConstantTermNotUnit):
+                ts_invert(f)
+
+
+def test_dense_series_products_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(9)
+    S = series_ring(ModRing(101), 60)
+    a = S.canon([rng.randrange(101) for _ in range(60)])
+    b = S.canon([rng.randrange(101) for _ in range(60)])
+    prod = (sympy.Poly(list(reversed(a)), x, modulus=101)
+            * sympy.Poly(list(reversed(b)), x, modulus=101))
+    want = [int(c) for c in reversed(prod.all_coeffs())][:60]
+    assert S.mul(a, b) == S.canon(want)
