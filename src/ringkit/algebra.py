@@ -51,7 +51,6 @@ class RingContext:
     is_gcd_domain = False
     is_euclidean = False
     is_field = False
-    is_finite = False
 
     # -- identity ---------------------------------------------------
 
@@ -144,6 +143,10 @@ class RingContext:
 
     # -- size ------------------------------------------------------------
 
+    @property
+    def is_finite(self):
+        return self.cardinality() is not None
+
     def cardinality(self):
         """Number of elements, or None when infinite."""
         return None
@@ -162,6 +165,12 @@ class RingContext:
         packing coefficients into one int (poly.kron_mul); every other
         base keeps the coefficient loops.
         """
+        return None
+
+    def radical(self, m):
+        """A generator of the radical of the ideal (m) when this context
+        finds one without factoring m, else None: then a quotient by m
+        decides nilpotence by repeated squaring (Z and Z[i] do)."""
         return None
 
     # -- Euclidean hooks (Z, polynomials over a field, Gaussian integers;
@@ -378,10 +387,10 @@ def frobenius(x):
 
 def enumerate_elements(ctx):
     """All elements of a finite context, deterministic order, capped."""
-    if not ctx.is_finite:
-        raise InfiniteRing(f"{ctx.name()} is not finite")
     n = ctx.cardinality()
-    if n is not None and n > ENUMERATION_CAP:
+    if n is None:
+        raise InfiniteRing(f"{ctx.name()} is not finite")
+    if n > ENUMERATION_CAP:
         raise TooLarge(f"|{ctx.name()}| = {n} exceeds the enumeration cap")
     return [Element(ctx, v) for v in ctx.elements()]
 
@@ -391,47 +400,52 @@ class Classification(namedtuple(
     __slots__ = ()
 
 
-def units_of(ctx):
-    """Elements with a two-sided inverse, found by try_inverse.
+def classify(ctx):
+    """Exhaustive unit/zero-divisor/nilpotent/idempotent classification.
 
-    The trivial ring has no units under the usual 1 != 0 convention.
+    One enumeration decides all four, with one try_inverse per element:
+    a unit when the inverse exists, a zero divisor when it does not and
+    the element is nonzero.  That is right in any finite ring, where the
+    zero divisors (nonzero a annihilating some nonzero b on either side)
+    are exactly the nonzero non-units: if a annihilates nothing on either
+    side, x -> ax and x -> xa are injective on a finite set, hence onto,
+    so ab = 1 = ca for some b, c, and then b = c is a two-sided inverse.
+    No commutativity is needed.  The trivial ring has no units under the
+    usual 1 != 0 convention.
     """
-    if ctx.is_zero(ctx.one):
-        return ()
-    return tuple(e for e in enumerate_elements(ctx)
-                 if ctx.try_inverse(e.val) is not None)
+    units, zero_divisors, nilpotents, idempotents = [], [], [], []
+    for e in enumerate_elements(ctx):
+        a = e.val
+        if ctx.try_inverse(a) is not None:
+            units.append(e)
+        elif not ctx.is_zero(a):
+            zero_divisors.append(e)
+        if ctx.is_nilpotent(a):
+            nilpotents.append(e)
+        if ctx.eq(ctx.mul(a, a), a):
+            idempotents.append(e)
+    return Classification(
+        units=() if ctx.is_zero(ctx.one) else tuple(units),
+        zero_divisors=tuple(zero_divisors),
+        nilpotents=tuple(nilpotents),
+        idempotents=tuple(idempotents),
+    )
+
+
+def units_of(ctx):
+    return classify(ctx).units
 
 
 def zero_divisors_of(ctx):
-    """Nonzero a annihilating some nonzero b on either side.
-
-    In a finite ring these are exactly the nonzero non-units: if a
-    annihilates nothing on either side, x -> ax and x -> xa are
-    injective on a finite set, hence onto, so ab = 1 = ca for some b, c,
-    and then b = c is a two-sided inverse.  No commutativity is needed.
-    """
-    return tuple(e for e in enumerate_elements(ctx)
-                 if not ctx.is_zero(e.val) and ctx.try_inverse(e.val) is None)
+    return classify(ctx).zero_divisors
 
 
 def nilpotents_of(ctx):
-    return tuple(e for e in enumerate_elements(ctx)
-                 if ctx.is_nilpotent(e.val))
+    return classify(ctx).nilpotents
 
 
 def idempotents_of(ctx):
-    return tuple(e for e in enumerate_elements(ctx)
-                 if ctx.eq(ctx.mul(e.val, e.val), e.val))
-
-
-def classify(ctx):
-    """Exhaustive unit/zero-divisor/nilpotent/idempotent classification."""
-    return Classification(
-        units=units_of(ctx),
-        zero_divisors=zero_divisors_of(ctx),
-        nilpotents=nilpotents_of(ctx),
-        idempotents=idempotents_of(ctx),
-    )
+    return classify(ctx).idempotents
 
 
 # ----------------------------------------------------------------- products
@@ -477,10 +491,6 @@ class ProductRing(RingContext):
     @property
     def is_field(self):
         return len(self.components) == 1 and self.components[0].is_field
-
-    @property
-    def is_finite(self):
-        return all(c.is_finite for c in self.components)
 
     @property
     def zero(self):

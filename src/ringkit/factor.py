@@ -32,7 +32,7 @@ from .errors import (
     ZeroInput,
 )
 from .euclid import gcd_payload
-from .intutil import is_prime, primes_up_to
+from .intutil import divisors, is_prime, primes_up_to, trial_factors
 from .number_rings import (
     QQ,
     ZZ,
@@ -123,6 +123,30 @@ def _red(cert, **kv):
 INCONCLUSIVE = IrreducibilityVerdict("inconclusive")
 
 
+# ------------------------------------------------------- context tests
+
+def _ctx(x):
+    """The context of an element; None for anything else."""
+    return x.ctx if isinstance(x, Element) else None
+
+
+def over_prime_field(ctx):
+    """Is ctx a polynomial ring over F_p?"""
+    return (isinstance(ctx, PolyRing) and isinstance(ctx.base, ModRing)
+            and ctx.base.is_field)
+
+
+def over_z(ctx):
+    """Is ctx a polynomial ring over Z?"""
+    return isinstance(ctx, PolyRing) and isinstance(ctx.base, IntegerRing)
+
+
+def over_z_or_q(ctx):
+    """Is ctx a polynomial ring over Z or Q?"""
+    return isinstance(ctx, PolyRing) and isinstance(
+        ctx.base, (IntegerRing, RationalField))
+
+
 # --------------------------------------------------------------- integers
 
 def factor_integer(n):
@@ -138,33 +162,7 @@ def factor_integer(n):
     if abs(n) > TRIAL_DIVISION_CAP:
         raise TooLarge(f"|{n}| exceeds the trial division cap")
     unit = -1 if n < 0 else 1
-    m = abs(n)
-    factors = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(ZZ, unit, tuple(factors))
-
-
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return Factorization(ZZ, unit, tuple(trial_factors(abs(n))))
 
 
 def squarefree_part_int(n):
@@ -249,8 +247,7 @@ def monic_irreducibles(p, maxdeg):
 
 
 def _fp_poly_ctx(f):
-    if (isinstance(f, Element) and isinstance(f.ctx, PolyRing)
-            and isinstance(f.ctx.base, ModRing) and f.ctx.base.is_field):
+    if over_prime_field(_ctx(f)):
         return f.ctx
     raise RingError("expected a polynomial over a prime field")
 
@@ -297,16 +294,14 @@ def factor_poly_fp(f):
 # ----------------------------------------------------- Z[x] and Q[x] tools
 
 def _z_poly_ctx(f):
-    if (isinstance(f, Element) and isinstance(f.ctx, PolyRing)
-            and isinstance(f.ctx.base, IntegerRing)):
+    if over_z(_ctx(f)):
         return f.ctx
     raise RingError("expected a polynomial with integer coefficients")
 
 
 def _zq_poly(f):
-    if isinstance(f, Element) and isinstance(f.ctx, PolyRing):
-        if isinstance(f.ctx.base, (IntegerRing, RationalField)):
-            return f.ctx
+    if over_z_or_q(_ctx(f)):
+        return f.ctx
     raise RingError("expected a polynomial over Z or Q")
 
 
@@ -315,10 +310,7 @@ def content(f):
     _z_poly_ctx(f)
     if not f.val:
         raise ZeroInput("the zero polynomial has no content")
-    g = 0
-    for c in f.val:
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*f.val)
 
 
 def primitive_part(f):
@@ -332,16 +324,12 @@ def primitive_associate(f):
     ctx = _zq_poly(f)
     if not f.val:
         raise ZeroInput("the zero polynomial has no primitive associate")
-    if isinstance(ctx.base, IntegerRing):
+    if over_z(ctx):
         ints = list(f.val)
     else:
-        scale = 1
-        for c in f.val:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in f.val))
         ints = [int(c * scale) for c in f.val]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
@@ -365,8 +353,8 @@ def rational_roots(f):
             coeffs.pop(0)
     if len(coeffs) > 1:
         a0, an = abs(coeffs[0]), abs(coeffs[-1])
-        for p in _divisors(a0):
-            for q in _divisors(an):
+        for p in divisors(a0):
+            for q in divisors(an):
                 for cand in (Fraction(p, q), Fraction(-p, q)):
                     if horner(QQ, coeffs, cand) == 0:
                         roots.add(cand)
@@ -375,7 +363,7 @@ def rational_roots(f):
 
 def low_degree_test(f):
     """Degree 2 and 3 over a field: reducible exactly when a root exists."""
-    if not (isinstance(f, Element) and isinstance(f.ctx, PolyRing)):
+    if not isinstance(_ctx(f), PolyRing):
         raise RingError("expected a polynomial element")
     base = f.ctx.base
     deg = len(f.val) - 1
@@ -385,17 +373,15 @@ def low_degree_test(f):
             f"got degree {deg}")
     if isinstance(base, RationalField):
         found = rational_roots(f)
-        if found:
-            return _red("rational-root", root=found[0])
-        return _irr("low-degree-no-root")
-    if isinstance(base, ModRing) and base.is_field:
+    elif over_prime_field(f.ctx):
         from .poly import roots_over_finite
 
         found = roots_over_finite(f)
-        if found:
-            return _red("rational-root", root=found[0])
-        return _irr("low-degree-no-root")
-    raise NotAField(f"no root search implemented over {base.name()}")
+    else:
+        raise NotAField(f"no root search implemented over {base.name()}")
+    if found:
+        return _red("rational-root", root=found[0])
+    return _irr("low-degree-no-root")
 
 
 def _shift_payload(ctx, coeffs, a):
@@ -477,36 +463,41 @@ def squarefree_part(x):
     """The odd-multiplicity part: x = unit * square * squarefree_part.
 
     Integers get the product of their odd-power primes; polynomials over
-    a prime field go through the complete factorization; over Q (or Z,
-    mapped through Q) the decomposition comes from the gcd chain of f
-    and f', which needs no factorization at all.
+    a prime field take it from their distinct-degree groups; over Q (or
+    Z, mapped through Q) the decomposition comes from the gcd chain of f
+    and f'.  Neither polynomial case splits a group into irreducibles.
     """
-    if isinstance(x, int) or (isinstance(x, Element)
-                              and isinstance(x.ctx, IntegerRing)):
-        return squarefree_part_int(x if isinstance(x, int) else x.val)
-    if not (isinstance(x, Element) and isinstance(x.ctx, PolyRing)):
+    if isinstance(x, int) or isinstance(_ctx(x), IntegerRing):
+        return squarefree_part_int(x)
+    if not isinstance(_ctx(x), PolyRing):
         raise RingError(f"no squarefree decomposition for {x!r}")
-    base = x.ctx.base
-    if isinstance(base, ModRing) and base.is_field:
-        fac = factor_poly_fp(x)
-        ctx = x.ctx
-        out = ctx.one
-        for g, e in fac.factors:
-            if e % 2:
-                out = ctx.mul(out, g)
-        return Element(ctx, out)
-    if isinstance(base, (IntegerRing, RationalField)):
+    if over_prime_field(x.ctx):
+        return _squarefree_part_fp(x)
+    if over_z_or_q(x.ctx):
         return _squarefree_part_q(x)
-    raise RingError(f"no squarefree decomposition over {base.name()}")
+    raise RingError(f"no squarefree decomposition over {x.ctx.base.name()}")
+
+
+def _squarefree_part_fp(f):
+    """The j-th distinct-degree group of a degree holds the factors of
+    multiplicity >= j, so the alternating product g1 / g2 * g3 / g4 ...
+    over each degree keeps exactly the factors of odd multiplicity, and
+    each division is exact."""
+    ctx = f.ctx
+    if not f.val:
+        raise ZeroInput("0 has no factorization")
+    out, last, j = ctx.one, None, 0
+    for g, d in _distinct_degree(ctx, ctx.mul(ctx.canon_unit(f.val), f.val)):
+        j = j + 1 if d == last else 1
+        last = d
+        out = ctx.mul(out, g) if j % 2 else ctx.divmod_(out, g)[0]
+    return Element(ctx, out)
 
 
 def _squarefree_decomposition_q(f):
     """Yun's gcd chain: monic f over Q as prod a_i^i with a_i squarefree."""
     qctx = PolyRing(QQ)
-    if isinstance(f.ctx.base, IntegerRing):
-        coeffs = tuple(Fraction(c) for c in f.val)
-    else:
-        coeffs = f.val
+    coeffs = qctx.canon(f.val)
     if not coeffs:
         raise ZeroInput("the zero polynomial has no squarefree part")
     monic = qctx.mul(qctx.canon_unit(coeffs), coeffs)
@@ -533,7 +524,7 @@ def _squarefree_part_q(f):
         if i % 2:
             out = qctx.mul(out, a)
     result = Element(qctx, out)
-    if isinstance(f.ctx.base, IntegerRing):
+    if over_z(f.ctx):
         return primitive_associate(result)
     return result
 
@@ -542,7 +533,7 @@ def _squarefree_part_q(f):
 
 def quad_irreducible_check(x):
     """Irreducibility in Z[sqrt(d)], d < 0, by norm-divisor exhaustion."""
-    if not (isinstance(x, Element) and isinstance(x.ctx, QuadIntRing)):
+    if not isinstance(_ctx(x), QuadIntRing):
         raise RingError("expected a quadratic integer")
     ctx = x.ctx
     if ctx.d >= 0:
@@ -556,7 +547,7 @@ def quad_irreducible_check(x):
     if is_prime(n):
         return _irr("prime-norm", n=n)
     d = abs(ctx.d)
-    for t in _divisors(n)[1:-1]:
+    for t in divisors(n)[1:-1]:
         b = 0
         while d * b * b <= t:
             rest = t - d * b * b
@@ -604,14 +595,14 @@ def verify_certificate(f, verdict):
         if not verdict.is_reducible or len(f.val) - 1 < 2:
             return False
         base = f.ctx.base
-        if isinstance(base, (IntegerRing, RationalField)):
+        if over_z_or_q(f.ctx):
             return horner(QQ, f.val, Fraction(data["root"])) == 0
         return base.is_zero(horner(base, f.val, base.parse(data["root"])))
     if kind == "low-degree-no-root":
         g = f
-        if isinstance(f.ctx.base, IntegerRing):
+        if over_z(f.ctx):
             qctx = PolyRing(QQ)
-            g = Element(qctx, qctx.canon(tuple(Fraction(c) for c in f.val)))
+            g = Element(qctx, qctx.canon(f.val))
         try:
             return verdict.is_irreducible and low_degree_test(
                 g).serialize() == verdict.serialize()
@@ -644,8 +635,7 @@ def verify_certificate(f, verdict):
             return quad_irreducible_check(f).serialize() == \
                 verdict.serialize()
         if isinstance(f.ctx, PolyRing):
-            base = f.ctx.base
-            if isinstance(base, ModRing) and base.is_field:
+            if over_prime_field(f.ctx):
                 return verdict.is_irreducible and poly_is_irreducible_fp(f)
             return verdict.is_irreducible and len(f.val) - 1 == 1
         return False
@@ -663,12 +653,12 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     that survives is INCONCLUSIVE.  Over F_p Rabin's test and over
     imaginary quadratic rings norm exhaustion decide outright.
     """
-    if isinstance(f, Element) and isinstance(f.ctx, QuadIntRing):
+    if isinstance(_ctx(f), QuadIntRing):
         return quad_irreducible_check(f)
-    if not (isinstance(f, Element) and isinstance(f.ctx, PolyRing)):
+    if not isinstance(_ctx(f), PolyRing):
         raise RingError(f"no irreducibility test for {f!r}")
     base = f.ctx.base
-    if isinstance(base, ModRing) and base.is_field:
+    if over_prime_field(f.ctx):
         deg = len(f.val) - 1
         if deg < 1:
             raise ConstantPolynomial("constants are not tested")
@@ -676,7 +666,7 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
         if g is None:
             return _irr("exhaustive")
         return _red("trial-divisor", divisor=f.ctx.show(g))
-    if not isinstance(base, (IntegerRing, RationalField)):
+    if not over_z_or_q(f.ctx):
         raise RingError(f"no irreducibility test over {base.name()}")
     prim = primitive_associate(f)
     deg = len(prim.val) - 1
@@ -686,22 +676,17 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
         return _irr("exhaustive")
     if deg in (2, 3):
         qctx = PolyRing(QQ)
-        return low_degree_test(
-            Element(qctx, qctx.canon([Fraction(c) for c in prim.val])))
+        return low_degree_test(Element(qctx, qctx.canon(prim.val)))
     roots = rational_roots(prim)
     if roots:
         return _red("rational-root", root=roots[0])
     verdict = eisenstein_translate_search(prim, prime_bound, shift_bound)
     if not verdict.is_inconclusive:
         return verdict
-    count = 0
-    p = 2
-    while count < REDUCTION_PRIME_COUNT:
-        if is_prime(p):
-            count += 1
-            if prim.val[-1] % p:
-                v = reduction_mod_p_check(prim, p)
-                if v.is_irreducible:
-                    return v
-        p += 1
+    primes = filter(is_prime, itertools.count(2))
+    for p in itertools.islice(primes, REDUCTION_PRIME_COUNT):
+        if prim.val[-1] % p:
+            v = reduction_mod_p_check(prim, p)
+            if v.is_irreducible:
+                return v
     return INCONCLUSIVE

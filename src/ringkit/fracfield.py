@@ -43,10 +43,6 @@ class FracField(RingContext):
     def name(self):
         return f"Frac({self.base.name()})"
 
-    @property
-    def is_finite(self):
-        return self.base.is_field and self.base.is_finite
-
     def _make(self, num, den):
         base = self.base
         if base.is_zero(den):
@@ -119,7 +115,7 @@ class FracField(RingContext):
         return self.base.characteristic()
 
     def cardinality(self):
-        return self.base.cardinality() if self.is_finite else None
+        return self.base.cardinality() if self.base.is_field else None
 
     def elements(self):
         if not self.is_finite:

@@ -70,10 +70,6 @@ class MatrixRing(RingContext):
         return self.n == 1 and self.base.is_field
 
     @property
-    def is_finite(self):
-        return self.base.is_finite
-
-    @property
     def zero(self):
         z = self.base.zero
         return tuple((z,) * self.n for _ in range(self.n))

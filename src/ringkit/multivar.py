@@ -121,10 +121,6 @@ class MultiPolyRing(RingContext):
     def is_domain(self):
         return self.base.is_domain
 
-    @property
-    def is_finite(self):
-        return self.base.cardinality() == 1
-
     def _seal(self, table):
         items = [(m, c) for m, c in table.items() if not self.base.is_zero(c)]
         items.sort(key=lambda mc: _MONO_KEY(mc[0]), reverse=True)

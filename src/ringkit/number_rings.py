@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     RingError,
 )
-from .intutil import is_prime, is_squarefree
+from .intutil import is_prime, is_squarefree, trial_factors
 
 
 class IntegerRing(RingContext):
@@ -92,6 +92,20 @@ class IntegerRing(RingContext):
 
     def canon_unit(self, a):
         return -1 if a < 0 else 1
+
+    # -- residue hooks for Quot(Z, m), m > 1
+
+    def residue_count(self, m):
+        return m
+
+    def residues(self, m):
+        return iter(range(m))
+
+    def residue_characteristic(self, m):
+        return m
+
+    def is_prime_element(self, m):
+        return is_prime(m)
 
     def parse(self, text):
         try:
@@ -167,7 +181,6 @@ class ModRing(RingContext):
     """Integers modulo n, with canonical residues in range(n)."""
 
     is_commutative = True
-    is_finite = True
 
     def __init__(self, n):
         if not isinstance(n, int) or n < 1:
@@ -372,6 +385,32 @@ class QuadIntRing(RingContext):
                 return u
         raise RingError("unreachable: no first-quadrant associate")
 
+    # -- residue hooks for Quot(Z[i], m), m = a + bi in the first quadrant.
+    # With g = gcd(a, b) and N = a^2 + b^2, the first coordinates of the
+    # ideal (m) are exactly gZ, and its elements with first coordinate 0
+    # are exactly (N/g)iZ.  So x + yi with 0 <= x < g, 0 <= y < N/g meet
+    # each of the N classes once, and N/g is the additive order of 1.
+
+    def residue_count(self, m):
+        return self.norm(m)
+
+    def residues(self, m):
+        g = math.gcd(*m)
+        return (self.divmod_((x, y), m)[1]
+                for x in range(g) for y in range(self.norm(m) // g))
+
+    def residue_characteristic(self, m):
+        return self.norm(m) // math.gcd(*m)
+
+    def is_prime_element(self, m):
+        """Gaussian primes: a prime norm, or a rational prime p = 3 mod 4
+        times a unit (whose norm p^2 is not prime)."""
+        a, b = m
+        if a and b:
+            return is_prime(self.norm(m))
+        p = abs(a + b)
+        return p % 4 == 3 and is_prime(p)
+
     def symbols(self):
         sym = (0, 1)
         names = {"s": sym}
@@ -380,9 +419,9 @@ class QuadIntRing(RingContext):
         return names
 
     def parse(self, text):
-        from .parsing import eval_expr
+        from .parsing import parse_expr
 
-        return eval_expr(self, text, self.symbols())
+        return parse_expr(self, text)
 
     def show(self, x):
         return _show_quad(x, "i" if self.d == -1 else "s")
@@ -461,9 +500,9 @@ class QuadFieldRing(RingContext):
         return names
 
     def parse(self, text):
-        from .parsing import eval_expr
+        from .parsing import parse_expr
 
-        return eval_expr(self, text, self.symbols())
+        return parse_expr(self, text)
 
     def show(self, x):
         return _show_quad(x, "i" if self.d == -1 else "s")
@@ -562,9 +601,9 @@ class QuaternionAlgebra(RingContext):
         }
 
     def parse(self, text):
-        from .parsing import eval_expr
+        from .parsing import parse_expr
 
-        return eval_expr(self, text, self.symbols())
+        return parse_expr(self, text)
 
     def show(self, x):
         parts = []
@@ -599,18 +638,8 @@ def euler_phi(n):
     if not isinstance(n, int) or n < 1:
         raise InvalidParameters(f"need a positive integer, got {n!r}")
     result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            result *= (p - 1) * p ** (e - 1)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result *= m - 1
+    for p, e in trial_factors(n):
+        result *= (p - 1) * p ** (e - 1)
     return result
 
 

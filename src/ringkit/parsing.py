@@ -5,7 +5,9 @@ and the CLI's eval verb: +, -, *, /, ^ with the usual precedence,
 parentheses, integer atoms (interpreted through the context's from_int),
 named symbols supplied by the caller (x for polynomial generators, s/i
 for quadratic irrationalities, i/j/k for quaternion units), and bracketed
-chunks ([...] literals) handed back to the context's own parser.
+chunks handed back to the context's own parser: [...] and {...}
+literals, and parenthesized groups with a top-level comma, the tuple
+literals of product rings.
 
 Division is real ring division (multiplication by an inverse), so "2/3"
 means 2 * 3^-1 in whatever context is active; over F_7 that is 3, over Q
@@ -19,7 +21,7 @@ like "(x+1)(x+2)" read naturally.
 from .algebra import ring_pow_payload
 from .errors import ParseError
 
-_OPEN = {"[": "]", "{": "}"}
+_CLOSE = {"(": ")", "[": "]", "{": "}"}
 
 
 def split_top(text, sep):
@@ -70,21 +72,19 @@ class _Tokens:
             while j < n and (t[j].isalnum() or t[j] == "_"):
                 j += 1
             return ("name", t[i:j], j)
-        if ch in _OPEN:
-            close = _OPEN[ch]
+        if ch in "[{" or ch == "(" and t.find(",", i) != -1:
             depth = 0
-            j = i
-            while j < n:
+            for j in range(i, n):
                 if t[j] in "([{":
                     depth += 1
                 elif t[j] in ")]}":
                     depth -= 1
                     if depth == 0:
                         break
-                j += 1
-            if j >= n or t[j] != close:
+            if depth or t[j] != _CLOSE[ch]:
                 raise ParseError(f"unbalanced {ch!r} in {t!r}")
-            return ("chunk", t[i:j + 1], j + 1)
+            if ch != "(" or len(split_top(t[i + 1:j], ",")) > 1:
+                return ("chunk", t[i:j + 1], j + 1)
         if ch in "+-*/^()":
             return ("op", ch, i + 1)
         raise ParseError(f"unexpected character {ch!r} in {t!r}")
@@ -94,6 +94,16 @@ class _Tokens:
         if tok is not None:
             self.pos = tok[2]
         return tok
+
+
+def parse_expr(ctx, text):
+    """ctx.parse for text that is not one of ctx's bracket literals: an
+    expression over ctx.symbols().  A text that is one bracket chunk is
+    refused, since evaluating it would hand it straight back here."""
+    tok = _Tokens(text).peek()
+    if tok and tok[0] == "chunk" and not text[tok[2]:].strip():
+        raise ParseError(f"{ctx.name()} has no literal {tok[1]!r}")
+    return eval_expr(ctx, text, ctx.symbols())
 
 
 def eval_expr(ctx, text, symbols=None):

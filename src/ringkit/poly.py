@@ -165,10 +165,6 @@ class PolyRing(RingContext):
     def is_euclidean(self):
         return self.base.is_field
 
-    @property
-    def is_finite(self):
-        return self.base.cardinality() == 1
-
     def _strip(self, coeffs):
         n = len(coeffs)
         while n and self.base.is_zero(coeffs[n - 1]):
@@ -278,6 +274,8 @@ class PolyRing(RingContext):
                 "coefficients")
         if not b:
             raise DivisionByZero("division by zero polynomial")
+        if len(a) < len(b):
+            return (), a
         m = len(a) - len(b) + 1
         if self.dense is not None and m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
             n = self.dense
@@ -312,6 +310,45 @@ class PolyRing(RingContext):
             return self.one
         return self._strip((self.base.inverse(a[-1]),))
 
+    # -- residue hooks for Quot(base[x], m), m monic of degree >= 1
+
+    def residue_count(self, m):
+        q = self.base.cardinality()
+        return None if q is None else q ** (len(m) - 1)
+
+    def residues(self, m):
+        pool = list(self.base.elements())
+        return (self._strip(tup[::-1])
+                for tup in itertools.product(pool, repeat=len(m) - 1))
+
+    def residue_characteristic(self, m):
+        return self.characteristic()
+
+    def is_prime_element(self, m):
+        """Decided in degree 1, over F_p by Rabin's test and over Q in
+        degree 2 and 3 by the absence of a rational root; any other
+        modulus counts as not prime."""
+        from .factor import (
+            over_prime_field, poly_is_irreducible_fp, rational_roots)
+
+        if len(m) == 2:
+            return True
+        if over_prime_field(self):
+            return poly_is_irreducible_fp(Element(self, m))
+        if isinstance(self.base, RationalField) and len(m) in (3, 4):
+            return not rational_roots(Element(self, m))
+        return False
+
+    def radical(self, m):
+        """m / gcd(m, m') in characteristic 0, where that is the product
+        of the distinct prime factors of m; None in characteristic p."""
+        if self.characteristic() != 0:
+            return None
+        from .euclid import gcd_payload
+
+        return self.divmod_(
+            m, gcd_payload(self, m, derivative(Element(self, m)).val))[0]
+
     def symbols(self):
         syms = {
             name: self._strip((payload,))
@@ -321,7 +358,7 @@ class PolyRing(RingContext):
         return syms
 
     def parse(self, text):
-        from .parsing import eval_expr, split_top
+        from .parsing import parse_expr, split_top
 
         text = text.strip()
         if text.startswith("[") and text.endswith("]"):
@@ -330,7 +367,7 @@ class PolyRing(RingContext):
                 return ()
             return self._strip(
                 [self.base.parse(p.strip()) for p in split_top(inner, ",")])
-        return eval_expr(self, text, self.symbols())
+        return parse_expr(self, text)
 
     def show(self, a):
         return poly_show(self.base, a)

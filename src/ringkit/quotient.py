@@ -8,6 +8,25 @@ nearest-integer remainder for Gaussian integers, whose rounding is
 translation invariant).  Units invert through the extended Euclidean
 algorithm on representatives.
 
+Whatever depends on what m generates is asked of the base context, so
+this module names no base type.  The base answers through its residue
+hooks:
+
+  * residue_count(m): the number of classes, None when infinite;
+  * residues(m): one canonical payload per class, in a fixed order;
+  * residue_characteristic(m): the additive order of 1 modulo m;
+  * is_prime_element(m): whether (m) is prime, hence maximal, which
+    sets every capability flag of the quotient;
+  * radical(m): a generator of the radical of (m) where the base finds
+    one without factoring m (polynomials in characteristic 0), else None,
+    and nilpotence is decided by repeated squaring.
+
+Z, the polynomial rings over a field and the Gaussian integers
+implement them.  They are the only bases a quotient can be built on: a
+field has no nonzero non-unit, and the other contexts that claim
+Euclidean division (a one-component product, series or matrix ring over
+Z) have no canonical associate.
+
 iso_check_crt tests the splitting Z/n = Z/f1 x ... x Z/fr by brute
 force: the factors must multiply to n, and the residue map is checked
 for bijectivity on all of Z/n and for respecting + and * (every pair
@@ -29,9 +48,7 @@ from .errors import (
     TooLarge,
 )
 from .euclid import xgcd_payload
-from .intutil import is_prime
-from .number_rings import IntegerRing, ModRing, QuadIntRing
-from .poly import PolyRing
+from .intutil import divisors, is_prime
 
 ISO_CHECK_CAP = 10**4
 
@@ -85,46 +102,7 @@ class QuotientRing(RingContext):
 
     @functools.cached_property
     def _modulus_is_prime(self):
-        base, m = self.base, self.modulus
-        if isinstance(base, IntegerRing):
-            return is_prime(m)
-        if isinstance(base, PolyRing):
-            coeff = base.base
-            deg = len(m) - 1
-            if deg == 1:
-                return True
-            if isinstance(coeff, ModRing) and coeff.is_field:
-                from .factor import poly_is_irreducible_fp
-
-                return poly_is_irreducible_fp(Element(base, m))
-            from .number_rings import RationalField
-
-            if isinstance(coeff, RationalField) and deg in (2, 3):
-                from .factor import rational_roots
-
-                return not rational_roots(Element(base, m))
-            return False
-        if isinstance(base, QuadIntRing) and base.d == -1:
-            n = base.norm(m)
-            if is_prime(n):
-                return True
-            a, b = m
-            if a == 0 or b == 0:
-                p = abs(a) or abs(b)
-                return is_prime(p) and p % 4 == 3
-            return False
-        return False
-
-    @property
-    def is_finite(self):
-        base = self.base
-        if isinstance(base, IntegerRing):
-            return True
-        if isinstance(base, PolyRing):
-            return base.base.is_finite
-        if isinstance(base, QuadIntRing):
-            return True
-        return base.is_finite
+        return self.base.is_prime_element(self.modulus)
 
     @property
     def zero(self):
@@ -167,75 +145,21 @@ class QuotientRing(RingContext):
         return self._reduce(self.base.mul(x, u))
 
     def is_nilpotent(self, a):
-        base = self.base
-        if isinstance(base, PolyRing) and base.base.characteristic() == 0:
-            from .euclid import gcd_payload
-            from .poly import derivative
-
-            m = Element(base, self.modulus)
-            rad = base.divmod_(
-                self.modulus,
-                gcd_payload(base, self.modulus, derivative(m).val))[0]
-            return base.is_zero(base.divmod_(a, rad)[1])
-        return super().is_nilpotent(a)
+        rad = self.base.radical(self.modulus)
+        if rad is None:
+            return super().is_nilpotent(a)
+        return self.base.is_zero(self.base.divmod_(a, rad)[1])
 
     def characteristic(self):
-        base = self.base
-        if isinstance(base, IntegerRing):
-            return self.modulus
-        if isinstance(base, PolyRing):
-            return base.characteristic()
-        x = self.one
-        k = 1
-        cap = self.cardinality() or 10**6
-        while not base.is_zero(x):
-            x = self.add(x, self.one)
-            k += 1
-            if k > cap + 1:
-                raise RingError("failed to find the additive order of 1")
-        return k
+        return self.base.residue_characteristic(self.modulus)
 
     def cardinality(self):
-        base = self.base
-        if isinstance(base, IntegerRing):
-            return self.modulus
-        if isinstance(base, PolyRing):
-            q = base.base.cardinality()
-            return None if q is None else q ** (len(self.modulus) - 1)
-        if isinstance(base, QuadIntRing) and base.d == -1:
-            return base.norm(self.modulus)
-        return None
+        return self.base.residue_count(self.modulus)
 
     def elements(self):
-        base = self.base
-        if isinstance(base, IntegerRing):
-            return iter(range(self.modulus))
-        if isinstance(base, PolyRing):
-            coeff = base.base
-            if not coeff.is_finite:
-                raise InfiniteRing(f"{self.name()} is not finite")
-            d = len(self.modulus) - 1
-            pool = list(coeff.elements())
-
-            def gen():
-                for tup in itertools.product(pool, repeat=d):
-                    yield base._strip(tuple(reversed(tup)))
-
-            return gen()
-        if isinstance(base, QuadIntRing) and base.d == -1:
-            n = base.norm(self.modulus)
-
-            def gen():
-                seen = set()
-                for a in range(n):
-                    for b in range(n):
-                        r = self._reduce((a, b))
-                        if r not in seen:
-                            seen.add(r)
-                            yield r
-
-            return gen()
-        raise InfiniteRing(f"cannot enumerate {self.name()}")
+        if not self.is_finite:
+            raise InfiniteRing(f"{self.name()} is not finite")
+        return self.base.residues(self.modulus)
 
     def symbols(self):
         return {
@@ -330,8 +254,7 @@ def ideal_divisor_lattice(n):
     if not isinstance(n, int) or n < 1:
         raise InvalidParameters(f"need a positive modulus, got {n!r}")
     out = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            flag = is_prime(d)
-            out.append((d, flag, flag))
+    for d in divisors(n):
+        flag = is_prime(d)
+        out.append((d, flag, flag))
     return out

@@ -78,10 +78,6 @@ class SeriesRing(RingContext):
     def is_field(self):
         return self.prec == 1 and self.base.is_field
 
-    @property
-    def is_finite(self):
-        return self.base.is_finite
-
     def _fit(self, coeffs):
         z = self.base.zero
         out = list(coeffs[:self.prec])
@@ -174,7 +170,7 @@ class SeriesRing(RingContext):
         return syms
 
     def parse(self, text):
-        from .parsing import eval_expr, split_top
+        from .parsing import parse_expr, split_top
 
         text = text.strip()
         if text.startswith("[") and text.endswith("]"):
@@ -192,7 +188,7 @@ class SeriesRing(RingContext):
                 return self.zero
             return self._fit([self.base.canon(self.base.parse(p.strip()))
                               for p in split_top(coeff_part, ",")])
-        return eval_expr(self, text, self.symbols())
+        return parse_expr(self, text)
 
     def show(self, a):
         inner = ",".join(self.base.show(c) for c in a)

@@ -217,6 +217,32 @@ def test_probes_match_the_pairwise_definitions(literal):
     assert [e.val for e in zero_divisors_of(ctx)] == _zero_divisors_by_pairs(ctx)
 
 
+@pytest.mark.parametrize("literal", [
+    "Zn:12", "Quot(Quad:-1,4+2i)", "Quot(Fp:3,[1,0,0,1])", "Zn:1"])
+def test_classify_enumerates_once_and_inverts_each_element_once(
+        literal, monkeypatch):
+    ctx = parse_context(literal)
+    cls = type(ctx)
+    enumerations, inversions = [], []
+    real_elements, real_inverse = cls.elements, cls.try_inverse
+
+    def elements(self):
+        enumerations.append(self)
+        return real_elements(self)
+
+    def try_inverse(self, a):
+        inversions.append(a)
+        return real_inverse(self, a)
+
+    monkeypatch.setattr(cls, "elements", elements)
+    monkeypatch.setattr(cls, "try_inverse", try_inverse)
+    c = classify(ctx)
+    assert len(enumerations) == 1
+    assert sorted(inversions) == sorted(real_elements(ctx))
+    assert c == (units_of(ctx), zero_divisors_of(ctx), nilpotents_of(ctx),
+                 idempotents_of(ctx))
+
+
 class _CountingZn(ModRing):
     def __init__(self, n):
         super().__init__(n)

@@ -85,6 +85,21 @@ def test_parse_failures_exit_two(capsys):
     assert code == 2 and "--precision" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "Quad:-1", "[1]"],
+    ["eval", "H", "{1}"],
+    ["irreducible", "Quad:-1", "[ys]"],
+])
+def test_bracket_chunk_without_bracket_syntax_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {argv[1]} has no literal {argv[2]!r}"
+
+
+def test_product_literal_evaluates(capsys):
+    assert run(capsys, "eval", "Prod(Z,Zn:6)", "(1,2)") == (0, "(1,2)", "")
+
+
 def test_unknown_verb_exits_two(capsys):
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()

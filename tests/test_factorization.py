@@ -337,6 +337,51 @@ def test_squarefree_part_of_zero_is_refused():
         squarefree_part(PZ.element([]))
 
 
+def _squarefree_part_by_factoring(f):
+    """The complete factorization's odd-multiplicity factors, multiplied."""
+    out = f.ctx.one
+    for g, e in factor_poly_fp(f).factors:
+        if e % 2:
+            out = f.ctx.mul(out, g)
+    return out
+
+
+@st.composite
+def fp_powers(draw):
+    """(p, coefficients of u * f1^e1 * ... * fk^ek) with random monic fi,
+    so that equal-degree factors of different multiplicities meet."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    P = poly_ring(ModRing(p))
+    coeffs = st.integers(0, p - 1)
+    acc = P.element([draw(st.integers(1, p - 1))])
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(1, 3))
+        f = P.element(draw(st.lists(coeffs, min_size=d, max_size=d)) + [1])
+        acc = acc * f ** draw(st.integers(1, 4))
+    return p, list(acc.val)
+
+
+@given(fp_powers())
+@settings(max_examples=150, deadline=None)
+def test_prime_field_squarefree_part_matches_the_factorization(case):
+    p, coeffs = case
+    f = poly_ring(ModRing(p)).element(coeffs)
+    assert squarefree_part(f).val == _squarefree_part_by_factoring(f)
+
+
+def test_prime_field_squarefree_part_splits_no_group(monkeypatch):
+    import ringkit.factor
+
+    def refuse(ctx, g, d):
+        raise AssertionError("Cantor-Zassenhaus split")
+
+    monkeypatch.setattr(ringkit.factor, "_equal_degree_split", refuse)
+    f = P3.element([1, 1]) ** 3 * P3.element([2, 1]) ** 2 * P3.element([1, 0, 1])
+    assert squarefree_part(f).val == P3.mul((1, 1), (1, 0, 1))
+    with pytest.raises(ZeroInput):
+        squarefree_part(P3.element([]))
+
+
 # ------------------------------------------------------- quadratic integers
 
 def test_quadratic_integer_irreducibility_certificates():

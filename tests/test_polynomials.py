@@ -369,6 +369,21 @@ def test_monic_division_makes_no_inversion(monkeypatch):
     assert len(calls) == 1
 
 
+def test_short_dividend_makes_no_inversion(monkeypatch):
+    calls = []
+    real = ModRing.inverse
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(ModRing, "inverse", counting)
+    R = poly_ring(ModRing(101))
+    assert R.divmod_(R.canon([3, 1, 4]), R.canon([2, 7, 1, 5])) == ((), (3, 1, 4))
+    assert R.divmod_((), R.canon([2, 7])) == ((), ())
+    assert calls == []
+
+
 def test_nonconstant_polynomials_over_a_domain_skip_the_nilpotence_test(
         monkeypatch):
     calls = []

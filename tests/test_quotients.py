@@ -1,12 +1,14 @@
 """Quotients by a principal ideal: residue arithmetic, units, and the divisor lattice."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ringkit import (
     GAUSSIAN,
+    Element,
     ModRing,
     QQ,
     ZZ,
@@ -21,6 +23,10 @@ from ringkit import (
     q_reduce,
     quotient_ring,
 )
+from ringkit.factor import poly_is_irreducible_fp, rational_roots
+from ringkit.intutil import is_prime
+from ringkit.number_rings import IntegerRing, RationalField
+from ringkit.poly import PolyRing
 from ringkit.errors import (
     FactorsMismatch,
     InvalidParameters,
@@ -197,3 +203,119 @@ def test_zero_one_and_is_zero_make_no_division(monkeypatch):
     for base, m in ((ZZ, 12), (GAUSSIAN, (1, 1)), (P2, (1, 1, 1))):
         R = quotient_ring(base, m)
         assert R.zero == R._reduce(base.zero)
+
+
+def _lattice_by_scan(n):
+    out = []
+    for d in range(1, n + 1):
+        if n % d == 0:
+            flag = is_prime(d)
+            out.append((d, flag, flag))
+    return out
+
+
+def test_divisor_lattice_matches_the_full_scan():
+    for n in list(range(1, 200)) + [720, 997, 1024, 99960]:
+        assert ideal_divisor_lattice(n) == _lattice_by_scan(n)
+
+
+# ------------------------------------------- residue hooks against the ladder
+
+def _gaussian_residues_by_scan(Q):
+    """Every (a, b) in [0, N)^2 reduced, first occurrences in scan order."""
+    n = GAUSSIAN.norm(Q.modulus)
+    seen, out = set(), []
+    for a in range(n):
+        for b in range(n):
+            r = Q._reduce((a, b))
+            if r not in seen:
+                seen.add(r)
+                out.append(r)
+    return out
+
+
+def _additive_order_of_one(Q):
+    x, k = Q.one, 1
+    while not Q.is_zero(x):
+        x = Q.add(x, Q.one)
+        k += 1
+    return k
+
+
+@given(st.integers(-9, 9), st.integers(-9, 9))
+@settings(max_examples=120, deadline=None)
+def test_gaussian_residues_match_the_square_scan(a, b):
+    assume(a * a + b * b > 1)
+    Q = quotient_ring(GAUSSIAN, (a, b))
+    assert list(Q.elements()) == _gaussian_residues_by_scan(Q)
+    assert Q.characteristic() == _additive_order_of_one(Q)
+    assert Q.cardinality() == a * a + b * b
+
+
+def _ladder(Q):
+    """(is_field, is_finite, characteristic, cardinality) as decided by
+    branching on the type of the base."""
+    base, m = Q.base, Q.modulus
+    if isinstance(base, IntegerRing):
+        return is_prime(m), True, m, m
+    if isinstance(base, PolyRing):
+        coeff = base.base
+        deg = len(m) - 1
+        if deg == 1:
+            prime = True
+        elif isinstance(coeff, ModRing) and coeff.is_field:
+            prime = poly_is_irreducible_fp(Element(base, m))
+        elif isinstance(coeff, RationalField) and deg in (2, 3):
+            prime = not rational_roots(Element(base, m))
+        else:
+            prime = False
+        q = coeff.cardinality()
+        return (prime, coeff.is_finite, base.characteristic(),
+                None if q is None else q ** deg)
+    n = base.norm(m)
+    a, b = m
+    if is_prime(n):
+        prime = True
+    elif a == 0 or b == 0:
+        p = abs(a) or abs(b)
+        prime = is_prime(p) and p % 4 == 3
+    else:
+        prime = False
+    return prime, True, _additive_order_of_one(Q), n
+
+
+def _ladder_grid():
+    for n in range(2, 41):
+        yield ZZ, n
+    for p, top in ((2, 4), (3, 3), (5, 2)):
+        P = poly_ring(ModRing(p))
+        for d in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                yield P, tail + (1,)
+    PQ = poly_ring(QQ)
+    for coeffs in ([1, 1], [-2, 0, 1], [-1, 0, 1], [1, 0, 1], [-2, 0, 0, 1],
+                   [-1, 0, 0, 1], [1, 0, 0, 0, 1], [4, 0, 0, 0, 1],
+                   [0, 0, 1], [1, 2, 1], [3, 5, 0, 2]):
+        yield PQ, PQ.canon([Fraction(c) for c in coeffs])
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            if a * a + b * b > 1:
+                yield GAUSSIAN, (a, b)
+
+
+def test_residue_hooks_match_the_type_ladder():
+    for base, m in _ladder_grid():
+        Q = quotient_ring(base, m)
+        want = _ladder(Q)
+        assert (Q.is_field, Q.is_finite, Q.characteristic(),
+                Q.cardinality()) == want, Q.name()
+        if want[1]:
+            assert len(set(Q.elements())) == want[3]
+
+
+def test_nilpotence_in_characteristic_zero_uses_the_radical():
+    PQ = poly_ring(QQ)
+    N = quotient_ring(PQ, PQ.canon([Fraction(c) for c in (0, 0, 1, 1)]))
+    assert not N.is_finite
+    assert N.is_nilpotent(N.canon([Fraction(0), Fraction(3), Fraction(3)]))
+    assert not N.is_nilpotent(N.canon([Fraction(0), Fraction(1)]))
