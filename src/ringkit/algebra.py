@@ -1,7 +1,7 @@
 """Ring contexts, elements, and the generic algorithms every ring shares.
 
 A RingContext is a runtime descriptor of an ambient ring: it knows the
-ring's capability flags and implements the arithmetic on raw payloads.
+ring's capability level and implements the arithmetic on raw payloads.
 Payloads are plain immutable Python values (ints, tuples, Fractions) kept
 in a canonical form chosen per context, so payload equality is ring
 equality everywhere except where a context overrides eq() (fractions over
@@ -11,11 +11,15 @@ An Element pairs one payload with one context and overloads the usual
 operators.  Binary operations require equal contexts; plain ints coerce
 via n . 1.
 
-Capability flags form a chain: is_field implies is_euclidean implies
-is_gcd_domain implies is_domain implies is_commutative.  The flags
-describe what this package can compute in the context, not the full
-mathematical truth (e.g. real quadratic rings are never flagged
-Euclidean because no division is implemented for them).
+Each context declares one capability ordinal, level (RING < DOMAIN <
+EUCLIDEAN < FIELD), and RingContext derives the flags is_domain,
+is_gcd_domain, is_euclidean and is_field from it, so they form a chain
+by construction: is_field implies is_euclidean implies is_gcd_domain
+implies is_domain.  The level describes what this package can compute
+in the context, not the full mathematical truth (e.g. real quadratic
+rings are never flagged Euclidean because no division is implemented
+for them).  is_commutative is a separate flag: it holds for every
+context with level DOMAIN or above.
 """
 
 import itertools
@@ -36,21 +40,40 @@ from .intutil import is_prime
 
 ENUMERATION_CAP = 10**6
 
+# Capability levels, in increasing order of what a context can do.
+RING, DOMAIN, EUCLIDEAN, FIELD = range(4)
+
 
 class RingContext:
     """Base class for all ring descriptors.
 
     Subclasses implement the payload kernel: zero/one, add/neg/mul,
-    canon, parse/show, and the capability flags.  Everything else
-    (sub, powers, integer scaling, enumeration-based classification)
-    is generic.
+    canon, show, and the capability level.  Everything else (sub,
+    powers, integer scaling, enumeration-based classification, the
+    expression parser) is generic.  signed marks the contexts whose
+    payloads are ordered numbers (Z and Q): a sum of terms prints their
+    sign instead of parenthesizing them.
     """
 
     is_commutative = True
-    is_domain = False
-    is_gcd_domain = False
-    is_euclidean = False
-    is_field = False
+    level = RING
+    signed = False
+
+    @property
+    def is_domain(self):
+        return self.level >= DOMAIN
+
+    @property
+    def is_gcd_domain(self):
+        return self.level >= EUCLIDEAN
+
+    @property
+    def is_euclidean(self):
+        return self.level >= EUCLIDEAN
+
+    @property
+    def is_field(self):
+        return self.level >= FIELD
 
     # -- identity ---------------------------------------------------
 
@@ -201,7 +224,11 @@ class RingContext:
         return {}
 
     def parse(self, text):
-        raise NotImplementedError
+        """A payload from an expression over symbols(); contexts with
+        bracket literals parse those first."""
+        from .parsing import parse_expr
+
+        return parse_expr(self, text)
 
     def show(self, a):
         raise NotImplementedError
@@ -350,6 +377,31 @@ def ring_pow(x, n):
     return Element(x.ctx, ring_pow_payload(x.ctx, x.val, n))
 
 
+def context_of(x, kinds, message):
+    """x.ctx when x is an Element of an instance of kinds; otherwise
+    RingError(message), with x filled in for a '{!r}' placeholder."""
+    if not isinstance(x, Element) or not isinstance(x.ctx, kinds):
+        raise RingError(message.format(x))
+    return x.ctx
+
+
+def unit_plus_nilpotent_inverse(ctx, u, a):
+    """a^-1 for a with u*a = 1 + m, u a unit and m nilpotent.
+
+    (1 + m)^-1 is the geometric series 1 - m + m^2 - ..., which stops
+    once a power of m vanishes; then a^-1 = u * (1 + m)^-1.
+    """
+    m = ctx.sub(ctx.mul(u, a), ctx.one)
+    acc = ctx.one
+    term = ctx.one
+    for _ in range(512):
+        term = ctx.neg(ctx.mul(term, m))
+        if ctx.is_zero(term):
+            return ctx.mul(u, acc)
+        acc = ctx.add(acc, term)
+    raise RingError("nilpotent part failed to vanish")
+
+
 def int_scale_payload(ctx, n, a):
     """n . a = a + ... + a (n times), by binary doubling; negative n negates."""
     if n < 0:
@@ -475,22 +527,8 @@ class ProductRing(RingContext):
         return all(c.is_commutative for c in self.components)
 
     @property
-    def is_domain(self):
-        if len(self.components) == 1:
-            return self.components[0].is_domain
-        return False
-
-    @property
-    def is_gcd_domain(self):
-        return len(self.components) == 1 and self.components[0].is_gcd_domain
-
-    @property
-    def is_euclidean(self):
-        return len(self.components) == 1 and self.components[0].is_euclidean
-
-    @property
-    def is_field(self):
-        return len(self.components) == 1 and self.components[0].is_field
+    def level(self):
+        return self.components[0].level if len(self.components) == 1 else RING
 
     @property
     def zero(self):

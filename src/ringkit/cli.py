@@ -31,8 +31,9 @@ from .literals import parse_context
 from .matrix import MatrixRing, cramer_solve, mat_inverse
 from .number_rings import (
     HH,
-    QuadFieldRing,
+    ZZ,
     QuadIntRing,
+    QuadraticRing,
     euler_phi,
     quad_norm,
 )
@@ -244,11 +245,9 @@ def _h_primassoc(args):
 def _h_sqfree(args):
     ctx = parse_context(args.ctx)
     text = args.operand.strip()
-    if not text.startswith("["):
-        from .number_rings import IntegerRing
-        if isinstance(ctx, IntegerRing):
-            return {"context": "Z",
-                    "result": str(squarefree_part(_int_arg(text, "integer")))}
+    if not text.startswith("[") and ctx == ZZ:
+        return {"context": "Z",
+                "result": str(squarefree_part(_int_arg(text, "integer")))}
     f = _poly_ctx(args.ctx).parse_element(args.operand)
     return {"context": f.ctx.name(), "result": repr(squarefree_part(f))}
 
@@ -290,7 +289,7 @@ def _h_laurent(args):
 
 def _h_quad_norm(args):
     ctx, x = _ctx_elem(args.ctx, args.x)
-    if not isinstance(ctx, (QuadIntRing, QuadFieldRing)):
+    if not isinstance(ctx, QuadraticRing):
         raise ParseError("quad-norm needs a Quad: or QuadF: context")
     return {"context": ctx.name(), "result": str(quad_norm(x))}
 

@@ -130,14 +130,19 @@ def _validated_moduli(moduli):
     return ctx
 
 
+def _modulus_product(ctx, moduli):
+    """The canonical associate of the product of the moduli."""
+    big = ctx.one
+    for m in moduli:
+        big = ctx.mul(big, m.val)
+    return ctx.mul(ctx.canon_unit(big), big)
+
+
 def crt_idempotents(moduli):
     """Elements e_k = 1 mod m_k and = 0 mod m_j (j != k), reduced mod prod."""
     moduli = list(moduli)
     ctx = _validated_moduli(moduli)
-    big = ctx.one
-    for m in moduli:
-        big = ctx.mul(big, m.val)
-    big = ctx.mul(ctx.canon_unit(big), big)
+    big = _modulus_product(ctx, moduli)
     out = []
     for k, mk in enumerate(moduli):
         e = ctx.one
@@ -161,10 +166,7 @@ def crt_solve(congruences):
     moduli = [m for _, m in congruences]
     ctx = _shared_euclidean_ctx(*residues, *moduli)
     idems = crt_idempotents(moduli)
-    big = ctx.one
-    for m in moduli:
-        big = ctx.mul(big, m.val)
-    big = ctx.mul(ctx.canon_unit(big), big)
+    big = _modulus_product(ctx, moduli)
     x = ctx.zero
     for b, e in zip(residues, idems):
         x = ctx.add(x, ctx.mul(b.val, e.val))

@@ -61,8 +61,7 @@ class Factorization(namedtuple("Factorization", "ctx unit factors")):
     def value(self):
         acc = self.unit
         for f, m in self.factors:
-            for _ in range(m):
-                acc = self.ctx.mul(acc, f)
+            acc = self.ctx.mul(acc, ring_pow_payload(self.ctx, f, m))
         return Element(self.ctx, acc)
 
     def __str__(self):

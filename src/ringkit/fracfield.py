@@ -9,7 +9,7 @@ canonical form is attempted: equality is decided by cross-multiplying,
 and such elements refuse to hash.
 """
 
-from .algebra import Element, RingContext
+from .algebra import FIELD, Element, RingContext
 from .errors import (
     ContextMismatch,
     NotADomain,
@@ -23,11 +23,7 @@ from .euclid import gcd_payload
 class FracField(RingContext):
     """Frac(base) for an integral domain base."""
 
-    is_commutative = True
-    is_domain = True
-    is_gcd_domain = True
-    is_euclidean = True
-    is_field = True
+    level = FIELD
 
     def __init__(self, base):
         if not isinstance(base, RingContext):

@@ -13,7 +13,6 @@ literal, not the arithmetic, is what is wrong.
 
 from .errors import ParseError, RingError
 from .fracfield import FracField
-from .intutil import is_prime
 from .matrix import MatrixRing
 from .number_rings import (
     HH,
@@ -58,10 +57,10 @@ def _parse(text):
     if text.startswith("Zn:"):
         return ModRing(_int(text[3:], "modulus"))
     if text.startswith("Fp:"):
-        p = _int(text[3:], "modulus")
-        if not is_prime(p):
-            raise ParseError(f"Fp: needs a prime modulus, got {p}")
-        return ModRing(p)
+        ctx = ModRing(_int(text[3:], "modulus"))
+        if not ctx.is_field:
+            raise ParseError(f"Fp: needs a prime modulus, got {ctx.n}")
+        return ctx
     if text.startswith("QuadF:"):
         return QuadFieldRing(_int(text[6:], "discriminant"))
     if text.startswith("Quad:"):
@@ -88,11 +87,16 @@ def _parse(text):
             raise ParseError("Quot takes a context and a modulus literal")
         base = _parse(args[0].strip())
         mod = args[1].strip()
-        # a poly-literal modulus over a scalar context means the
-        # quotient of the polynomial ring: Quot(Fp:2,[1,1,1])
-        if mod.startswith("[") and not isinstance(base, PolyRing):
+        # a list modulus the base refuses names a polynomial over the
+        # base, so Quot(Fp:2,[1,1,1]) is the quotient of Fp:2[x]
+        try:
+            m = base.parse(mod)
+        except ParseError:
+            if not mod.startswith("["):
+                raise
             base = PolyRing(base)
-        return QuotientRing(base, base.canon(base.parse(mod)))
+            m = base.parse(mod)
+        return QuotientRing(base, base.canon(m))
     if head == "Mat":
         if len(args) != 2:
             raise ParseError("Mat takes a context and a dimension")

@@ -13,7 +13,7 @@ condition, with the solution re-checked against the system before it
 is returned.
 """
 
-from .algebra import Element, RingContext
+from .algebra import RING, Element, RingContext, context_of
 from .errors import (
     DeterminantNotUnit,
     InfiniteRing,
@@ -54,20 +54,8 @@ class MatrixRing(RingContext):
         return self.n == 1
 
     @property
-    def is_domain(self):
-        return self.n == 1 and self.base.is_domain
-
-    @property
-    def is_gcd_domain(self):
-        return self.n == 1 and self.base.is_gcd_domain
-
-    @property
-    def is_euclidean(self):
-        return self.n == 1 and self.base.is_euclidean
-
-    @property
-    def is_field(self):
-        return self.n == 1 and self.base.is_field
+    def level(self):
+        return self.base.level if self.n == 1 else RING
 
     @property
     def zero(self):
@@ -257,10 +245,7 @@ def _not_unit(base, d):
         det=Element(base, d))
 
 
-def _as_matrix(a):
-    if not isinstance(a, Element) or not isinstance(a.ctx, MatrixRing):
-        raise RingError(f"expected a matrix element, got {a!r}")
-    return a.ctx
+_NOT_MATRIX = "expected a matrix element, got {!r}"
 
 
 def matrix_ring(base, n):
@@ -268,12 +253,12 @@ def matrix_ring(base, n):
 
 
 def det(a):
-    ctx = _as_matrix(a)
+    ctx = context_of(a, MatrixRing, _NOT_MATRIX)
     return Element(ctx.base, det_payload(ctx.base, a.val))
 
 
 def trace(a):
-    ctx = _as_matrix(a)
+    ctx = context_of(a, MatrixRing, _NOT_MATRIX)
     acc = ctx.base.zero
     for i in range(ctx.n):
         acc = ctx.base.add(acc, a.val[i][i])
@@ -281,18 +266,18 @@ def trace(a):
 
 
 def transpose(a):
-    ctx = _as_matrix(a)
+    ctx = context_of(a, MatrixRing, _NOT_MATRIX)
     return Element(ctx, tuple(zip(*a.val)))
 
 
 def adjugate(a):
-    ctx = _as_matrix(a)
+    ctx = context_of(a, MatrixRing, _NOT_MATRIX)
     return Element(ctx, _adjugate_from(ctx, a.val, _charpoly(ctx.base, a.val)))
 
 
 def mat_inverse(a):
     """det^-1 times the adjugate; the determinant must be a unit."""
-    ctx = _as_matrix(a)
+    ctx = context_of(a, MatrixRing, _NOT_MATRIX)
     inv, d = _inverse_det(ctx, a.val)
     if inv is None:
         raise _not_unit(ctx.base, d)
@@ -306,7 +291,7 @@ def cramer_solve(a, rhs):
     over a ring with zero divisors a non-unit determinant means Cramer
     gives no answer, and DeterminantNotUnit reports that determinant.
     """
-    ctx = _as_matrix(a)
+    ctx = context_of(a, MatrixRing, _NOT_MATRIX)
     base = ctx.base
     b = []
     for x in rhs:

@@ -15,7 +15,14 @@ f(t*X) = t^deg(f) * f(X) can be checked for any chosen scalar.
 
 import functools
 
-from .algebra import Element, RingContext
+from .algebra import (
+    DOMAIN,
+    Element,
+    RingContext,
+    context_of,
+    ring_pow_payload,
+    unit_plus_nilpotent_inverse,
+)
 from .errors import (
     InfiniteRing,
     InvalidParameters,
@@ -118,8 +125,8 @@ class MultiPolyRing(RingContext):
         return f"MPoly({self.base.name()})"
 
     @property
-    def is_domain(self):
-        return self.base.is_domain
+    def level(self):
+        return min(self.base.level, DOMAIN)
 
     def _seal(self, table):
         items = [(m, c) for m, c in table.items() if not self.base.is_zero(c)]
@@ -195,17 +202,7 @@ class MultiPolyRing(RingContext):
             return self._constant(u)
         if not all(self.base.is_nilpotent(c) for c in table.values()):
             return None
-        # unit times (1 + nilpotent): invert by the terminating
-        # geometric series, exactly as in one variable
-        m = self.sub(self.mul(self._constant(u), a), self.one)
-        acc = self.one
-        term = self.one
-        for _ in range(512):
-            term = self.neg(self.mul(term, m))
-            if not term:
-                return self.mul(self._constant(u), acc)
-            acc = self.add(acc, term)
-        raise RingError("nilpotent part failed to vanish")
+        return unit_plus_nilpotent_inverse(self, self._constant(u), a)
 
     def is_nilpotent(self, a):
         return all(self.base.is_nilpotent(c) for _, c in a)
@@ -248,10 +245,7 @@ class MultiPolyRing(RingContext):
         return "{" + inner + "}"
 
 
-def _as_mpoly(f):
-    if not isinstance(f, Element) or not isinstance(f.ctx, MultiPolyRing):
-        raise RingError(f"expected a multivariate polynomial, got {f!r}")
-    return f.ctx
+_NOT_MPOLY = "expected a multivariate polynomial, got {!r}"
 
 
 def mv_ring(base):
@@ -259,19 +253,19 @@ def mv_ring(base):
 
 
 def variables_of(f):
-    _as_mpoly(f)
+    context_of(f, MultiPolyRing, _NOT_MPOLY)
     return sorted({v for m, _ in f.val for v, _ in m})
 
 
 def total_degree(f):
-    _as_mpoly(f)
+    context_of(f, MultiPolyRing, _NOT_MPOLY)
     if not f.val:
         return NEG_INF
     return max(_mono_degree(m) for m, _ in f.val)
 
 
 def degree_in(f, var):
-    _as_mpoly(f)
+    context_of(f, MultiPolyRing, _NOT_MPOLY)
     if not f.val:
         return NEG_INF
     best = 0
@@ -284,7 +278,7 @@ def degree_in(f, var):
 
 def mv_eval(f, assignment):
     """Substitute a base element for every variable appearing in f."""
-    ctx = _as_mpoly(f)
+    ctx = context_of(f, MultiPolyRing, _NOT_MPOLY)
     base = ctx.base
     point = {}
     for v, x in assignment.items():
@@ -295,15 +289,14 @@ def mv_eval(f, assignment):
         for v, e in m:
             if v not in point:
                 raise MissingVariable(f"no value given for {v}")
-            for _ in range(e):
-                term = base.mul(term, point[v])
+            term = base.mul(term, ring_pow_payload(base, point[v], e))
         total = base.add(total, term)
     return Element(base, total)
 
 
 def homogeneous_components(f):
     """Split f by total degree; keys are the degrees that occur."""
-    ctx = _as_mpoly(f)
+    ctx = context_of(f, MultiPolyRing, _NOT_MPOLY)
     buckets = {}
     for m, c in f.val:
         buckets.setdefault(_mono_degree(m), []).append((m, c))
@@ -314,13 +307,13 @@ def homogeneous_components(f):
 
 
 def is_homogeneous(f):
-    _as_mpoly(f)
+    context_of(f, MultiPolyRing, _NOT_MPOLY)
     return len(homogeneous_components(f)) <= 1
 
 
 def scaling_check(f, lam):
     """Test f(lam*X) == lam^d * f(X) as polynomials, d = total degree."""
-    ctx = _as_mpoly(f)
+    ctx = context_of(f, MultiPolyRing, _NOT_MPOLY)
     base = ctx.base
     lv = lam.val if isinstance(lam, Element) else base.canon(lam)
     if not f.val:
@@ -328,22 +321,17 @@ def scaling_check(f, lam):
     d = total_degree(f)
     scaled = {}
     for m, c in f.val:
-        k = _mono_degree(m)
-        factor = base.one
-        for _ in range(k):
-            factor = base.mul(factor, lv)
+        factor = ring_pow_payload(base, lv, _mono_degree(m))
         scaled[m] = base.mul(factor, c)
     lhs = ctx._seal(scaled)
-    lam_d = base.one
-    for _ in range(d):
-        lam_d = base.mul(lam_d, lv)
+    lam_d = ring_pow_payload(base, lv, d)
     rhs = ctx.mul(ctx._constant(lam_d), f.val)
     return ctx.eq(lhs, rhs)
 
 
 def homogenize(f, newvar):
     """Pad every term with powers of a fresh variable up to total degree."""
-    ctx = _as_mpoly(f)
+    ctx = context_of(f, MultiPolyRing, _NOT_MPOLY)
     if not f.val:
         raise ZeroPolynomial("cannot homogenize the zero polynomial")
     if newvar in variables_of(f):
@@ -360,7 +348,7 @@ def homogenize(f, newvar):
 
 def dehomogenize(f, var):
     """Substitute var = 1 by erasing it from every monomial."""
-    ctx = _as_mpoly(f)
+    ctx = context_of(f, MultiPolyRing, _NOT_MPOLY)
     out = []
     for m, c in f.val:
         mono = tuple((v, e) for v, e in m if v != var)

@@ -7,6 +7,7 @@ Payload conventions:
   * ModRing(n)        -- int in range(n)
   * QuadIntRing(d)    -- pair (a, b) of ints meaning a + b*sqrt(d)
   * QuadFieldRing(d)  -- pair (a, b) of Fractions
+    (both share QuadraticRing's arithmetic, norm, parsing and printing)
   * QuaternionAlgebra -- 4-tuple of Fractions (coefficients of 1, i, j, k)
 
 d must be squarefree and not 1.  QuadIntRing(-1) is the Gaussian
@@ -18,7 +19,15 @@ the first quadrant (positive real part, nonnegative imaginary part).
 import math
 from fractions import Fraction
 
-from .algebra import Element, RingContext
+from .algebra import (
+    DOMAIN,
+    EUCLIDEAN,
+    FIELD,
+    RING,
+    Element,
+    RingContext,
+    context_of,
+)
 from .errors import (
     DivisionByZero,
     InvalidParameters,
@@ -32,10 +41,8 @@ from .intutil import is_prime, is_squarefree, trial_factors
 class IntegerRing(RingContext):
     """The rational integers with ordinary division-with-remainder."""
 
-    is_commutative = True
-    is_domain = True
-    is_gcd_domain = True
-    is_euclidean = True
+    level = EUCLIDEAN
+    signed = True
 
     def _key(self):
         return ("Z",)
@@ -120,11 +127,8 @@ class IntegerRing(RingContext):
 class RationalField(RingContext):
     """The field of rational numbers, backed by fractions.Fraction."""
 
-    is_commutative = True
-    is_domain = True
-    is_gcd_domain = True
-    is_euclidean = True
-    is_field = True
+    level = FIELD
+    signed = True
 
     def _key(self):
         return ("Q",)
@@ -180,35 +184,17 @@ class RationalField(RingContext):
 class ModRing(RingContext):
     """Integers modulo n, with canonical residues in range(n)."""
 
-    is_commutative = True
-
     def __init__(self, n):
         if not isinstance(n, int) or n < 1:
             raise InvalidParameters(f"modulus must be a positive integer, got {n!r}")
         self.n = n
-        self._prime = is_prime(n)
-
-    @property
-    def is_field(self):
-        return self._prime
-
-    @property
-    def is_euclidean(self):
-        return self._prime
-
-    @property
-    def is_gcd_domain(self):
-        return self._prime
-
-    @property
-    def is_domain(self):
-        return self._prime
+        self.level = FIELD if is_prime(n) else RING
 
     def _key(self):
         return ("Mod", self.n)
 
     def name(self):
-        return f"Fp:{self.n}" if self._prime else f"Zn:{self.n}"
+        return f"Fp:{self.n}" if self.is_field else f"Zn:{self.n}"
 
     @property
     def zero(self):
@@ -285,47 +271,22 @@ class ModRing(RingContext):
         return str(a % self.n)
 
 
-class QuadIntRing(RingContext):
-    """Z[sqrt(d)] for squarefree d != 1, elements a + b*sqrt(d)."""
-
-    is_commutative = True
-    is_domain = True
+class QuadraticRing(RingContext):
+    """The arithmetic Z[sqrt(d)] and Q(sqrt(d)) share, for squarefree
+    d != 1: payload pairs (a, b) meaning a + b*sqrt(d), whose
+    coefficients are of type coeff, with zero and one as class
+    constants.  prefix names the context literal."""
 
     def __init__(self, d):
         if not isinstance(d, int) or d == 1 or not is_squarefree(d):
             raise InvalidParameters(f"d must be a squarefree integer != 1, got {d!r}")
         self.d = d
 
-    @property
-    def is_euclidean(self):
-        return self.d == -1
-
-    @property
-    def is_gcd_domain(self):
-        return self.d == -1
-
     def _key(self):
-        return ("QuadInt", self.d)
+        return (self.d,)
 
     def name(self):
-        return f"Quad:{self.d}"
-
-    @property
-    def zero(self):
-        return (0, 0)
-
-    @property
-    def one(self):
-        return (1, 0)
-
-    def canon(self, raw):
-        try:
-            a, b = raw
-        except (TypeError, ValueError):
-            raise RingError(f"expected a coefficient pair, got {raw!r}")
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise RingError(f"expected integer coefficients, got {raw!r}")
-        return (a, b)
+        return f"{self.prefix}:{self.d}"
 
     def add(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
@@ -339,7 +300,7 @@ class QuadIntRing(RingContext):
         return (a * c + self.d * b * e, a * e + b * c)
 
     def from_int(self, n):
-        return (n, 0)
+        return (self.coeff(n), self.coeff(0))
 
     def norm(self, x):
         a, b = x
@@ -348,6 +309,54 @@ class QuadIntRing(RingContext):
     def conj(self, x):
         return (x[0], -x[1])
 
+    def characteristic(self):
+        return 0
+
+    def symbols(self):
+        sym = (self.zero[0], self.one[0])
+        names = {"s": sym}
+        if self.d == -1:
+            names["i"] = sym
+        return names
+
+    def show(self, x):
+        sym = "i" if self.d == -1 else "s"
+        a, b = x
+        if b == 0:
+            return str(a)
+        if b == 1:
+            bpart = sym
+        elif b == -1:
+            bpart = f"-{sym}"
+        else:
+            bpart = f"{b}*{sym}"
+        if a == 0:
+            return bpart
+        joiner = "+" if not bpart.startswith("-") else ""
+        return f"{a}{joiner}{bpart}"
+
+
+class QuadIntRing(QuadraticRing):
+    """Z[sqrt(d)] for squarefree d != 1, elements a + b*sqrt(d)."""
+
+    prefix = "Quad"
+    coeff = int
+    zero = (0, 0)
+    one = (1, 0)
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.level = EUCLIDEAN if d == -1 else DOMAIN
+
+    def canon(self, raw):
+        try:
+            a, b = raw
+        except (TypeError, ValueError):
+            raise RingError(f"expected a coefficient pair, got {raw!r}")
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise RingError(f"expected integer coefficients, got {raw!r}")
+        return (a, b)
+
     def try_inverse(self, x):
         n = self.norm(x)
         if n == 1:
@@ -355,9 +364,6 @@ class QuadIntRing(RingContext):
         if n == -1:
             return self.neg(self.conj(x))
         return None
-
-    def characteristic(self):
-        return 0
 
     def divmod_(self, x, y):
         if self.d != -1:
@@ -411,49 +417,15 @@ class QuadIntRing(RingContext):
         p = abs(a + b)
         return p % 4 == 3 and is_prime(p)
 
-    def symbols(self):
-        sym = (0, 1)
-        names = {"s": sym}
-        if self.d == -1:
-            names["i"] = sym
-        return names
 
-    def parse(self, text):
-        from .parsing import parse_expr
-
-        return parse_expr(self, text)
-
-    def show(self, x):
-        return _show_quad(x, "i" if self.d == -1 else "s")
-
-
-class QuadFieldRing(RingContext):
+class QuadFieldRing(QuadraticRing):
     """Q(sqrt(d)) for squarefree d != 1, with Fraction coefficients."""
 
-    is_commutative = True
-    is_domain = True
-    is_gcd_domain = True
-    is_euclidean = True
-    is_field = True
-
-    def __init__(self, d):
-        if not isinstance(d, int) or d == 1 or not is_squarefree(d):
-            raise InvalidParameters(f"d must be a squarefree integer != 1, got {d!r}")
-        self.d = d
-
-    def _key(self):
-        return ("QuadField", self.d)
-
-    def name(self):
-        return f"QuadF:{self.d}"
-
-    @property
-    def zero(self):
-        return (Fraction(0), Fraction(0))
-
-    @property
-    def one(self):
-        return (Fraction(1), Fraction(0))
+    prefix = "QuadF"
+    coeff = Fraction
+    zero = (Fraction(0), Fraction(0))
+    one = (Fraction(1), Fraction(0))
+    level = FIELD
 
     def canon(self, raw):
         try:
@@ -462,67 +434,11 @@ class QuadFieldRing(RingContext):
             raise RingError(f"expected a coefficient pair, got {raw!r}")
         return (Fraction(a), Fraction(b))
 
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def neg(self, x):
-        return (-x[0], -x[1])
-
-    def mul(self, x, y):
-        a, b = x
-        c, e = y
-        return (a * c + self.d * b * e, a * e + b * c)
-
-    def from_int(self, n):
-        return (Fraction(n), Fraction(0))
-
-    def norm(self, x):
-        a, b = x
-        return a * a - self.d * b * b
-
-    def conj(self, x):
-        return (x[0], -x[1])
-
     def try_inverse(self, x):
         n = self.norm(x)
         if n == 0:
             return None
         return (x[0] / n, -x[1] / n)
-
-    def characteristic(self):
-        return 0
-
-    def symbols(self):
-        sym = (Fraction(0), Fraction(1))
-        names = {"s": sym}
-        if self.d == -1:
-            names["i"] = sym
-        return names
-
-    def parse(self, text):
-        from .parsing import parse_expr
-
-        return parse_expr(self, text)
-
-    def show(self, x):
-        return _show_quad(x, "i" if self.d == -1 else "s")
-
-
-def _show_quad(x, sym):
-    a, b = x
-    if b == 0:
-        return str(a)
-    if b == 1:
-        bpart = sym
-    elif b == -1:
-        bpart = f"-{sym}"
-    else:
-        bstr = str(b)
-        bpart = f"{bstr}*{sym}"
-    if a == 0:
-        return bpart
-    joiner = "+" if not bpart.startswith("-") else ""
-    return f"{a}{joiner}{bpart}"
 
 
 class QuaternionAlgebra(RingContext):
@@ -600,11 +516,6 @@ class QuaternionAlgebra(RingContext):
             "k": (z, z, z, o),
         }
 
-    def parse(self, text):
-        from .parsing import parse_expr
-
-        return parse_expr(self, text)
-
     def show(self, x):
         parts = []
         for coef, sym in zip(x, ("", "i", "j", "k")):
@@ -643,27 +554,24 @@ def euler_phi(n):
     return result
 
 
-def _quad_ctx(x):
-    if not isinstance(x.ctx, (QuadIntRing, QuadFieldRing)):
-        raise RingError("expected an element of a quadratic ring or field")
-    return x.ctx
+_NOT_QUAD = "expected an element of a quadratic ring or field"
 
 
 def quad_norm(x):
     """Multiplicative norm a^2 - d*b^2 as a plain int or Fraction."""
-    return _quad_ctx(x).norm(x.val)
+    return context_of(x, QuadraticRing, _NOT_QUAD).norm(x.val)
 
 
 def quad_conj(x):
-    return Element(x.ctx, _quad_ctx(x).conj(x.val))
+    return Element(x.ctx, context_of(x, QuadraticRing, _NOT_QUAD).conj(x.val))
 
 
 def quad_is_unit(x):
-    return _quad_ctx(x).try_inverse(x.val) is not None
+    return context_of(x, QuadraticRing, _NOT_QUAD).try_inverse(x.val) is not None
 
 
 def quad_inverse(x):
-    inv = _quad_ctx(x).try_inverse(x.val)
+    inv = context_of(x, QuadraticRing, _NOT_QUAD).try_inverse(x.val)
     if inv is None:
         raise NotInvertible(f"{x!r} has norm {quad_norm(x)}, not a unit")
     return Element(x.ctx, inv)

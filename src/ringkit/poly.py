@@ -25,7 +25,16 @@ measured crossovers.
 
 import itertools
 
-from .algebra import Element, RingContext, int_scale_payload
+from .algebra import (
+    DOMAIN,
+    EUCLIDEAN,
+    RING,
+    Element,
+    RingContext,
+    context_of,
+    int_scale_payload,
+    unit_plus_nilpotent_inverse,
+)
 from .errors import (
     ContextNotEuclidean,
     DivisionByZero,
@@ -37,7 +46,7 @@ from .errors import (
     RingError,
     ZeroPolynomial,
 )
-from .number_rings import IntegerRing, RationalField
+from .number_rings import RationalField
 
 
 class _NegInfinity:
@@ -154,16 +163,11 @@ class PolyRing(RingContext):
         return self.base.is_commutative
 
     @property
-    def is_domain(self):
-        return self.base.is_domain
-
-    @property
-    def is_gcd_domain(self):
-        return self.base.is_field
-
-    @property
-    def is_euclidean(self):
-        return self.base.is_field
+    def level(self):
+        # a property, so a quotient base decides primality only when asked
+        if self.base.is_field:
+            return EUCLIDEAN
+        return DOMAIN if self.base.is_domain else RING
 
     def _strip(self, coeffs):
         n = len(coeffs)
@@ -242,16 +246,7 @@ class PolyRing(RingContext):
             return None
         if not all(self.base.is_nilpotent(c) for c in a[1:]):
             return None
-        uf = self.mul(self._strip((u,)), a)
-        m = self.sub(uf, self.one)
-        acc = self.one
-        term = self.one
-        for _ in range(512):
-            term = self.neg(self.mul(term, m))
-            if not term:
-                return self.mul(self._strip((u,)), acc)
-            acc = self.add(acc, term)
-        raise RingError("nilpotent part failed to vanish")
+        return unit_plus_nilpotent_inverse(self, self._strip((u,)), a)
 
     def is_nilpotent(self, a):
         return all(self.base.is_nilpotent(c) for c in a)
@@ -358,16 +353,25 @@ class PolyRing(RingContext):
         return syms
 
     def parse(self, text):
+        """A coefficient list [c0,c1,...] or an expression in x; a text
+        that neither reads is tried as a constant of the base, so
+        bracketed coefficient literals parse back as they print."""
         from .parsing import parse_expr, split_top
 
         text = text.strip()
-        if text.startswith("[") and text.endswith("]"):
-            inner = text[1:-1].strip()
-            if not inner:
-                return ()
-            return self._strip(
-                [self.base.parse(p.strip()) for p in split_top(inner, ",")])
-        return parse_expr(self, text)
+        try:
+            if text.startswith("[") and text.endswith("]"):
+                inner = text[1:-1].strip()
+                if not inner:
+                    return ()
+                return self._strip([self.base.parse(p.strip())
+                                    for p in split_top(inner, ",")])
+            return parse_expr(self, text)
+        except ParseError as refused:
+            try:
+                return self._strip((self.base.canon(self.base.parse(text)),))
+            except (ParseError, RingError):
+                raise refused from None
 
     def show(self, a):
         return poly_show(self.base, a)
@@ -377,49 +381,46 @@ def poly_show(base, coeffs):
     """Compact pretty form, highest degree first, reparseable."""
     if not coeffs:
         return "0"
-    signed = isinstance(base, (IntegerRing, RationalField))
+    return show_terms(base, (
+        (k, coeffs[k]) for k in range(len(coeffs) - 1, -1, -1)
+        if not base.is_zero(coeffs[k])))
+
+
+def show_terms(base, terms):
+    """The sum of c*x^e over (e, c) pairs of nonzero base payloads, in the
+    order given.  A coefficient of a signed base prints its sign; any
+    other prints bare when it is all digits, else in parentheses."""
     out = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if base.is_zero(c):
-            continue
-        if signed:
+    for e, c in terms:
+        if base.signed:
             neg = c < 0
-            body = _poly_term(str(-c if neg else c), k)
+            cs = str(-c if neg else c)
             sign = "-" if neg else ("+" if out else "")
         else:
             cs = base.show(c)
             if not cs.isdigit():
                 cs = f"({cs})"
-            body = _poly_term(cs, k)
             sign = "+" if out else ""
+        if e == 0:
+            body = cs
+        else:
+            xpow = "x" if e == 1 else f"x^{e}"
+            body = xpow if cs == "1" else f"{cs}*{xpow}"
         out.append(sign + body)
     return "".join(out)
 
 
-def _poly_term(cstr, k):
-    if k == 0:
-        return cstr
-    xpow = "x" if k == 1 else f"x^{k}"
-    if cstr == "1":
-        return xpow
-    return f"{cstr}*{xpow}"
-
-
-def _as_poly(p):
-    if not isinstance(p, Element) or not isinstance(p.ctx, PolyRing):
-        raise RingError(f"expected a polynomial element, got {p!r}")
-    return p.ctx
+_NOT_POLY = "expected a polynomial element, got {!r}"
 
 
 def degree(p):
     """Degree of a polynomial element; NEG_INF for the zero polynomial."""
-    _as_poly(p)
+    context_of(p, PolyRing, _NOT_POLY)
     return len(p.val) - 1 if p.val else NEG_INF
 
 
 def leading_coefficient(p):
-    ctx = _as_poly(p)
+    ctx = context_of(p, PolyRing, _NOT_POLY)
     if not p.val:
         raise ZeroPolynomial("the zero polynomial has no leading coefficient")
     return Element(ctx.base, p.val[-1])
@@ -427,7 +428,7 @@ def leading_coefficient(p):
 
 def poly_eval(p, point):
     """Left-substitution p(point): coefficients stay left of the powers."""
-    ctx = _as_poly(p)
+    ctx = context_of(p, PolyRing, _NOT_POLY)
     base = ctx.base
     r = point.val if isinstance(point, Element) else base.canon(point)
     if isinstance(point, Element) and point.ctx != base:
@@ -444,7 +445,7 @@ def horner(base, coeffs, r):
 
 
 def derivative(p):
-    ctx = _as_poly(p)
+    ctx = context_of(p, PolyRing, _NOT_POLY)
     base = ctx.base
     out = [int_scale_payload(base, i, c) for i, c in enumerate(p.val)][1:]
     return Element(ctx, ctx._strip(out))
@@ -457,7 +458,7 @@ def divrem_scaled(f, g):
     small as this one-step-at-a-time scheme allows; deg r < deg g on
     return.  Needs a commutative coefficient ring and g != 0.
     """
-    ctx = _as_poly(f)
+    ctx = context_of(f, PolyRing, _NOT_POLY)
     if g.ctx != ctx:
         raise RingError("operands live in different polynomial rings")
     if not ctx.base.is_commutative:
@@ -481,7 +482,7 @@ def divrem_scaled(f, g):
 
 def divrem_field(f, g):
     """Division with remainder over field coefficients."""
-    ctx = _as_poly(f)
+    ctx = context_of(f, PolyRing, _NOT_POLY)
     if g.ctx != ctx:
         raise RingError("operands live in different polynomial rings")
     if not ctx.base.is_field:
@@ -492,7 +493,7 @@ def divrem_field(f, g):
 
 def factor_theorem_split(p, a):
     """Quotient p / (x - a) when a is a root; synthetic division is exact."""
-    ctx = _as_poly(p)
+    ctx = context_of(p, PolyRing, _NOT_POLY)
     base = ctx.base
     r = a.val if isinstance(a, Element) else base.canon(a)
     if not p.val:
@@ -511,7 +512,7 @@ def factor_theorem_split(p, a):
 
 def roots_over_finite(p):
     """All roots in a finite coefficient ring, by exhaustion."""
-    ctx = _as_poly(p)
+    ctx = context_of(p, PolyRing, _NOT_POLY)
     if not p.val:
         raise ZeroPolynomial("every element is a root of the zero polynomial")
     if not ctx.base.is_finite:

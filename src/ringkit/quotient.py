@@ -16,7 +16,7 @@ hooks:
   * residues(m): one canonical payload per class, in a fixed order;
   * residue_characteristic(m): the additive order of 1 modulo m;
   * is_prime_element(m): whether (m) is prime, hence maximal, which
-    sets every capability flag of the quotient;
+    makes the quotient a field (and otherwise leaves it at level RING);
   * radical(m): a generator of the radical of (m) where the base finds
     one without factoring m (polynomials in characteristic 0), else None,
     and nilpotence is decided by repeated squaring.
@@ -37,7 +37,7 @@ import functools
 import itertools
 import random
 
-from .algebra import Element, RingContext
+from .algebra import FIELD, RING, Element, RingContext
 from .errors import (
     ContextNotEuclidean,
     FactorsMismatch,
@@ -83,26 +83,10 @@ class QuotientRing(RingContext):
     def is_commutative(self):
         return self.base.is_commutative
 
-    @property
-    def is_field(self):
-        return self._modulus_is_prime
-
-    @property
-    def is_euclidean(self):
-        return self._modulus_is_prime
-
-    @property
-    def is_gcd_domain(self):
-        return self._modulus_is_prime
-
-    @property
-    def is_domain(self):
-        # in these principal ideal contexts nonzero primes are maximal
-        return self._modulus_is_prime
-
     @functools.cached_property
-    def _modulus_is_prime(self):
-        return self.base.is_prime_element(self.modulus)
+    def level(self):
+        # in these principal ideal contexts nonzero primes are maximal
+        return FIELD if self.base.is_prime_element(self.modulus) else RING
 
     @property
     def zero(self):

@@ -25,7 +25,7 @@ truncated tail; printing appends the O(x^N) marker for the tail window.
 import itertools
 from collections import namedtuple
 
-from .algebra import Element, RingContext
+from .algebra import RING, Element, RingContext, context_of
 from .errors import (
     ConstantTermNotUnit,
     ContextMismatch,
@@ -36,8 +36,13 @@ from .errors import (
     ParseError,
     RingError,
 )
-from .number_rings import IntegerRing, RationalField
-from .poly import KRONECKER_MIN, NEWTON_MIN, kron_inverse, kron_mul
+from .poly import (
+    KRONECKER_MIN,
+    NEWTON_MIN,
+    kron_inverse,
+    kron_mul,
+    show_terms,
+)
 
 
 class SeriesRing(RingContext):
@@ -63,20 +68,9 @@ class SeriesRing(RingContext):
         return self.base.is_commutative
 
     @property
-    def is_domain(self):
-        return self.prec == 1 and self.base.is_domain
-
-    @property
-    def is_gcd_domain(self):
-        return self.prec == 1 and self.base.is_gcd_domain
-
-    @property
-    def is_euclidean(self):
-        return self.prec == 1 and self.base.is_euclidean
-
-    @property
-    def is_field(self):
-        return self.prec == 1 and self.base.is_field
+    def level(self):
+        # base[x] mod x has the base's level; x is a zero divisor above that
+        return self.base.level if self.prec == 1 else RING
 
     def _fit(self, coeffs):
         z = self.base.zero
@@ -216,14 +210,11 @@ class OrderVal(namedtuple("OrderVal", "kind n")):
         return str(self.n) if self.is_known else f">={self.n}"
 
 
-def _as_series(x):
-    if not isinstance(x, Element) or not isinstance(x.ctx, SeriesRing):
-        raise RingError(f"expected a truncated series, got {x!r}")
-    return x.ctx
+_NOT_SERIES = "expected a truncated series, got {!r}"
 
 
 def ts_ord(x):
-    ctx = _as_series(x)
+    ctx = context_of(x, SeriesRing, _NOT_SERIES)
     for i, c in enumerate(x.val):
         if not ctx.base.is_zero(c):
             return OrderVal.known(i)
@@ -232,7 +223,7 @@ def ts_ord(x):
 
 def ts_truncate(x, prec):
     """Project to a smaller window; growing the window would invent data."""
-    ctx = _as_series(x)
+    ctx = context_of(x, SeriesRing, _NOT_SERIES)
     if not 1 <= prec <= ctx.prec:
         raise InvalidParameters(
             f"cannot truncate precision {ctx.prec} to {prec}")
@@ -243,7 +234,8 @@ def ts_truncate(x, prec):
 
 
 def _meet(f, g):
-    fc, gc = _as_series(f), _as_series(g)
+    fc = context_of(f, SeriesRing, _NOT_SERIES)
+    gc = context_of(g, SeriesRing, _NOT_SERIES)
     if fc.base != gc.base:
         raise ContextMismatch(
             f"series over {fc.base.name()} vs {gc.base.name()}")
@@ -262,7 +254,7 @@ def ts_mul(f, g):
 
 
 def ts_invert(x):
-    ctx = _as_series(x)
+    ctx = context_of(x, SeriesRing, _NOT_SERIES)
     inv = ctx.try_inverse(x.val)
     if inv is None:
         raise ConstantTermNotUnit(
@@ -291,37 +283,10 @@ class LaurentSeries(namedtuple("LaurentSeries", "principal tail")):
 
 def laurent_show(ls):
     base = ls.base
-    tailctx = ls.tail.ctx
-    signed = isinstance(base, (IntegerRing, RationalField))
-    out = []
-    terms = list(ls.principal)
-    terms.extend(
-        (e, c) for e, c in enumerate(ls.tail.val) if not base.is_zero(c))
-    for e, c in terms:
-        if signed:
-            neg = c < 0
-            body = _laurent_term(str(-c if neg else c), e)
-            sign = "-" if neg else ("+" if out else "")
-        else:
-            cs = base.show(c)
-            if not cs.isdigit():
-                cs = f"({cs})"
-            body = _laurent_term(cs, e)
-            sign = "+" if out else ""
-        out.append(sign + body)
-    marker = f"O(x^{tailctx.prec})"
-    if not out:
-        return marker
-    return "".join(out) + "+" + marker
-
-
-def _laurent_term(cstr, e):
-    if e == 0:
-        return cstr
-    xpow = "x" if e == 1 else f"x^{e}"
-    if cstr == "1":
-        return xpow
-    return f"{cstr}*{xpow}"
+    body = show_terms(base, itertools.chain(ls.principal, (
+        (e, c) for e, c in enumerate(ls.tail.val) if not base.is_zero(c))))
+    marker = f"O(x^{ls.tail.ctx.prec})"
+    return body + "+" + marker if body else marker
 
 
 def laurent_from_fraction(num, den):
@@ -331,7 +296,8 @@ def laurent_from_fraction(num, den):
     is indistinguishable from zero and the quotient is meaningless) and
     the base must be a field so the shifted denominator inverts.
     """
-    nctx, dctx = _as_series(num), _as_series(den)
+    nctx = context_of(num, SeriesRing, _NOT_SERIES)
+    dctx = context_of(den, SeriesRing, _NOT_SERIES)
     if nctx.base != dctx.base:
         raise ContextMismatch(
             f"series over {nctx.base.name()} vs {dctx.base.name()}")

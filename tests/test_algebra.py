@@ -24,14 +24,144 @@ from ringkit import (
     zero_divisors_of,
 )
 from ringkit.errors import InfiniteRing, NotInvertible
+from ringkit.fracfield import FracField
+from ringkit.matrix import MatrixRing
+from ringkit.multivar import MultiPolyRing
+from ringkit.parsing import split_top
+from ringkit.poly import PolyRing
+from ringkit.series import SeriesRing
+
+
+FLAGS = ("is_commutative", "is_domain", "is_gcd_domain", "is_euclidean",
+         "is_field")
+
+# The five flags of composed contexts, recorded while every context still
+# wrote its flags out by hand; deriving them from one level keeps them.
+FLAG_TABLE = [
+    ("Z", (1, 1, 1, 1, 0)),
+    ("Q", (1, 1, 1, 1, 1)),
+    ("H", (0, 0, 0, 0, 0)),
+    ("Zn:1", (1, 0, 0, 0, 0)),
+    ("Zn:6", (1, 0, 0, 0, 0)),
+    ("Fp:2", (1, 1, 1, 1, 1)),
+    ("Fp:7", (1, 1, 1, 1, 1)),
+    ("Quad:-1", (1, 1, 1, 1, 0)),
+    ("Quad:-5", (1, 1, 0, 0, 0)),
+    ("Quad:2", (1, 1, 0, 0, 0)),
+    ("QuadF:-1", (1, 1, 1, 1, 1)),
+    ("QuadF:5", (1, 1, 1, 1, 1)),
+    ("Poly(Z)", (1, 1, 0, 0, 0)),
+    ("Poly(Q)", (1, 1, 1, 1, 0)),
+    ("Poly(Fp:7)", (1, 1, 1, 1, 0)),
+    ("Poly(Zn:6)", (1, 0, 0, 0, 0)),
+    ("Poly(Quad:-1)", (1, 1, 0, 0, 0)),
+    ("Poly(Quad:-5)", (1, 1, 0, 0, 0)),
+    ("Poly(H)", (0, 0, 0, 0, 0)),
+    ("Poly(Poly(Q))", (1, 1, 0, 0, 0)),
+    ("Poly(Frac(Z))", (1, 1, 1, 1, 0)),
+    ("Series(Z,1)", (1, 1, 1, 1, 0)),
+    ("Series(Z,3)", (1, 0, 0, 0, 0)),
+    ("Series(Q,1)", (1, 1, 1, 1, 1)),
+    ("Series(Q,2)", (1, 0, 0, 0, 0)),
+    ("Series(Fp:5,1)", (1, 1, 1, 1, 1)),
+    ("Series(Zn:6,1)", (1, 0, 0, 0, 0)),
+    ("Series(Quad:-1,1)", (1, 1, 1, 1, 0)),
+    ("Series(H,1)", (0, 0, 0, 0, 0)),
+    ("Mat(Z,1)", (1, 1, 1, 1, 0)),
+    ("Mat(Z,2)", (0, 0, 0, 0, 0)),
+    ("Mat(Q,1)", (1, 1, 1, 1, 1)),
+    ("Mat(Fp:3,1)", (1, 1, 1, 1, 1)),
+    ("Mat(Fp:3,2)", (0, 0, 0, 0, 0)),
+    ("Mat(Quad:2,1)", (1, 1, 0, 0, 0)),
+    ("Prod(Z)", (1, 1, 1, 1, 0)),
+    ("Prod(Q)", (1, 1, 1, 1, 1)),
+    ("Prod(Fp:5)", (1, 1, 1, 1, 1)),
+    ("Prod(Zn:6)", (1, 0, 0, 0, 0)),
+    ("Prod(Z,Zn:6)", (1, 0, 0, 0, 0)),
+    ("Prod(Q,Fp:3)", (1, 0, 0, 0, 0)),
+    ("Prod(H)", (0, 0, 0, 0, 0)),
+    ("Frac(Z)", (1, 1, 1, 1, 1)),
+    ("Frac(Poly(Q))", (1, 1, 1, 1, 1)),
+    ("Frac(Quad:-5)", (1, 1, 1, 1, 1)),
+    ("Frac(MPoly(Z))", (1, 1, 1, 1, 1)),
+    ("Quot(Z,7)", (1, 1, 1, 1, 1)),
+    ("Quot(Z,12)", (1, 0, 0, 0, 0)),
+    ("Quot(Fp:2,[1,1,1])", (1, 1, 1, 1, 1)),
+    ("Quot(Fp:2,[1,0,1])", (1, 0, 0, 0, 0)),
+    ("Quot(Quad:-1,3)", (1, 1, 1, 1, 1)),
+    ("Quot(Quad:-1,5)", (1, 0, 0, 0, 0)),
+    ("Quot(Quad:-1,2+i)", (1, 1, 1, 1, 1)),
+    ("Quot(Q,[1,0,1])", (1, 1, 1, 1, 1)),
+    ("Quot(Q,[-1,0,1])", (1, 0, 0, 0, 0)),
+    ("MPoly(Z)", (1, 1, 0, 0, 0)),
+    ("MPoly(Q)", (1, 1, 0, 0, 0)),
+    ("MPoly(Zn:6)", (1, 0, 0, 0, 0)),
+    ("MPoly(Fp:5)", (1, 1, 0, 0, 0)),
+    ("MPoly(Quot(Z,6))", (1, 0, 0, 0, 0)),
+    ("Series(Quot(Z,7),1)", (1, 1, 1, 1, 1)),
+    ("Series(Quot(Z,6),1)", (1, 0, 0, 0, 0)),
+    ("Mat(Quot(Z,7),1)", (1, 1, 1, 1, 1)),
+    ("Poly(Quot(Z,7))", (1, 1, 1, 1, 0)),
+    ("Poly(Quot(Z,6))", (1, 0, 0, 0, 0)),
+    ("Poly(Series(Q,1))", (1, 1, 1, 1, 0)),
+    ("Series(Poly(Q),1)", (1, 1, 1, 1, 0)),
+    ("Frac(Quot(Z,7))", (1, 1, 1, 1, 1)),
+    ("Prod(Quot(Fp:2,[1,1,1]))", (1, 1, 1, 1, 1)),
+]
+
+
+def _build(text):
+    """parse_context, plus MPoly(ctx) and one-component Prod(ctx), which
+    the context literal grammar does not write."""
+    head, _, rest = text.partition("(")
+    if not rest or head == "Quot":
+        return parse_context(text)
+    args = split_top(rest[:-1], ",")
+    if head == "MPoly":
+        return MultiPolyRing(_build(args[0]))
+    if head == "Prod":
+        return ProductRing([_build(a) for a in args])
+    if head in ("Series", "Mat"):
+        kind = SeriesRing if head == "Series" else MatrixRing
+        return kind(_build(args[0]), int(args[1]))
+    return (PolyRing if head == "Poly" else FracField)(_build(args[0]))
+
+
+@pytest.mark.parametrize("literal, flags", FLAG_TABLE)
+def test_flags_match_the_frozen_table(literal, flags):
+    ctx = _build(literal)
+    assert tuple(int(getattr(ctx, f)) for f in FLAGS) == flags
 
 
 def test_flag_chain_is_monotone():
-    for ctx in (ZZ, QQ, ModRing(6), ModRing(7), ModRing(1)):
+    for literal, _ in FLAG_TABLE:
+        ctx = _build(literal)
         assert not ctx.is_field or ctx.is_euclidean
         assert not ctx.is_euclidean or ctx.is_gcd_domain
         assert not ctx.is_gcd_domain or ctx.is_domain
         assert not ctx.is_domain or ctx.is_commutative
+
+
+@pytest.mark.parametrize("wrap", [
+    PolyRing, lambda b: SeriesRing(b, 3), lambda b: MatrixRing(b, 2),
+    lambda b: SeriesRing(b, 1), lambda b: MatrixRing(b, 1)])
+@pytest.mark.parametrize("literal", ["Quot(Z,91)", "Quot(Fp:2,[1,1,1])"])
+def test_building_over_a_quotient_leaves_its_primality_undecided(
+        wrap, literal, monkeypatch):
+    quot = parse_context(literal)
+    cls = type(quot.base)
+    calls = []
+    real = cls.is_prime_element
+
+    def is_prime_element(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(cls, "is_prime_element", is_prime_element)
+    wrap(quot).name()
+    assert calls == []
+    assert quot.is_field == (literal != "Quot(Z,91)")
+    assert len(calls) == 1
 
 
 def test_context_identity_and_naming():

@@ -100,6 +100,12 @@ def test_product_literal_evaluates(capsys):
     assert run(capsys, "eval", "Prod(Z,Zn:6)", "(1,2)") == (0, "(1,2)", "")
 
 
+@pytest.mark.parametrize("text", ["(1,2)*x+(0,1)", "((1,2))*x+((0,1))"])
+def test_polynomials_over_products_read_what_they_print(capsys, text):
+    assert run(capsys, "eval", "Poly(Prod(Z,Zn:6))", text) == (
+        0, "((1,2))*x+((0,1))", "")
+
+
 def test_unknown_verb_exits_two(capsys):
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()

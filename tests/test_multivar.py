@@ -149,3 +149,24 @@ def test_bad_monomials_are_rejected():
         R.parse_element("{1:x^}")
     with pytest.raises(ParseError):
         R.parse_element("{1:2x}")
+
+
+class _CountingMod(ModRing):
+    def __init__(self, n):
+        super().__init__(n)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+def test_powers_in_eval_and_scaling_take_logarithmically_many_products():
+    base = _CountingMod(1009)
+    ctx = mv_ring(base)
+    f = ctx.element([((("x", 1000),), 3)])
+    assert mv_eval(f, {"x": 2}).val == 3 * pow(2, 1000, 1009) % 1009
+    assert base.muls <= 2 * (1000).bit_length() + 1
+    base.muls = 0
+    assert scaling_check(f, 5)
+    assert base.muls <= 4 * (1000).bit_length() + 4
