@@ -34,11 +34,8 @@ from .errors import (
     NotInvertible,
     NotPrimeCharacteristic,
     RingError,
-    TooLarge,
 )
-from .intutil import is_prime
-
-ENUMERATION_CAP = 10**6
+from .intutil import is_prime, within_budget
 
 # Capability levels, in increasing order of what a context can do.
 RING, DOMAIN, EUCLIDEAN, FIELD = range(4)
@@ -386,20 +383,18 @@ def context_of(x, kinds, message):
 
 
 def unit_plus_nilpotent_inverse(ctx, u, a):
-    """a^-1 for a with u*a = 1 + m, u a unit and m nilpotent.
+    """a^-1 for a with u*a = 1 - t, u a unit and t nilpotent.
 
-    (1 + m)^-1 is the geometric series 1 - m + m^2 - ..., which stops
-    once a power of m vanishes; then a^-1 = u * (1 + m)^-1.
+    (1 - t)^-1 = (1 + t)(1 + t^2)(1 + t^4)..., which stops once t^(2^k)
+    vanishes: O(log k) products for t of nilpotency index k.  Then
+    a^-1 = u * (1 - t)^-1.
     """
-    m = ctx.sub(ctx.mul(u, a), ctx.one)
+    t = ctx.sub(ctx.one, ctx.mul(u, a))
     acc = ctx.one
-    term = ctx.one
-    for _ in range(512):
-        term = ctx.neg(ctx.mul(term, m))
-        if ctx.is_zero(term):
-            return ctx.mul(u, acc)
-        acc = ctx.add(acc, term)
-    raise RingError("nilpotent part failed to vanish")
+    while not ctx.is_zero(t):
+        acc = ctx.mul(acc, ctx.add(ctx.one, t))
+        t = ctx.mul(t, t)
+    return ctx.mul(u, acc)
 
 
 def int_scale_payload(ctx, n, a):
@@ -438,12 +433,11 @@ def frobenius(x):
 
 
 def enumerate_elements(ctx):
-    """All elements of a finite context, deterministic order, capped."""
+    """All elements of a finite context, deterministic order, in budget."""
     n = ctx.cardinality()
     if n is None:
         raise InfiniteRing(f"{ctx.name()} is not finite")
-    if n > ENUMERATION_CAP:
-        raise TooLarge(f"|{ctx.name()}| = {n} exceeds the enumeration cap")
+    within_budget(n, f"elements of {ctx.name()}")
     return [Element(ctx, v) for v in ctx.elements()]
 
 

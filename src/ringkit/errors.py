@@ -58,7 +58,7 @@ class InfiniteRing(RingError):
 
 
 class TooLarge(RingError):
-    """Enumeration or search beyond the hard desk-scale cap."""
+    """Work beyond the one budget, intutil.BUDGET."""
 
 
 class NotARoot(RingError):

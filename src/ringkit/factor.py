@@ -1,9 +1,9 @@
 """Factorization and irreducibility certificates.
 
 Everything here is exact and certificate-driven.  Integers factor by
-trial division below a hard cap; polynomials over a prime field by
-distinct-degree factorization and Cantor-Zassenhaus splitting, in
-polynomial time; elements of imaginary quadratic rings are tested by
+Pollard's rho under intutil's work budget; polynomials over a prime
+field by distinct-degree factorization and Cantor-Zassenhaus splitting,
+in polynomial time; elements of imaginary quadratic rings are tested by
 exhausting the divisors allowed by the norm.  For Z[x] and Q[x], where
 no complete factorization is attempted, irreducibility is reported as a
 verdict carrying a checkable certificate (Eisenstein after a shift,
@@ -19,7 +19,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .algebra import ENUMERATION_CAP, Element, ring_pow_payload
+from .algebra import Element, ring_pow_payload
 from .errors import (
     ConstantPolynomial,
     DegreeDrops,
@@ -28,11 +28,10 @@ from .errors import (
     NotAField,
     NotPrimitive,
     RingError,
-    TooLarge,
     ZeroInput,
 )
 from .euclid import gcd_payload
-from .intutil import divisors, is_prime, primes_up_to, trial_factors
+from .intutil import divisors, factorize, is_prime, primes_up_to, within_budget
 from .number_rings import (
     QQ,
     ZZ,
@@ -43,8 +42,6 @@ from .number_rings import (
 )
 from .poly import PolyRing, derivative, horner
 from .quotient import QuotientRing
-
-TRIAL_DIVISION_CAP = 10**12
 
 DEFAULT_PRIME_BOUND = 50
 DEFAULT_SHIFT_BOUND = 10
@@ -149,7 +146,7 @@ def over_z_or_q(ctx):
 # --------------------------------------------------------------- integers
 
 def factor_integer(n):
-    """Trial-division factorization of a nonzero integer below the cap."""
+    """The factorization of a nonzero integer: sign unit, ascending primes."""
     if isinstance(n, Element):
         if not isinstance(n.ctx, IntegerRing):
             raise RingError("factor_integer needs an integer")
@@ -158,10 +155,8 @@ def factor_integer(n):
         raise RingError(f"factor_integer needs an integer, got {n!r}")
     if n == 0:
         raise ZeroInput("0 has no factorization into primes")
-    if abs(n) > TRIAL_DIVISION_CAP:
-        raise TooLarge(f"|{n}| exceeds the trial division cap")
     unit = -1 if n < 0 else 1
-    return Factorization(ZZ, unit, tuple(trial_factors(abs(n))))
+    return Factorization(ZZ, unit, tuple(factorize(abs(n))))
 
 
 def squarefree_part_int(n):
@@ -237,8 +232,7 @@ def monic_irreducibles(p, maxdeg):
         raise InvalidParameters(f"{p} is not prime")
     if not isinstance(maxdeg, int) or maxdeg < 1:
         raise InvalidParameters(f"need a degree bound >= 1, got {maxdeg!r}")
-    if p ** maxdeg > ENUMERATION_CAP:
-        raise TooLarge(f"{p ** maxdeg} candidates exceed the enumeration cap")
+    within_budget(p ** maxdeg, f"monic candidates over F_{p}")
     ctx = PolyRing(ModRing(p))
     monics = (Element(ctx, tail + (1,)) for d in range(1, maxdeg + 1)
               for tail in itertools.product(range(p), repeat=d))
@@ -351,9 +345,10 @@ def rational_roots(f):
         while coeffs[0] == 0:
             coeffs.pop(0)
     if len(coeffs) > 1:
-        a0, an = abs(coeffs[0]), abs(coeffs[-1])
-        for p in divisors(a0):
-            for q in divisors(an):
+        ps, qs = divisors(coeffs[0]), divisors(coeffs[-1])
+        within_budget(2 * len(ps) * len(qs) * len(coeffs), "Horner steps")
+        for p in ps:
+            for q in qs:
                 for cand in (Fraction(p, q), Fraction(-p, q)):
                     if horner(QQ, coeffs, cand) == 0:
                         roots.add(cand)

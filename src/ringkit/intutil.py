@@ -1,38 +1,104 @@
-"""Small integer helpers shared across the package."""
+"""Integer helpers shared across the package, and the one work budget.
 
+is_prime is Miller-Rabin, factorize Pollard's rho after the small
+primes, and divisors are expanded from the factorization.  Every search
+whose cost grows with its input calls within_budget first, so work above
+BUDGET raises TooLarge instead of running unbounded.
+"""
+
+import itertools
 import math
+from collections import Counter
 from functools import lru_cache
+
+from .errors import TooLarge
+
+BUDGET = 10**6
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in SMALL_PRIMES
+PSI_13 = 3317044064679887385961981
+
+
+def within_budget(work, what):
+    """work, when it is at most BUDGET; TooLarge naming what otherwise."""
+    if work > BUDGET:
+        raise TooLarge(f"{what}: {work} exceeds the work budget of {BUDGET}")
+    return work
 
 
 @lru_cache(maxsize=None)
 def is_prime(n):
-    """Deterministic primality test by trial division (desk scale)."""
+    """Miller-Rabin on the bases SMALL_PRIMES: a proof below PSI_13
+    (Sorenson and Webster 2015).  Above it a number that passes every
+    base raises TooLarge."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    k = 5
-    while k * k <= n:
-        if n % k == 0 or n % (k + 2) == 0:
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 6
+    if n >= PSI_13:
+        raise TooLarge(f"{n} passes Miller-Rabin to the first 13 prime "
+                       f"bases, a proof of primality only below {PSI_13}")
     return True
 
 
+def _rho(n, steps):
+    """A proper divisor of the composite n and the running step count, by
+    Pollard's rho: Floyd cycle detection on x^2 + c for c = 1, 2, ..."""
+    what = f"Pollard rho steps on {n}"
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            steps = within_budget(steps + 1, what)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d, steps
+
+
+def factorize(n):
+    """The prime factorization of n >= 1 as ascending (p, e) pairs."""
+    exps = Counter()
+    for p in SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            exps[p] += 1
+    todo, steps = [n] if n > 1 else [], 0
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            exps[m] += 1
+        else:
+            d, steps = _rho(m, steps)
+            todo += [d, m // d]
+    return sorted(exps.items())
+
+
 def divisors(n):
-    """The positive divisors of |n|, ascending (pairs d, n/d up to sqrt n)."""
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """The positive divisors of |n| != 0, ascending."""
+    factors = factorize(abs(n))
+    within_budget(math.prod(e + 1 for _, e in factors), f"divisors of {n}")
+    out = [1]
+    for p, e in factors:
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def primes_up_to(bound):
@@ -47,24 +113,6 @@ def primes_up_to(bound):
     return [k for k in range(bound + 1) if sieve[k]]
 
 
-def trial_factors(n):
-    """The prime factorization of n >= 1 as ascending (p, e) pairs, by
-    trial division."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def is_squarefree(n):
     """True when no square of a prime divides n (n may be negative)."""
-    return n != 0 and all(e == 1 for _, e in trial_factors(abs(n)))
+    return n != 0 and all(e == 1 for _, e in factorize(abs(n)))

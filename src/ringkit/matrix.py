@@ -10,7 +10,7 @@ adjugate.  A matrix is invertible exactly when its determinant is a
 unit of the base; the inverse is det^-1 times the adjugate, and
 Cramer's rule solves linear systems as det^-1 (adj A) b under the same
 condition, with the solution re-checked against the system before it
-is returned.
+is returned.  Dimensions n > 31 put n^4 over the work budget.
 """
 
 from .algebra import RING, Element, RingContext, context_of
@@ -21,10 +21,8 @@ from .errors import (
     ParseError,
     RingError,
     ShapeMismatch,
-    TooLarge,
 )
-
-MAX_DIMENSION = 8
+from .intutil import within_budget
 
 
 class MatrixRing(RingContext):
@@ -37,9 +35,7 @@ class MatrixRing(RingContext):
             raise InvalidParameters("matrix entries must commute")
         if not isinstance(n, int) or n < 1:
             raise InvalidParameters(f"dimension must be >= 1, got {n!r}")
-        if n > MAX_DIMENSION:
-            raise TooLarge(
-                f"matrices are capped at {MAX_DIMENSION} x {MAX_DIMENSION}")
+        within_budget(n**4, f"Berkowitz steps for {n} x {n} matrices")
         self.base = base
         self.n = n
 

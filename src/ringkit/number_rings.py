@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     RingError,
 )
-from .intutil import is_prime, is_squarefree, trial_factors
+from .intutil import factorize, is_prime, is_squarefree
 
 
 class IntegerRing(RingContext):
@@ -549,7 +549,7 @@ def euler_phi(n):
     if not isinstance(n, int) or n < 1:
         raise InvalidParameters(f"need a positive integer, got {n!r}")
     result = 1
-    for p, e in trial_factors(n):
+    for p, e in factorize(n):
         result *= (p - 1) * p ** (e - 1)
     return result
 
@@ -578,48 +578,36 @@ def quad_inverse(x):
 
 
 def imaginary_unit_group(d):
-    """All units of Z[sqrt(d)] for d < 0, by norm-equation exhaustion."""
+    """All units of Z[sqrt(d)] for d < 0: the norm a^2 - d*b^2 is 1 at
+    a = +-1, and at b = +-1 only when d = -1."""
     if not isinstance(d, int) or d >= 0:
         raise InvalidParameters(f"need a negative squarefree d, got {d!r}")
     ctx = QuadIntRing(d)
-    units = [(1, 0), (-1, 0)]
-    b = 1
-    while -d * b * b <= 1:
-        if -d * b * b == 1:
-            units.extend([(0, b), (0, -b)])
-        b += 1
+    units = [(1, 0), (-1, 0)] + ([(0, 1), (0, -1)] if d == -1 else [])
     return [Element(ctx, u) for u in units]
 
 
-def _quad_real_less(u, v, d):
-    # compare a1 + b1*sqrt(d) < a2 + b2*sqrt(d) exactly, d > 0
-    p = u[0] - v[0]
-    q = u[1] - v[1]
-    # sign of p + q*sqrt(d)
-    if p >= 0 and q >= 0:
-        return False
-    if p <= 0 and q <= 0:
-        return p != 0 or q != 0
-    if q > 0:
-        return p * p > q * q * d
-    return p * p < q * q * d
-
-
 def fundamental_unit_search(d, bound):
-    """Smallest unit greater than 1 in Z[sqrt(d)], d > 1, within a box."""
+    """Smallest unit a + b*sqrt(d) > 1 of Z[sqrt(d)], d > 1, with a, b <=
+    bound, or None.  Every (a, b) with |a^2 - d*b^2| = 1 is a convergent
+    of sqrt(d), so the convergents are walked until the first of norm
+    +-1 or until a > bound: O(log bound) steps."""
     if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
         raise InvalidParameters(f"need a squarefree d > 1, got {d!r}")
     if bound < 1:
         raise InvalidParameters("bound must be at least 1")
-    ctx = QuadIntRing(d)
-    best = None
-    for b in range(1, bound + 1):
-        for a in range(0, bound + 1):
-            if abs(a * a - d * b * b) == 1:
-                cand = (a, b)
-                if best is None or _quad_real_less(cand, best, d):
-                    best = cand
-    return None if best is None else Element(ctx, best)
+    r = math.isqrt(d)
+    # complete quotient (m + sqrt(d)) / q with partial quotient c
+    m, q, c = 0, 1, r
+    a0, a, b0, b = 1, r, 0, 1
+    while a <= bound:
+        if abs(a * a - d * b * b) == 1:
+            return Element(QuadIntRing(d), (a, b))
+        m = c * q - m
+        q = (d - m * m) // q
+        c = (r + m) // q
+        a0, a, b0, b = a, c * a + a0, b, c * b + b0
+    return None
 
 
 def gaussian_divmod(x, y):
@@ -631,19 +619,21 @@ def gaussian_divmod(x, y):
 
 
 def sum_of_two_squares(p):
-    """Write prime p as a Gaussian integer a+bi with a^2+b^2 = p, or None."""
+    """Write prime p as a+bi with a^2+b^2 = p, a <= b, or None when p = 3
+    mod 4.  Cornacchia: for a non-residue c, x = c^((p-1)/4) squares to
+    -1 mod p, and a is the first remainder below sqrt(p) in Euclid's
+    algorithm on p and x."""
     if not is_prime(p):
         raise InvalidParameters(f"need a prime, got {p!r}")
     if p % 4 == 3:
         return None
-    a = 0
-    while a * a * 2 <= p:
-        b2 = p - a * a
-        b = math.isqrt(b2)
-        if b * b == b2:
-            return Element(GAUSSIAN, (a, b))
-        a += 1
-    return None
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    x, a = p, pow(c, (p - 1) // 4, p)
+    while a * a > p:
+        x, a = a, x % a
+    return Element(GAUSSIAN, tuple(sorted((a, math.isqrt(p - a * a)))))
 
 
 def quat_conj(x):

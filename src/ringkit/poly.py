@@ -239,8 +239,8 @@ class PolyRing(RingContext):
         if not self.base.is_commutative or self.base.is_domain:
             return None
         # f is a unit iff its constant term is and every higher
-        # coefficient is nilpotent; invert through the geometric series
-        # of the nilpotent part, which terminates.
+        # coefficient is nilpotent; the inverse of 1 - t for the
+        # nilpotent part t is a finite product of the 1 + t^(2^k).
         u = self.base.try_inverse(a[0])
         if u is None:
             return None

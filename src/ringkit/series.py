@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     RingError,
 )
+from .intutil import within_budget
 from .poly import (
     KRONECKER_MIN,
     NEWTON_MIN,
@@ -53,6 +54,7 @@ class SeriesRing(RingContext):
             raise RingError(f"expected a ring context, got {base!r}")
         if not isinstance(prec, int) or prec < 1:
             raise InvalidParameters(f"precision must be >= 1, got {prec!r}")
+        within_budget(prec, "series coefficients")
         self.base = base
         self.prec = prec
         self.dense = base.dense_modulus()

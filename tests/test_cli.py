@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ringkit
+from ringkit import QQ, PolyRing, irreducibility_pipeline, verify_certificate
 from ringkit.cli import main
 
 
@@ -166,3 +172,43 @@ def test_prime_bound_flag_changes_the_certificate_search(capsys):
     # to the reduction test, which first succeeds at p=7
     code, out, _ = run(capsys, "irreducible", "--prime-bound", "3", "Q", "[-9,26,16,6,1]")
     assert (code, out) == (0, "IRREDUCIBLE cert=reduction p=7")
+
+
+# Inputs that once ran for minutes (trial division, or work done before
+# any size check).  Each runs in its own process under a 10 s timeout,
+# so a regression fails the suite instead of hanging it.
+P18 = "1000000000000000003"
+P17 = "100000000000000003"
+QUARTIC = "[1000000000000000000000000000007,0,0,0,1]"
+FORMER_HANGS = [
+    (["eval", f"Zn:{P18}", "1"], 0, "1"),
+    (["eval", f"Quad:{P18}", "1"], 0, "1"),
+    (["phi", P18], 0, "1000000000000000002"),
+    (["ideal-lattice", P18], 0, f"ideals: 1,{P18} prime: {P18} maximal: {P18}"),
+    (["ideal-lattice", P17], 0, f"ideals: 1,{P17} prime: {P17} maximal: {P17}"),
+    (["factor-int", "1000000000001"], 0, "73 * 137 * 99990001"),
+    (["irreducible", "Q", QUARTIC], 0, "IRREDUCIBLE cert=reduction p=5"),
+    (["eval", "Series(Z,99999999)", "1"], 2, ""),
+    (["series-invert", "Fp:7", "[1,1;100000000]"], 1, ""),
+    (["irreducible", "Q", "[160030080000,0,0,0,7016830618369]"], 1, ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out", FORMER_HANGS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_former_hangs_end_in_bounded_time(argv, code, out):
+    src = str(Path(ringkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "ringkit.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stdout.rstrip("\n")) == (code, out)
+    if code:
+        assert "exceeds the work budget" in done.stderr
+
+
+def test_large_quartic_certificate_replays():
+    f = PolyRing(QQ).parse_element(QUARTIC)
+    verdict = irreducibility_pipeline(f)
+    assert str(verdict) == "IRREDUCIBLE cert=reduction p=5"
+    assert verify_certificate(f, verdict)

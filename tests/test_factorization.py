@@ -60,8 +60,14 @@ def test_integer_factorization_fixtures():
 def test_integer_factorization_guards():
     with pytest.raises(ZeroInput):
         factor_integer(0)
+    # a prime above PSI_13, which Miller-Rabin cannot prove prime
     with pytest.raises(TooLarge):
-        factor_integer(10**12 + 1)
+        factor_integer(2**89 - 1)
+    # two primes near 10^19: about 10^9.5 rho steps, over the work budget
+    with pytest.raises(TooLarge):
+        factor_integer((10**19 + 51) * (10**19 + 87))
+    assert factor_integer(10**12 + 1).factors == (
+        (73, 1), (137, 1), (99990001, 1))
     assert factor_integer(10**12).factors == ((2, 12), (5, 12))
 
 
@@ -267,6 +273,16 @@ def test_rational_root_fixtures():
     assert rational_roots(PZ.element([0, -2, 3])) == [Fraction(0), Fraction(2, 3)]
     assert rational_roots(PZ.element([1, 0, 1])) == []
     assert rational_roots(PQ.element([Fraction(-1), Fraction(0), Fraction(1)])) == [Fraction(-1), Fraction(1)]
+
+
+def test_rational_root_search_stays_within_the_budget():
+    # 1540 x 288 divisor pairs, two signs, five coefficients each
+    a0, an = 2**10 * 3**6 * 5**4 * 7**3, 11**3 * 13**3 * 17**2 * 19**2 * 23
+    with pytest.raises(TooLarge, match="4435200"):
+        rational_roots(PZ.element([a0, 0, 0, 0, an]))
+    assert rational_roots(PZ.element([-2 * 10**30 - 14, 0, 2])) == []
+    assert rational_roots(PZ.element([10**30 + 7, 3])) == [
+        Fraction(-(10**30 + 7), 3)]
 
 
 def test_low_degree_verdicts():

@@ -79,7 +79,7 @@ def test_rejected_constructor_literals():
         "Quot(Z,0)",
         "Quot(Z,1)",
         "Mat(Z,0)",
-        "Mat(Z,9)",
+        "Mat(Z,32)",
         "Frac(Zn:6)",
         "",
     ):

@@ -1,5 +1,6 @@
 """Scalar contexts: Z, Q, Z_n, quadratic rings, quaternions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from ringkit.errors import (
     NotInvertible,
     ParseError,
 )
+from ringkit.intutil import is_prime, is_squarefree
 
 quad_pairs = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -165,6 +167,53 @@ def test_imaginary_units_collapse_to_plus_minus_one():
 def test_real_quadratic_fundamental_units():
     assert fundamental_unit_search(2, 100).val == (1, 1)
     assert fundamental_unit_search(3, 100).val == (2, 1)
+    assert fundamental_unit_search(61, 10**20).val == (29718, 3805)
+    assert fundamental_unit_search(61, 29717) is None
+
+
+def _units_by_norm_scan(d):
+    units = [(1, 0), (-1, 0)]
+    b = 1
+    while -d * b * b <= 1:
+        if -d * b * b == 1:
+            units.extend([(0, b), (0, -b)])
+        b += 1
+    return units
+
+
+def _real_less(u, v, d):
+    # a1 + b1*sqrt(d) < a2 + b2*sqrt(d), exactly, for d > 0
+    p, q = u[0] - v[0], u[1] - v[1]
+    if p >= 0 and q >= 0:
+        return False
+    if p <= 0 and q <= 0:
+        return p != 0 or q != 0
+    if q > 0:
+        return p * p > q * q * d
+    return p * p < q * q * d
+
+
+def _fundamental_unit_by_box(d, bound):
+    best = None
+    for b in range(1, bound + 1):
+        for a in range(0, bound + 1):
+            if abs(a * a - d * b * b) == 1:
+                if best is None or _real_less((a, b), best, d):
+                    best = (a, b)
+    return best
+
+
+def test_unit_closed_forms_match_the_search_loops():
+    for d in range(-60, 0):
+        if is_squarefree(d):
+            assert [u.val for u in imaginary_unit_group(d)] == \
+                _units_by_norm_scan(d)
+    for d in range(2, 120):
+        if is_squarefree(d):
+            for bound in (1, 2, 5, 10, 30, 70, 120):
+                unit = fundamental_unit_search(d, bound)
+                assert (unit and unit.val) == _fundamental_unit_by_box(
+                    d, bound), (d, bound)
 
 
 def test_quad_field_inverts_by_norm():
@@ -180,6 +229,23 @@ def test_sum_of_two_squares():
     assert sum_of_two_squares(2).val == (1, 1)
     assert sum_of_two_squares(13).val == (2, 3)
     assert sum_of_two_squares(7) is None
+    assert sum_of_two_squares(10**18 + 9).val == (3, 10**9)
+
+
+def _two_squares_by_scan(p):
+    a = 0
+    while a * a * 2 <= p:
+        b = math.isqrt(p - a * a)
+        if a * a + b * b == p:
+            return (a, b)
+        a += 1
+    return None
+
+
+def test_cornacchia_matches_the_scan_on_every_prime_below_2e5():
+    for p in filter(is_prime, range(2 * 10**5)):
+        found = sum_of_two_squares(p)
+        assert (found and found.val) == _two_squares_by_scan(p), p
 
 
 def test_pythagorean_triples_from_gaussian_squares():
@@ -255,6 +321,8 @@ def test_euler_phi_fixtures():
     assert euler_phi(16) == 8
     assert euler_phi(30) == 8
     assert euler_phi(97) == 96
+    assert euler_phi(10**12 + 1) == 72 * 136 * 99990000
+    assert euler_phi(10**18 + 3) == 10**18 + 2
     with pytest.raises(InvalidParameters):
         euler_phi(0)
 

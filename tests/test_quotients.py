@@ -149,8 +149,11 @@ def test_crt_isomorphism_guards():
         iso_check_crt(30, [])
     with pytest.raises(InvalidParameters):
         iso_check_crt(0, [1])
+    # n residues are checked; 10^7 is over the work budget of 10^6
     with pytest.raises(TooLarge):
-        iso_check_crt(100000, [32, 3125])
+        iso_check_crt(10**7, [2**7, 5**7])
+    assert iso_check_crt(10**5, [2**5, 5**5]) is True
+    assert iso_check_crt(10**5, [10, 10**4]) is False
 
 
 def test_cardinality_of_polynomial_quotients_is_a_prime_power():
@@ -217,6 +220,14 @@ def _lattice_by_scan(n):
 def test_divisor_lattice_matches_the_full_scan():
     for n in list(range(1, 200)) + [720, 997, 1024, 99960]:
         assert ideal_divisor_lattice(n) == _lattice_by_scan(n)
+
+
+def test_divisor_lattice_of_large_moduli():
+    for p in (10**17 + 3, 10**18 + 3):
+        assert ideal_divisor_lattice(p) == [(1, False, False), (p, True, True)]
+    lat = ideal_divisor_lattice(10**12 + 1)
+    assert len(lat) == 8
+    assert [d for d, prime, _ in lat if prime] == [73, 137, 99990001]
 
 
 # ------------------------------------------- residue hooks against the ladder

@@ -25,6 +25,7 @@ from ringkit.errors import (
     DenominatorIndistinguishableFromZero,
     InvalidParameters,
     NotAField,
+    TooLarge,
 )
 from ringkit.poly import KRONECKER_MIN, NEWTON_MIN
 from ringkit.series import SeriesRing
@@ -46,6 +47,10 @@ def test_payload_is_exactly_the_precision_window():
 def test_series_ring_guards():
     with pytest.raises(InvalidParameters):
         series_ring(QQ, 0)
+    # one coefficient per unit of precision, within the work budget of 10^6
+    with pytest.raises(TooLarge):
+        series_ring(ZZ, 10**6 + 1)
+    assert series_ring(ZZ, 10**6).prec == 10**6
 
 
 def test_z9_truncated_product_fixture():
