@@ -33,6 +33,7 @@ from .errors import (
     InfiniteRing,
     NotInvertible,
     NotPrimeCharacteristic,
+    ParseError,
     RingError,
 )
 from .intutil import is_prime, within_budget
@@ -145,21 +146,20 @@ class RingContext:
         return inv
 
     def is_nilpotent(self, a):
-        # Repeated squaring reaches 0 iff some power does.
+        # In a ring of N elements the right ideals aR, a^2R, ... shrink
+        # strictly, so at least by half, until they reach 0: a nilpotent
+        # a has a^k = 0 for some k <= log2 N, and s squarings reach
+        # a^(2^s) with 2^s > N.bit_length() >= k.
         if self.is_domain:
             return self.is_zero(a)
-        if self.is_finite:
-            seen = set()
-            x = a
-            while True:
-                if self.is_zero(x):
-                    return True
-                h = self.hash_payload(x)
-                if h in seen:
-                    return False
-                seen.add(h)
-                x = self.mul(x, x)
-        raise RingError(f"cannot decide nilpotence in {self.name()}")
+        n = self.cardinality()
+        if n is None:
+            raise RingError(f"cannot decide nilpotence in {self.name()}")
+        for _ in range(n.bit_length().bit_length()):
+            if self.is_zero(a):
+                return True
+            a = self.mul(a, a)
+        return self.is_zero(a)
 
     # -- size ------------------------------------------------------------
 
@@ -203,11 +203,6 @@ class RingContext:
             return self.mul(a, self.inverse(b)), self.zero
         raise ContextNotEuclidean(f"no division with remainder in {self.name()}")
 
-    def euclid_size(self, a):
-        if self.is_field:
-            return 0 if self.is_zero(a) else 1
-        raise ContextNotEuclidean(f"no Euclidean size in {self.name()}")
-
     def canon_unit(self, a):
         """Unit u such that u*a is the canonical associate of a."""
         if self.is_field:
@@ -242,6 +237,49 @@ class RingContext:
         return Element(self, self.parse(text))
 
 
+class OverBase(RingContext):
+    """A context built on one base context: polynomials, series,
+    fractions, quotients, matrices over base.
+
+    A subclass writes lift(c), the payload of the base constant c; the
+    characteristic, commutativity, one, the image of n and the base's
+    named symbols all follow from it.
+    """
+
+    def __init__(self, base):
+        if not isinstance(base, RingContext):
+            raise RingError(f"expected a ring context, got {base!r}")
+        self.base = base
+
+    def lift(self, c):
+        raise NotImplementedError
+
+    @property
+    def is_commutative(self):
+        return self.base.is_commutative
+
+    def characteristic(self):
+        return self.base.characteristic()
+
+    @property
+    def one(self):
+        # cached by plain assignment: functools.cached_property writes
+        # through the instance __dict__, which CPython then keeps in place
+        # of its faster inline attributes, and that slowed every
+        # self.base read in the kernels (xgcd over F_101 by about a third)
+        try:
+            return self._one
+        except AttributeError:
+            self._one = self.lift(self.base.one)
+            return self._one
+
+    def from_int(self, n):
+        return self.lift(self.base.from_int(n))
+
+    def symbols(self):
+        return {name: self.lift(c) for name, c in self.base.symbols().items()}
+
+
 class Element:
     """One value of one ring context, with operator sugar.
 
@@ -257,10 +295,7 @@ class Element:
 
     def _coerce(self, other):
         if isinstance(other, Element):
-            if other.ctx != self.ctx:
-                raise ContextMismatch(
-                    f"{self.ctx.name()} vs {other.ctx.name()}")
-            return other.val
+            return payload_in(self.ctx, other)
         if isinstance(other, int):
             return self.ctx.from_int(other)
         return None
@@ -372,6 +407,41 @@ def ring_pow_payload(ctx, a, n):
 
 def ring_pow(x, n):
     return Element(x.ctx, ring_pow_payload(x.ctx, x.val, n))
+
+
+def payload_in(ctx, x):
+    """x as a payload of ctx: an Element of ctx gives its own, an Element
+    of any other context raises ContextMismatch, and anything else goes
+    through ctx.canon."""
+    if isinstance(x, Element):
+        if x.ctx != ctx:
+            raise ContextMismatch(f"{ctx.name()} vs {x.ctx.name()}")
+        return x.val
+    return ctx.canon(x)
+
+
+def show_terms(base, terms):
+    """The sum of c*m over (m, c) pairs of a monomial text m ("" for 1)
+    and a nonzero base payload c, in the order given.  A coefficient of
+    a signed base prints its sign; any other prints bare when it is all
+    digits, else in parentheses."""
+    out = []
+    for mono, c in terms:
+        if base.signed:
+            neg = c < 0
+            cs = str(-c if neg else c)
+            sign = "-" if neg else ("+" if out else "")
+        else:
+            cs = base.show(c)
+            if not cs.isdigit():
+                cs = f"({cs})"
+            sign = "+" if out else ""
+        if not mono:
+            body = cs
+        else:
+            body = mono if cs == "1" else f"{cs}*{mono}"
+        out.append(sign + body)
+    return "".join(out)
 
 
 def context_of(x, kinds, message):
@@ -584,12 +654,12 @@ class ProductRing(RingContext):
         return math.lcm(*(c.characteristic() for c in self.components))
 
     def parse(self, text):
-        from .parsing import split_top
-        from .errors import ParseError
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ParseError(f"product literal must be parenthesized: {text!r}")
-        parts = split_top(text[1:-1], ",")
+        """A tuple literal (c1,c2,...), or an expression over such tuples."""
+        from .parsing import group_items, parse_expr
+
+        parts = group_items(text, "()")
+        if parts is None:
+            return parse_expr(self, text)
         if len(parts) != len(self.components):
             raise ParseError("component count mismatch")
         return tuple(c.parse(p) for c, p in zip(self.components, parts))

@@ -1,7 +1,8 @@
 """Command-line front end: one verb, one canonical result line.
 
-Exit codes: 0 on success, 1 for mathematical errors (reported as the
-error class name plus message on stderr), 2 for parse and usage errors.
+Exit codes: 0 on success, 1 for mathematical errors and any other
+failure (reported as the error class name plus message on stderr), 2
+for parse and usage errors.
 --json wraps the same result text in a single-line envelope whose keys
 appear in a fixed order, so golden transcripts stay byte-stable.
 
@@ -15,7 +16,7 @@ import json
 import sys
 
 from .algebra import classify
-from .errors import ParseError, RingError
+from .errors import ParseError
 from .euclid import crt_solve, euclid_gcd, extended_gcd, lcm
 from .factor import (
     content,
@@ -37,10 +38,16 @@ from .number_rings import (
     euler_phi,
     quad_norm,
 )
-from .parsing import eval_expr, split_top
+from .parsing import eval_expr, group_items, split_top
 from .poly import PolyRing, lagrange_interpolate
 from .quotient import QuotientRing, ideal_divisor_lattice
-from .series import SeriesRing, laurent_from_fraction, laurent_show, ts_invert
+from .series import (
+    SeriesRing,
+    laurent_from_fraction,
+    laurent_show,
+    series_literal,
+    ts_invert,
+)
 
 
 def build_parser():
@@ -110,23 +117,11 @@ def _poly_ctx(ctx_text):
     return PolyRing(ctx)
 
 
-def _declared_precision(text):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1]
-        if ";" in inner:
-            _, _, prec = inner.rpartition(";")
-            try:
-                return int(prec.strip())
-            except ValueError:
-                raise ParseError(f"bad precision marker in {text!r}")
-    return None
-
-
 def _series_elem(ctx, text, flag_precision):
     """Resolve precision: literal ';N', then --precision, then the
     context's own."""
-    prec = _declared_precision(text)
+    literal = series_literal(text)
+    prec = literal[1] if literal else None
     if prec is None:
         prec = flag_precision
     if prec is None and isinstance(ctx, SeriesRing):
@@ -324,9 +319,10 @@ def _matrix_in(ctx_text, matrix_text):
     ctx = parse_context(ctx_text)
     if isinstance(ctx, MatrixRing):
         return ctx.parse_element(matrix_text)
-    rows = split_top(matrix_text.strip()[1:-1], ",")
-    mctx = MatrixRing(ctx, len(rows))
-    return mctx.parse_element(matrix_text)
+    rows = group_items(matrix_text)
+    if not rows:
+        raise ParseError(f"expected [[...],[...]], got {matrix_text!r}")
+    return MatrixRing(ctx, len(rows)).parse_element(matrix_text)
 
 
 def _h_mat_inv(args):
@@ -337,11 +333,10 @@ def _h_mat_inv(args):
 def _h_cramer(args):
     m = _matrix_in(args.ctx, args.matrix)
     base = m.ctx.base
-    col_text = args.column.strip()
-    if not (col_text.startswith("[") and col_text.endswith("]")):
-        raise ParseError(f"expected a column [...], got {col_text!r}")
-    column = [base.parse_element(x.strip())
-              for x in split_top(col_text[1:-1], ",")]
+    items = group_items(args.column)
+    if not items:
+        raise ParseError(f"expected a column [...], got {args.column!r}")
+    column = [base.parse_element(x) for x in items]
     xs = cramer_solve(m, column)
     return {
         "context": m.ctx.name(),
@@ -413,7 +408,7 @@ def main(argv=None):
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except RingError as e:
+    except Exception as e:  # a RingError, or as a last resort any other
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     if args.json:

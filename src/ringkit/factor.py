@@ -275,7 +275,7 @@ def factor_poly_fp(f):
     ctx = _fp_poly_ctx(f)
     if not f.val:
         raise ZeroInput("0 has no factorization")
-    unit = ctx._strip((f.val[-1],))
+    unit = ctx.lift(f.val[-1])
     monic = ctx.mul(ctx.canon_unit(f.val), f.val)
     counts = Counter()
     for g, d in _distinct_degree(ctx, monic):
@@ -383,7 +383,7 @@ def _shift_payload(ctx, coeffs, a):
     shift = (ctx.base.from_int(a), ctx.base.one)
     acc = ()
     for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, shift), ctx._strip((c,)))
+        acc = ctx.add(ctx.mul(acc, shift), ctx.lift(c))
     return acc
 
 
@@ -541,7 +541,10 @@ def quad_irreducible_check(x):
     if is_prime(n):
         return _irr("prime-norm", n=n)
     d = abs(ctx.d)
-    for t in divisors(n)[1:-1]:
+    ts = divisors(n)[1:-1]
+    within_budget(sum(math.isqrt(t // d) + 1 for t in ts),
+                  f"norm-divisor scan steps for norm {n}")
+    for t in ts:
         b = 0
         while d * b * b <= t:
             rest = t - d * b * b

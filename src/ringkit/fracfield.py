@@ -9,7 +9,7 @@ canonical form is attempted: equality is decided by cross-multiplying,
 and such elements refuse to hash.
 """
 
-from .algebra import FIELD, Element, RingContext
+from .algebra import FIELD, Element, OverBase
 from .errors import (
     ContextMismatch,
     NotADomain,
@@ -20,17 +20,15 @@ from .errors import (
 from .euclid import gcd_payload
 
 
-class FracField(RingContext):
+class FracField(OverBase):
     """Frac(base) for an integral domain base."""
 
     level = FIELD
 
     def __init__(self, base):
-        if not isinstance(base, RingContext):
-            raise RingError(f"expected a ring context, got {base!r}")
+        super().__init__(base)
         if not (base.is_domain and base.is_commutative):
             raise NotADomain(f"{base.name()} is not an integral domain")
-        self.base = base
         self.reduced = base.is_euclidean
 
     def _key(self):
@@ -54,13 +52,12 @@ class FracField(RingContext):
         u = base.canon_unit(den)
         return (base.mul(u, num), base.mul(u, den))
 
+    def lift(self, c):
+        return (c, self.base.one)
+
     @property
     def zero(self):
         return (self.base.zero, self.base.one)
-
-    @property
-    def one(self):
-        return (self.base.one, self.base.one)
 
     def canon(self, raw):
         try:
@@ -96,9 +93,6 @@ class FracField(RingContext):
         return hash((self.base.hash_payload(a[0]),
                      self.base.hash_payload(a[1])))
 
-    def from_int(self, n):
-        return self._make(self.base.from_int(n), self.base.one)
-
     def try_inverse(self, a):
         if self.base.is_zero(a[0]):
             return None
@@ -106,9 +100,6 @@ class FracField(RingContext):
 
     def is_nilpotent(self, a):
         return self.base.is_zero(a[0])
-
-    def characteristic(self):
-        return self.base.characteristic()
 
     def cardinality(self):
         return self.base.cardinality() if self.base.is_field else None
@@ -118,15 +109,7 @@ class FracField(RingContext):
             from .errors import InfiniteRing
 
             raise InfiniteRing(f"{self.name()} is not finite")
-        one = self.base.one
-        return ((x, one) for x in self.base.elements())
-
-    def symbols(self):
-        one = self.base.one
-        return {
-            name: (payload, one)
-            for name, payload in self.base.symbols().items()
-        }
+        return map(self.lift, self.base.elements())
 
     def parse(self, text):
         from .parsing import split_top
@@ -134,7 +117,7 @@ class FracField(RingContext):
         parts = split_top(text.strip(), "/")
         parts = [p.strip() for p in parts]
         if len(parts) == 1:
-            return self._make(self._parse_part(parts[0]), self.base.one)
+            return self.lift(self._parse_part(parts[0]))
         if len(parts) == 2:
             return self._make(self._parse_part(parts[0]),
                               self._parse_part(parts[1]))
@@ -175,7 +158,7 @@ def frac_make(num, den):
 def frac_embed(x):
     """The image of a domain element under r -> r/1."""
     ctx = FracField(x.ctx)
-    return Element(ctx, (x.val, x.ctx.one))
+    return Element(ctx, ctx.lift(x.val))
 
 
 def frac_num(x):

@@ -1,7 +1,8 @@
 """Integer helpers shared across the package, and the one work budget.
 
-is_prime is Miller-Rabin, factorize Pollard's rho after the small
-primes, and divisors are expanded from the factorization.  Every search
+is_prime is Miller-Rabin, factorize splits perfect powers by integer
+roots and the rest by Pollard's rho after the small primes, and divisors
+are expanded from the factorization.  Every search
 whose cost grows with its input calls within_budget first, so work above
 BUDGET raises TooLarge instead of running unbounded.
 """
@@ -73,6 +74,25 @@ def _rho(n, steps):
             return d, steps
 
 
+def _root(n):
+    """r with r^k = n for a prime k, or None when n is no perfect power.
+
+    Pollard's rho needs about sqrt(p) steps to split p^k, so perfect
+    powers are split by integer k-th roots (Newton's method from above).
+    n has no prime factor in SMALL_PRIMES, so r > 2^5 and k <= bits/5.
+    """
+    for k in filter(is_prime, range(2, n.bit_length() // 5 + 1)):
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r ** k == n:
+            return r
+    return None
+
+
 def factorize(n):
     """The prime factorization of n >= 1 as ascending (p, e) pairs."""
     exps = Counter()
@@ -86,7 +106,9 @@ def factorize(n):
         if is_prime(m):
             exps[m] += 1
         else:
-            d, steps = _rho(m, steps)
+            d = _root(m)
+            if d is None:
+                d, steps = _rho(m, steps)
             todo += [d, m // d]
     return sorted(exps.items())
 
@@ -105,6 +127,7 @@ def primes_up_to(bound):
     """All primes <= bound, ascending (simple sieve)."""
     if bound < 2:
         return []
+    within_budget(bound, "sieve bound")
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for k in range(2, math.isqrt(bound) + 1):

@@ -13,7 +13,7 @@ condition, with the solution re-checked against the system before it
 is returned.  Dimensions n > 31 put n^4 over the work budget.
 """
 
-from .algebra import RING, Element, RingContext, context_of
+from .algebra import RING, Element, OverBase, context_of, payload_in
 from .errors import (
     DeterminantNotUnit,
     InfiniteRing,
@@ -25,18 +25,16 @@ from .errors import (
 from .intutil import within_budget
 
 
-class MatrixRing(RingContext):
+class MatrixRing(OverBase):
     """n x n matrices over a commutative base context."""
 
     def __init__(self, base, n):
-        if not isinstance(base, RingContext):
-            raise RingError(f"expected a ring context, got {base!r}")
+        super().__init__(base)
         if not base.is_commutative:
             raise InvalidParameters("matrix entries must commute")
         if not isinstance(n, int) or n < 1:
             raise InvalidParameters(f"dimension must be >= 1, got {n!r}")
         within_budget(n**4, f"Berkowitz steps for {n} x {n} matrices")
-        self.base = base
         self.n = n
 
     def _key(self):
@@ -58,11 +56,10 @@ class MatrixRing(RingContext):
         z = self.base.zero
         return tuple((z,) * self.n for _ in range(self.n))
 
-    @property
-    def one(self):
-        z, o = self.base.zero, self.base.one
+    def lift(self, c):
+        z = self.base.zero
         return tuple(
-            tuple(o if i == j else z for j in range(self.n))
+            tuple(c if i == j else z for j in range(self.n))
             for i in range(self.n))
 
     def canon(self, raw):
@@ -107,18 +104,8 @@ class MatrixRing(RingContext):
         return hash(tuple(
             tuple(self.base.hash_payload(x) for x in row) for row in a))
 
-    def from_int(self, n):
-        v = self.base.from_int(n)
-        z = self.base.zero
-        return tuple(
-            tuple(v if i == j else z for j in range(self.n))
-            for i in range(self.n))
-
     def try_inverse(self, a):
         return _inverse_det(self, a)[0]
-
-    def characteristic(self):
-        return self.base.characteristic()
 
     def cardinality(self):
         c = self.base.cardinality()
@@ -139,20 +126,20 @@ class MatrixRing(RingContext):
         return gen()
 
     def parse(self, text):
-        from .parsing import split_top
+        """A literal [[a,b,...],[c,d,...],...], or an expression over such
+        literals and the base's symbols."""
+        from .parsing import group_items, parse_expr
 
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ParseError(f"expected [[...],[...]], got {text!r}")
-        rows = []
-        for part in split_top(text[1:-1].strip(), ","):
-            part = part.strip()
-            if not (part.startswith("[") and part.endswith("]")):
+        rows = group_items(text)
+        if rows is None:
+            return parse_expr(self, text)
+        out = []
+        for part in rows:
+            row = group_items(part)
+            if not row:
                 raise ParseError(f"expected a row [...], got {part!r}")
-            rows.append(tuple(
-                self.base.canon(self.base.parse(x.strip()))
-                for x in split_top(part[1:-1], ",")))
-        return self.canon(rows)
+            out.append([self.base.canon(self.base.parse(x)) for x in row])
+        return self.canon(out)
 
     def show(self, a):
         return "[" + ",".join(
@@ -289,14 +276,7 @@ def cramer_solve(a, rhs):
     """
     ctx = context_of(a, MatrixRing, _NOT_MATRIX)
     base = ctx.base
-    b = []
-    for x in rhs:
-        if isinstance(x, Element):
-            if x.ctx != base:
-                raise RingError("right-hand side must live in the base ring")
-            b.append(x.val)
-        else:
-            b.append(base.canon(x))
+    b = [payload_in(base, x) for x in rhs]
     if len(b) != ctx.n:
         raise ShapeMismatch(f"expected {ctx.n} right-hand side entries")
     d, dinv, adj = _unit_adjugate(ctx, a.val)

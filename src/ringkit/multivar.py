@@ -18,8 +18,9 @@ import functools
 from .algebra import (
     DOMAIN,
     Element,
-    RingContext,
+    OverBase,
     context_of,
+    payload_in,
     ring_pow_payload,
     unit_plus_nilpotent_inverse,
 )
@@ -108,15 +109,13 @@ def _mono_show(mono):
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
 
-class MultiPolyRing(RingContext):
+class MultiPolyRing(OverBase):
     """Polynomials in arbitrarily many named variables over base."""
 
     def __init__(self, base):
-        if not isinstance(base, RingContext):
-            raise RingError(f"expected a ring context, got {base!r}")
+        super().__init__(base)
         if not base.is_commutative:
             raise InvalidParameters("coefficients must commute")
-        self.base = base
 
     def _key(self):
         return ("MPoly", self.base)
@@ -133,13 +132,12 @@ class MultiPolyRing(RingContext):
         items.sort(key=lambda mc: _MONO_KEY(mc[0]), reverse=True)
         return tuple(items)
 
+    def lift(self, c):
+        return self._seal({(): c})
+
     @property
     def zero(self):
         return ()
-
-    @property
-    def one(self):
-        return self._seal({(): self.base.one})
 
     def canon(self, raw):
         if isinstance(raw, dict):
@@ -182,12 +180,6 @@ class MultiPolyRing(RingContext):
     def hash_payload(self, a):
         return hash(tuple((m, self.base.hash_payload(c)) for m, c in a))
 
-    def from_int(self, n):
-        return self._seal({(): self.base.from_int(n)})
-
-    def _constant(self, c):
-        return self._seal({(): c})
-
     def try_inverse(self, a):
         if not a:
             return None
@@ -199,16 +191,13 @@ class MultiPolyRing(RingContext):
         if u is None:
             return None
         if not table:
-            return self._constant(u)
+            return self.lift(u)
         if not all(self.base.is_nilpotent(c) for c in table.values()):
             return None
-        return unit_plus_nilpotent_inverse(self, self._constant(u), a)
+        return unit_plus_nilpotent_inverse(self, self.lift(u), a)
 
     def is_nilpotent(self, a):
         return all(self.base.is_nilpotent(c) for _, c in a)
-
-    def characteristic(self):
-        return self.base.characteristic()
 
     def cardinality(self):
         return 1 if self.base.cardinality() == 1 else None
@@ -219,16 +208,15 @@ class MultiPolyRing(RingContext):
         raise InfiniteRing(f"{self.name()} is not finite")
 
     def parse(self, text):
-        from .parsing import split_top
+        """A literal {coeff:monomial,...}, or an expression over such
+        literals and the base's symbols."""
+        from .parsing import group_items, parse_expr
 
-        text = text.strip()
-        if not (text.startswith("{") and text.endswith("}")):
-            raise ParseError(f"expected {{coeff:monomial,...}}, got {text!r}")
-        inner = text[1:-1].strip()
-        if not inner:
-            return ()
+        items = group_items(text, "{}")
+        if items is None:
+            return parse_expr(self, text)
         table = {}
-        for item in split_top(inner, ","):
+        for item in items:
             coeff_part, sep, mono_part = item.partition(":")
             if not sep:
                 raise ParseError(f"missing ':' in term {item!r}")
@@ -280,9 +268,7 @@ def mv_eval(f, assignment):
     """Substitute a base element for every variable appearing in f."""
     ctx = context_of(f, MultiPolyRing, _NOT_MPOLY)
     base = ctx.base
-    point = {}
-    for v, x in assignment.items():
-        point[v] = x.val if isinstance(x, Element) else base.canon(x)
+    point = {v: payload_in(base, x) for v, x in assignment.items()}
     total = base.zero
     for m, c in f.val:
         term = c
@@ -315,7 +301,7 @@ def scaling_check(f, lam):
     """Test f(lam*X) == lam^d * f(X) as polynomials, d = total degree."""
     ctx = context_of(f, MultiPolyRing, _NOT_MPOLY)
     base = ctx.base
-    lv = lam.val if isinstance(lam, Element) else base.canon(lam)
+    lv = payload_in(base, lam)
     if not f.val:
         return True
     d = total_degree(f)
@@ -325,7 +311,7 @@ def scaling_check(f, lam):
         scaled[m] = base.mul(factor, c)
     lhs = ctx._seal(scaled)
     lam_d = ring_pow_payload(base, lv, d)
-    rhs = ctx.mul(ctx._constant(lam_d), f.val)
+    rhs = ctx.mul(ctx.lift(lam_d), f.val)
     return ctx.eq(lhs, rhs)
 
 

@@ -27,6 +27,7 @@ from .algebra import (
     Element,
     RingContext,
     context_of,
+    show_terms,
 )
 from .errors import (
     DivisionByZero,
@@ -93,9 +94,6 @@ class IntegerRing(RingContext):
             q += 1
             r -= b
         return q, r
-
-    def euclid_size(self, a):
-        return abs(a)
 
     def canon_unit(self, a):
         return -1 if a < 0 else 1
@@ -240,15 +238,6 @@ class ModRing(RingContext):
                 f"(gcd {g})", gcd=g)
         return pow(a, -1, self.n)
 
-    def is_nilpotent(self, a):
-        # a is nilpotent mod n exactly when every prime of n divides a
-        x = a % self.n
-        for _ in range(self.n.bit_length() + 1):
-            if x == 0:
-                return True
-            x = (x * x) % self.n
-        return x == 0
-
     def characteristic(self):
         return self.n
 
@@ -320,20 +309,7 @@ class QuadraticRing(RingContext):
         return names
 
     def show(self, x):
-        sym = "i" if self.d == -1 else "s"
-        a, b = x
-        if b == 0:
-            return str(a)
-        if b == 1:
-            bpart = sym
-        elif b == -1:
-            bpart = f"-{sym}"
-        else:
-            bpart = f"{b}*{sym}"
-        if a == 0:
-            return bpart
-        joiner = "+" if not bpart.startswith("-") else ""
-        return f"{a}{joiner}{bpart}"
+        return _show_numbers(zip(("", "i" if self.d == -1 else "s"), x))
 
 
 class QuadIntRing(QuadraticRing):
@@ -376,9 +352,6 @@ class QuadIntRing(QuadraticRing):
         q = tuple((2 * t + n) // (2 * n) for t in num)
         r = self.sub(x, self.mul(q, y))
         return q, r
-
-    def euclid_size(self, x):
-        return self.norm(x)
 
     def canon_unit(self, x):
         if self.d != -1:
@@ -517,29 +490,17 @@ class QuaternionAlgebra(RingContext):
         }
 
     def show(self, x):
-        parts = []
-        for coef, sym in zip(x, ("", "i", "j", "k")):
-            if coef == 0:
-                continue
-            if sym == "":
-                parts.append(str(coef))
-            elif coef == 1:
-                parts.append(sym)
-            elif coef == -1:
-                parts.append(f"-{sym}")
-            else:
-                parts.append(f"{coef}*{sym}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return _show_numbers(zip(("", "i", "j", "k"), x))
 
 
 ZZ = IntegerRing()
 QQ = RationalField()
 HH = QuaternionAlgebra()
+
+
+def _show_numbers(terms):
+    """A sum of rational multiples of named units, 1 first; "0" if empty."""
+    return show_terms(QQ, ((m, c) for m, c in terms if c)) or "0"
 
 GAUSSIAN = QuadIntRing(-1)
 

@@ -19,32 +19,62 @@ like "(x+1)(x+2)" read naturally.
 """
 
 from .algebra import ring_pow_payload
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 
 _CLOSE = {"(": ")", "[": "]", "{": "}"}
+# Each bracket level costs the recursive readers a few interpreter frames,
+# so deeper text is refused before it can exhaust the recursion limit.
+MAX_DEPTH = 64
+
+
+def closing(text, i):
+    """The index of the bracket that closes the one opened at text[i].
+
+    The one depth scan of the readers: ParseError when the group is not
+    closed, or closed by the wrong kind; TooLarge when it nests deeper
+    than MAX_DEPTH.
+    """
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] in "([{":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise TooLarge(f"brackets nested deeper than {MAX_DEPTH}")
+        elif text[j] in ")]}":
+            depth -= 1
+            if depth == 0:
+                if text[j] != _CLOSE[text[i]]:
+                    break
+                return j
+    raise ParseError(f"unbalanced {text[i]!r} in {text!r}")
 
 
 def split_top(text, sep):
     """Split text on a separator character at bracket depth zero."""
     parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
+    start = i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in _CLOSE:
+            i = closing(text, i)
         elif ch in ")]}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ParseError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(cur))
+            raise ParseError(f"unbalanced brackets in {text!r}")
+        elif ch == sep:
+            parts.append(text[start:i])
+            start = i + 1
+        i += 1
+    parts.append(text[start:])
     return parts
+
+
+def group_items(text, brackets="[]"):
+    """The stripped comma items of text when it is exactly one group in
+    the given brackets ([] for an empty one), else None."""
+    text = text.strip()
+    if not text.startswith(brackets[0]) or closing(text, 0) != len(text) - 1:
+        return None
+    inner = text[1:-1].strip()
+    return [p.strip() for p in split_top(inner, ",")] if inner else []
 
 
 class _Tokens:
@@ -72,17 +102,8 @@ class _Tokens:
             while j < n and (t[j].isalnum() or t[j] == "_"):
                 j += 1
             return ("name", t[i:j], j)
-        if ch in "[{" or ch == "(" and t.find(",", i) != -1:
-            depth = 0
-            for j in range(i, n):
-                if t[j] in "([{":
-                    depth += 1
-                elif t[j] in ")]}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-            if depth or t[j] != _CLOSE[ch]:
-                raise ParseError(f"unbalanced {ch!r} in {t!r}")
+        if ch in _CLOSE:
+            j = closing(t, i)
             if ch != "(" or len(split_top(t[i + 1:j], ",")) > 1:
                 return ("chunk", t[i:j + 1], j + 1)
         if ch in "+-*/^()":
@@ -149,14 +170,14 @@ def _term(ctx, toks, symbols):
 
 
 def _unary(ctx, toks, symbols):
+    negate = False
     tok = toks.peek()
-    if tok and tok[0] == "op" and tok[1] == "-":
+    while tok and tok[0] == "op" and tok[1] in "+-":
         toks.take()
-        return ctx.neg(_unary(ctx, toks, symbols))
-    if tok and tok[0] == "op" and tok[1] == "+":
-        toks.take()
-        return _unary(ctx, toks, symbols)
-    return _power(ctx, toks, symbols)
+        negate ^= tok[1] == "-"
+        tok = toks.peek()
+    val = _power(ctx, toks, symbols)
+    return ctx.neg(val) if negate else val
 
 
 def _power(ctx, toks, symbols):
@@ -171,7 +192,7 @@ def _power(ctx, toks, symbols):
             tok = toks.take()
         if not tok or tok[0] != "int":
             raise ParseError("exponent must be an integer literal")
-        return ring_pow_payload(ctx, base, sign * int(tok[1]))
+        return ring_pow_payload(ctx, base, sign * _int(tok[1]))
     return base
 
 
@@ -181,7 +202,7 @@ def _atom(ctx, toks, symbols):
         raise ParseError("unexpected end of expression")
     kind, text, _ = tok
     if kind == "int":
-        return ctx.from_int(int(text))
+        return ctx.from_int(_int(text))
     if kind == "name":
         if text in symbols:
             return symbols[text]
@@ -190,11 +211,18 @@ def _atom(ctx, toks, symbols):
         return ctx.parse(text)
     if kind == "op" and text == "(":
         val = _expr(ctx, toks, symbols)
-        closing = toks.take()
-        if not closing or closing[1] != ")":
+        end = toks.take()
+        if not end or end[1] != ")":
             raise ParseError("missing closing parenthesis")
         return val
     raise ParseError(f"unexpected token {text!r}")
+
+
+def _int(digits):
+    try:
+        return int(digits)
+    except ValueError:  # the interpreter's limit on digits per int
+        raise TooLarge(f"integer literal of {len(digits)} digits") from None
 
 
 def atomic_or_parenthesized(text):
@@ -204,17 +232,6 @@ def atomic_or_parenthesized(text):
     plain = text[1:] if text[0] == "-" else text
     if plain.isdigit():
         return text
-    if text[0] in "([{":
-        # already a single balanced group?
-        depth = 0
-        for i, ch in enumerate(text):
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    break
-        else:
-            if depth == 0:
-                return text
+    if text[0] in _CLOSE and closing(text, 0) == len(text) - 1:
+        return text
     return f"({text})"

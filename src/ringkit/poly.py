@@ -28,11 +28,13 @@ import itertools
 from .algebra import (
     DOMAIN,
     EUCLIDEAN,
-    RING,
+    FIELD,
     Element,
-    RingContext,
+    OverBase,
     context_of,
     int_scale_payload,
+    payload_in,
+    show_terms,
     unit_plus_nilpotent_inverse,
 )
 from .errors import (
@@ -143,13 +145,11 @@ def kron_inverse(f, prec, n):
     return g
 
 
-class PolyRing(RingContext):
+class PolyRing(OverBase):
     """Polynomials base[x] as a ring context."""
 
     def __init__(self, base):
-        if not isinstance(base, RingContext):
-            raise RingError(f"expected a ring context, got {base!r}")
-        self.base = base
+        super().__init__(base)
         self.dense = base.dense_modulus()
 
     def _key(self):
@@ -159,15 +159,11 @@ class PolyRing(RingContext):
         return f"Poly({self.base.name()})"
 
     @property
-    def is_commutative(self):
-        return self.base.is_commutative
-
-    @property
     def level(self):
-        # a property, so a quotient base decides primality only when asked
-        if self.base.is_field:
-            return EUCLIDEAN
-        return DOMAIN if self.base.is_domain else RING
+        # a property, so a quotient base decides primality only when asked;
+        # the base's level is read once, which keeps nested rings linear
+        level = self.base.level
+        return EUCLIDEAN if level >= FIELD else min(level, DOMAIN)
 
     def _strip(self, coeffs):
         n = len(coeffs)
@@ -175,13 +171,12 @@ class PolyRing(RingContext):
             n -= 1
         return tuple(coeffs[:n])
 
+    def lift(self, c):
+        return self._strip((c,))
+
     @property
     def zero(self):
         return ()
-
-    @property
-    def one(self):
-        return self._strip((self.base.one,))
 
     @property
     def gen(self):
@@ -227,15 +222,12 @@ class PolyRing(RingContext):
     def hash_payload(self, a):
         return hash(tuple(self.base.hash_payload(c) for c in a))
 
-    def from_int(self, n):
-        return self._strip((self.base.from_int(n),))
-
     def try_inverse(self, a):
         if not a:
             return None
         if len(a) == 1:
             inv = self.base.try_inverse(a[0])
-            return None if inv is None else self._strip((inv,))
+            return None if inv is None else self.lift(inv)
         if not self.base.is_commutative or self.base.is_domain:
             return None
         # f is a unit iff its constant term is and every higher
@@ -246,13 +238,10 @@ class PolyRing(RingContext):
             return None
         if not all(self.base.is_nilpotent(c) for c in a[1:]):
             return None
-        return unit_plus_nilpotent_inverse(self, self._strip((u,)), a)
+        return unit_plus_nilpotent_inverse(self, self.lift(u), a)
 
     def is_nilpotent(self, a):
         return all(self.base.is_nilpotent(c) for c in a)
-
-    def characteristic(self):
-        return self.base.characteristic()
 
     def cardinality(self):
         return 1 if self.base.cardinality() == 1 else None
@@ -294,16 +283,13 @@ class PolyRing(RingContext):
                 r.pop()
         return self._strip(q), self._strip(r)
 
-    def euclid_size(self, a):
-        return len(a) - 1
-
     def canon_unit(self, a):
         if not self.base.is_field:
             raise ContextNotEuclidean(
                 f"no canonical associate in {self.name()}")
         if not a:
             return self.one
-        return self._strip((self.base.inverse(a[-1]),))
+        return self.lift(self.base.inverse(a[-1]))
 
     # -- residue hooks for Quot(base[x], m), m monic of degree >= 1
 
@@ -345,31 +331,22 @@ class PolyRing(RingContext):
             m, gcd_payload(self, m, derivative(Element(self, m)).val))[0]
 
     def symbols(self):
-        syms = {
-            name: self._strip((payload,))
-            for name, payload in self.base.symbols().items()
-        }
-        syms["x"] = self._strip((self.base.zero, self.base.one))
-        return syms
+        return {**super().symbols(), "x": self.gen.val}
 
     def parse(self, text):
         """A coefficient list [c0,c1,...] or an expression in x; a text
         that neither reads is tried as a constant of the base, so
         bracketed coefficient literals parse back as they print."""
-        from .parsing import parse_expr, split_top
+        from .parsing import group_items, parse_expr
 
-        text = text.strip()
         try:
-            if text.startswith("[") and text.endswith("]"):
-                inner = text[1:-1].strip()
-                if not inner:
-                    return ()
-                return self._strip([self.base.parse(p.strip())
-                                    for p in split_top(inner, ",")])
-            return parse_expr(self, text)
+            items = group_items(text)
+            if items is None:
+                return parse_expr(self, text)
+            return self._strip([self.base.parse(p) for p in items])
         except ParseError as refused:
             try:
-                return self._strip((self.base.canon(self.base.parse(text)),))
+                return self.lift(self.base.canon(self.base.parse(text)))
             except (ParseError, RingError):
                 raise refused from None
 
@@ -377,37 +354,18 @@ class PolyRing(RingContext):
         return poly_show(self.base, a)
 
 
+def x_power(e):
+    """The monomial text of x^e: "" for e = 0, "x" for e = 1."""
+    return "" if e == 0 else "x" if e == 1 else f"x^{e}"
+
+
 def poly_show(base, coeffs):
     """Compact pretty form, highest degree first, reparseable."""
     if not coeffs:
         return "0"
     return show_terms(base, (
-        (k, coeffs[k]) for k in range(len(coeffs) - 1, -1, -1)
+        (x_power(k), coeffs[k]) for k in range(len(coeffs) - 1, -1, -1)
         if not base.is_zero(coeffs[k])))
-
-
-def show_terms(base, terms):
-    """The sum of c*x^e over (e, c) pairs of nonzero base payloads, in the
-    order given.  A coefficient of a signed base prints its sign; any
-    other prints bare when it is all digits, else in parentheses."""
-    out = []
-    for e, c in terms:
-        if base.signed:
-            neg = c < 0
-            cs = str(-c if neg else c)
-            sign = "-" if neg else ("+" if out else "")
-        else:
-            cs = base.show(c)
-            if not cs.isdigit():
-                cs = f"({cs})"
-            sign = "+" if out else ""
-        if e == 0:
-            body = cs
-        else:
-            xpow = "x" if e == 1 else f"x^{e}"
-            body = xpow if cs == "1" else f"{cs}*{xpow}"
-        out.append(sign + body)
-    return "".join(out)
 
 
 _NOT_POLY = "expected a polynomial element, got {!r}"
@@ -428,12 +386,8 @@ def leading_coefficient(p):
 
 def poly_eval(p, point):
     """Left-substitution p(point): coefficients stay left of the powers."""
-    ctx = context_of(p, PolyRing, _NOT_POLY)
-    base = ctx.base
-    r = point.val if isinstance(point, Element) else base.canon(point)
-    if isinstance(point, Element) and point.ctx != base:
-        raise RingError("evaluation point must live in the coefficient ring")
-    return Element(base, horner(base, p.val, r))
+    base = context_of(p, PolyRing, _NOT_POLY).base
+    return Element(base, horner(base, p.val, payload_in(base, point)))
 
 
 def horner(base, coeffs, r):
@@ -466,7 +420,7 @@ def divrem_scaled(f, g):
     if not g.val:
         raise DivisionByZero("division by zero polynomial")
     base = ctx.base
-    b = ctx._strip((g.val[-1],))
+    b = ctx.lift(g.val[-1])
     dg = len(g.val) - 1
     q = ()
     r = f.val
@@ -495,7 +449,7 @@ def factor_theorem_split(p, a):
     """Quotient p / (x - a) when a is a root; synthetic division is exact."""
     ctx = context_of(p, PolyRing, _NOT_POLY)
     base = ctx.base
-    r = a.val if isinstance(a, Element) else base.canon(a)
+    r = payload_in(base, a)
     if not p.val:
         raise ZeroPolynomial("cannot split the zero polynomial")
     out = []
@@ -534,8 +488,7 @@ def lagrange_interpolate(base, points):
     nodes = []
     values = []
     for x, y in points:
-        xv = x.val if isinstance(x, Element) else base.canon(x)
-        yv = y.val if isinstance(y, Element) else base.canon(y)
+        xv, yv = payload_in(base, x), payload_in(base, y)
         for seen in nodes:
             if base.eq(seen, xv):
                 raise DuplicateNode(f"repeated node {base.show(xv)}")
@@ -553,7 +506,7 @@ def lagrange_interpolate(base, points):
             num = ctx.mul(num, (base.neg(xj), base.one))
             den = base.mul(den, base.sub(xi, xj))
         scale = base.mul(yi, base.inverse(den))
-        total = ctx.add(total, ctx.mul(ctx._strip((scale,)), num))
+        total = ctx.add(total, ctx.mul(ctx.lift(scale), num))
     return Element(ctx, total)
 
 

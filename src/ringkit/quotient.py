@@ -34,34 +34,31 @@ residue map is checked for bijectivity on all of Z/n.
 
 import functools
 
-from .algebra import FIELD, RING, Element, RingContext
+from .algebra import FIELD, RING, Element, OverBase, payload_in
 from .errors import (
     ContextNotEuclidean,
     FactorsMismatch,
     InfiniteRing,
     InvalidParameters,
     NotInvertible,
-    RingError,
 )
 from .euclid import xgcd_payload
 from .intutil import divisors, factorize, within_budget
 
 
-class QuotientRing(RingContext):
+class QuotientRing(OverBase):
     """base modulo the principal ideal of a nonzero non-unit."""
 
     def __init__(self, base, modulus):
-        if not isinstance(base, RingContext):
-            raise RingError(f"expected a ring context, got {base!r}")
+        super().__init__(base)
         if not base.is_euclidean:
             raise ContextNotEuclidean(
                 f"{base.name()} has no Euclidean division")
-        m = modulus.val if isinstance(modulus, Element) else base.canon(modulus)
+        m = payload_in(base, modulus)
         if base.is_zero(m):
             raise InvalidParameters("modulus must be nonzero")
         if base.is_unit(m):
             raise InvalidParameters("modulus must not be a unit")
-        self.base = base
         self.modulus = base.mul(base.canon_unit(m), m)
 
     def _key(self):
@@ -73,9 +70,7 @@ class QuotientRing(RingContext):
     def _reduce(self, x):
         return self.base.divmod_(x, self.modulus)[1]
 
-    @property
-    def is_commutative(self):
-        return self.base.is_commutative
+    lift = _reduce
 
     @functools.cached_property
     def level(self):
@@ -86,10 +81,6 @@ class QuotientRing(RingContext):
     def zero(self):
         # zero is its own remainder in all three bases
         return self.base.zero
-
-    @functools.cached_property
-    def one(self):
-        return self._reduce(self.base.one)
 
     def is_zero(self, a):
         return self.base.is_zero(a)
@@ -111,9 +102,6 @@ class QuotientRing(RingContext):
 
     def hash_payload(self, a):
         return self.base.hash_payload(a)
-
-    def from_int(self, n):
-        return self._reduce(self.base.from_int(n))
 
     def try_inverse(self, a):
         g, x, _ = xgcd_payload(self.base, a, self.modulus)
@@ -139,12 +127,6 @@ class QuotientRing(RingContext):
             raise InfiniteRing(f"{self.name()} is not finite")
         return self.base.residues(self.modulus)
 
-    def symbols(self):
-        return {
-            name: self._reduce(payload)
-            for name, payload in self.base.symbols().items()
-        }
-
     def parse(self, text):
         return self._reduce(self.base.parse(text))
 
@@ -157,11 +139,7 @@ def quotient_ring(base, modulus):
 
 
 def q_reduce(qctx, x):
-    if isinstance(x, Element):
-        if x.ctx != qctx.base:
-            raise RingError("element does not live in the quotient's base")
-        return Element(qctx, qctx._reduce(x.val))
-    return Element(qctx, qctx.canon(x))
+    return Element(qctx, qctx.lift(payload_in(qctx.base, x)))
 
 
 def q_lift(x):

@@ -25,7 +25,7 @@ truncated tail; printing appends the O(x^N) marker for the tail window.
 import itertools
 from collections import namedtuple
 
-from .algebra import RING, Element, RingContext, context_of
+from .algebra import RING, Element, OverBase, context_of, show_terms
 from .errors import (
     ConstantTermNotUnit,
     ContextMismatch,
@@ -37,25 +37,17 @@ from .errors import (
     RingError,
 )
 from .intutil import within_budget
-from .poly import (
-    KRONECKER_MIN,
-    NEWTON_MIN,
-    kron_inverse,
-    kron_mul,
-    show_terms,
-)
+from .poly import KRONECKER_MIN, NEWTON_MIN, kron_inverse, kron_mul, x_power
 
 
-class SeriesRing(RingContext):
+class SeriesRing(OverBase):
     """base[x] truncated at x^prec, prec >= 1."""
 
     def __init__(self, base, prec):
-        if not isinstance(base, RingContext):
-            raise RingError(f"expected a ring context, got {base!r}")
+        super().__init__(base)
         if not isinstance(prec, int) or prec < 1:
             raise InvalidParameters(f"precision must be >= 1, got {prec!r}")
         within_budget(prec, "series coefficients")
-        self.base = base
         self.prec = prec
         self.dense = base.dense_modulus()
 
@@ -64,10 +56,6 @@ class SeriesRing(RingContext):
 
     def name(self):
         return f"Series({self.base.name()},{self.prec})"
-
-    @property
-    def is_commutative(self):
-        return self.base.is_commutative
 
     @property
     def level(self):
@@ -80,13 +68,12 @@ class SeriesRing(RingContext):
         out.extend([z] * (self.prec - len(out)))
         return tuple(out)
 
+    def lift(self, c):
+        return self._fit((c,))
+
     @property
     def zero(self):
         return (self.base.zero,) * self.prec
-
-    @property
-    def one(self):
-        return self._fit((self.base.one,))
 
     def canon(self, raw):
         try:
@@ -121,9 +108,6 @@ class SeriesRing(RingContext):
     def hash_payload(self, a):
         return hash(tuple(self.base.hash_payload(c) for c in a))
 
-    def from_int(self, n):
-        return self._fit((self.base.from_int(n),))
-
     def try_inverse(self, a):
         u = self.base.try_inverse(a[0])
         if u is None:
@@ -143,9 +127,6 @@ class SeriesRing(RingContext):
         # the ideal (x) is nilpotent here, so the constant term decides
         return self.base.is_nilpotent(a[0])
 
-    def characteristic(self):
-        return self.base.characteristic()
-
     def cardinality(self):
         n = self.base.cardinality()
         return None if n is None else n ** self.prec
@@ -156,39 +137,41 @@ class SeriesRing(RingContext):
         return itertools.product(self.base.elements(), repeat=self.prec)
 
     def symbols(self):
-        syms = {
-            name: self._fit((payload,))
-            for name, payload in self.base.symbols().items()
-        }
-        gen = [self.base.zero, self.base.one] if self.prec > 1 \
-            else [self.base.zero]
-        syms["x"] = self._fit(gen)
-        return syms
+        return {**super().symbols(),
+                "x": self._fit((self.base.zero, self.base.one))}
 
     def parse(self, text):
-        from .parsing import parse_expr, split_top
+        """A literal [c0,c1,...;N] (N read and checked, the window is
+        this context's), or an expression in x."""
+        from .parsing import parse_expr
 
-        text = text.strip()
-        if text.startswith("[") and text.endswith("]"):
-            inner = text[1:-1].strip()
-            if ";" in inner:
-                coeff_part, _, prec_part = inner.rpartition(";")
-                try:
-                    int(prec_part.strip())
-                except ValueError:
-                    raise ParseError(f"bad precision marker in {text!r}")
-            else:
-                coeff_part = inner
-            coeff_part = coeff_part.strip()
-            if not coeff_part:
-                return self.zero
-            return self._fit([self.base.canon(self.base.parse(p.strip()))
-                              for p in split_top(coeff_part, ",")])
-        return parse_expr(self, text)
+        literal = series_literal(text)
+        if literal is None:
+            return parse_expr(self, text)
+        return self._fit([self.base.canon(self.base.parse(c))
+                          for c in literal[0]])
 
     def show(self, a):
         inner = ",".join(self.base.show(c) for c in a)
         return f"[{inner};{self.prec}]"
+
+
+def series_literal(text):
+    """(coefficient texts, N or None) for a literal [c0,c1,...;N] whose
+    ';N' is optional; None when text is not one [...] group."""
+    from .parsing import group_items, split_top
+
+    items = group_items(text)
+    if items is None:
+        return None
+    *coeffs, last = items or [""]
+    last, *marker = split_top(last, ";")
+    coeffs.append(last.strip())
+    try:  # at most one marker, and an integer
+        (prec,) = [int(m) for m in marker] or [None]
+    except ValueError:
+        raise ParseError(f"bad precision marker in {text!r}") from None
+    return ([] if coeffs == [""] else coeffs), prec
 
 
 class OrderVal(namedtuple("OrderVal", "kind n")):
@@ -285,8 +268,9 @@ class LaurentSeries(namedtuple("LaurentSeries", "principal tail")):
 
 def laurent_show(ls):
     base = ls.base
-    body = show_terms(base, itertools.chain(ls.principal, (
-        (e, c) for e, c in enumerate(ls.tail.val) if not base.is_zero(c))))
+    terms = itertools.chain(ls.principal, (
+        (e, c) for e, c in enumerate(ls.tail.val) if not base.is_zero(c)))
+    body = show_terms(base, ((x_power(e), c) for e, c in terms))
     marker = f"O(x^{ls.tail.ctx.prec})"
     return body + "+" + marker if body else marker
 

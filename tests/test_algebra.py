@@ -1,5 +1,7 @@
 """Context plumbing: flags, element operators, classification, products."""
 
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -462,3 +464,36 @@ def test_cli_import_skips_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _nilpotent_by_orbit(ctx, a):
+    """The earlier test, kept as the oracle: square until 0 or until a
+    square repeats (compared by hash_payload)."""
+    seen = set()
+    while not ctx.is_zero(a):
+        h = ctx.hash_payload(a)
+        if h in seen:
+            return False
+        seen.add(h)
+        a = ctx.mul(a, a)
+    return True
+
+
+NILPOTENCE_CONTEXTS = [
+    "Zn:1", "Zn:8", "Zn:72", "Zn:97", "Quot(Z,36)", "Quot(Fp:2,[0,0,1,1])",
+    "Quot(Quad:-1,4)", "Mat(Zn:4,2)", "Mat(Fp:2,3)", "Prod(Zn:8,Zn:9)",
+    "Prod(Zn:4,Mat(Fp:2,2))",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _elements_of(literal):
+    ctx = parse_context(literal)
+    return ctx, list(ctx.elements())
+
+
+@given(st.sampled_from(NILPOTENCE_CONTEXTS), st.integers(min_value=0))
+def test_nilpotence_in_log_log_squarings_matches_the_orbit_walk(literal, i):
+    ctx, elements = _elements_of(literal)
+    a = elements[i % len(elements)]
+    assert ctx.is_nilpotent(a) == _nilpotent_by_orbit(ctx, a)

@@ -112,6 +112,36 @@ def test_polynomials_over_products_read_what_they_print(capsys, text):
         0, "((1,2))*x+((0,1))", "")
 
 
+def test_literals_of_several_chunks_read_as_expressions(capsys):
+    assert run(capsys, "gcd", "Poly(Q)", "[1,1]*[1,-1]", "[1,1]") == (
+        0, "x+1", "")
+    assert run(capsys, "eval", "Mat(Poly(Z),2)", "x*[[1,2],[3,4]]") == (
+        0, "[[x,2*x],[3*x,4*x]]", "")
+
+
+# Inputs that once ended in a traceback: deep nesting and long runs of
+# signs exhausted the recursion limit, and integers past the
+# interpreter's digit limit raised ValueError.
+FORMER_TRACEBACKS = [
+    (["eval", "Z", "(" * 3000 + "1" + ")" * 3000], 1, "",
+     "TooLarge: brackets nested deeper than 64"),
+    (["eval", "Poly(" * 2000 + "Z" + ")" * 2000, "1"], 2, "",
+     "parse error: brackets nested deeper than 64"),
+    (["eval", "Z", "1+" + "-" * 5000 + "1"], 0, "2", ""),
+    (["eval", "Z", "7" * 5000], 1, "",
+     "TooLarge: integer literal of 5000 digits"),
+    (["eval", "Z", "10^5000"], 1, "", "ValueError: "),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", FORMER_TRACEBACKS, ids=[
+    "parentheses", "contexts", "signs", "digits", "printed-digits"])
+def test_former_tracebacks_end_in_one_typed_line(capsys, argv, code, out, err):
+    got = run(capsys, *argv)
+    assert got[:2] == (code, out)
+    assert got[2].startswith(err) and "\n" not in got[2]
+
+
 def test_unknown_verb_exits_two(capsys):
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()
@@ -174,9 +204,10 @@ def test_prime_bound_flag_changes_the_certificate_search(capsys):
     assert (code, out) == (0, "IRREDUCIBLE cert=reduction p=7")
 
 
-# Inputs that once ran for minutes (trial division, or work done before
-# any size check).  Each runs in its own process under a 10 s timeout,
-# so a regression fails the suite instead of hanging it.
+# Inputs that once ran for seconds to minutes (trial division, Pollard rho
+# on a prime power, or work done before any size check).  Each runs in
+# its own process under a 10 s timeout, so a regression fails the suite
+# instead of hanging it.
 P18 = "1000000000000000003"
 P17 = "100000000000000003"
 QUARTIC = "[1000000000000000000000000000007,0,0,0,1]"
@@ -191,6 +222,10 @@ FORMER_HANGS = [
     (["eval", "Series(Z,99999999)", "1"], 2, ""),
     (["series-invert", "Fp:7", "[1,1;100000000]"], 1, ""),
     (["irreducible", "Q", "[160030080000,0,0,0,7016830618369]"], 1, ""),
+    (["factor-int", "1000000000000000006000000000000000009"], 0,
+     "1000000000000000003^2"),
+    (["irreducible", "Quad:-5", "10000000000000079"], 1, ""),
+    (["irreducible", "--prime-bound", "100000000", "Q", "[1,0,0,0,1]"], 1, ""),
 ]
 
 

@@ -1,0 +1,27 @@
+"""Every name a ringkit module imports is used in that module, so an
+import orphaned by a refactor goes in the same change.  __init__.py is
+exempt: it imports to re-export."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ringkit
+
+MODULES = sorted(p for p in Path(ringkit.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert unused == {}, f"{path.name}: imported but unused (name: line)"

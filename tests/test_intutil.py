@@ -17,6 +17,7 @@ from ringkit.intutil import (
     factorize,
     is_prime,
     is_squarefree,
+    primes_up_to,
     within_budget,
 )
 
@@ -143,3 +144,21 @@ def test_divisor_lists_stay_within_the_budget():
     assert len(divisors(math.prod(primes[:19]))) == 2**19
     with pytest.raises(TooLarge):
         divisors(math.prod(primes))
+
+
+@pytest.mark.parametrize("factors", [
+    [(10**18 + 3, 2)],
+    [(10**12 + 39, 3)],
+    [(999983, 2), (10**12 + 39, 2)],
+    [(43, 7), (10**18 + 9, 2)],
+])
+def test_factorize_splits_perfect_powers_of_large_primes(factors):
+    # rho would need about sqrt(p) steps for p^k: far over the budget here
+    n = math.prod(p**e for p, e in factors)
+    assert factorize(n) == factors
+
+
+def test_the_sieve_stays_within_the_budget():
+    assert primes_up_to(BUDGET)[-1] == 999983
+    with pytest.raises(TooLarge):
+        primes_up_to(BUDGET + 1)

@@ -23,6 +23,7 @@ from ringkit.errors import (
     ShapeMismatch,
     TooLarge,
 )
+from ringkit.poly import PolyRing
 
 M9 = matrix_ring(ModRing(9), 2)
 MZ = matrix_ring(ZZ, 2)
@@ -266,3 +267,15 @@ def test_singular_matrix_is_refused_before_the_adjugate(monkeypatch):
         mat_inverse(a)
     assert exc.value.det.val == d
     assert len(charpolys) == 1
+
+
+def test_cramer_right_hand_side_must_live_in_the_base():
+    A = matrix_ring(ZZ, 2).element([[2, 7], [1, 4]])
+    with pytest.raises(ContextMismatch):
+        cramer_solve(A, [QQ.element(1), 2])
+
+
+def test_base_symbols_lift_to_scalar_matrices():
+    M = matrix_ring(PolyRing(ZZ), 2)
+    assert repr(M.parse_element("x*[[1,2],[3,4]]")) == "[[x,2*x],[3*x,4*x]]"
+    assert M.parse_element("x") == M.element([[[0, 1], []], [[], [0, 1]]])

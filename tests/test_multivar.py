@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ringkit import (
+    GAUSSIAN,
     ModRing,
     QQ,
     ZZ,
@@ -21,6 +22,7 @@ from ringkit import (
     variables_of,
 )
 from ringkit.errors import (
+    ContextMismatch,
     InvalidParameters,
     MissingVariable,
     ParseError,
@@ -170,3 +172,20 @@ def test_powers_in_eval_and_scaling_take_logarithmically_many_products():
     base.muls = 0
     assert scaling_check(f, 5)
     assert base.muls <= 4 * (1000).bit_length() + 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: mv_eval(R.element([("x", 2)]), {"x": x}),
+    lambda x: scaling_check(R.element([("x^2", 1)]), x),
+], ids=["mv_eval", "scaling_check"])
+def test_points_from_another_ring_are_refused(call):
+    # a Q element's Fraction payload must not enter Z arithmetic
+    with pytest.raises(ContextMismatch):
+        call(QQ.element(Fraction(1, 2)))
+
+
+def test_base_symbols_lift_to_constants():
+    M = mv_ring(GAUSSIAN)
+    assert repr(M.parse_element("i*{1:x}+{2:y}")) == "{i:x,2:y}"
+    assert M.symbols() == {"i": M.canon([((), (0, 1))]),
+                           "s": M.canon([((), (0, 1))])}

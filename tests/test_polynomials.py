@@ -23,7 +23,9 @@ from ringkit import (
     poly_ring,
     ring_pow,
 )
+from ringkit.algebra import DOMAIN, FIELD
 from ringkit.errors import (
+    ContextMismatch,
     ContextNotEuclidean,
     DuplicateNode,
     NotAField,
@@ -40,6 +42,7 @@ from ringkit.poly import (
     kron_mul,
 )
 
+from ringkit.number_rings import RationalField
 from loop_bases import dense_and_loop_bases
 
 PZ = poly_ring(ZZ)
@@ -405,3 +408,27 @@ def test_nonconstant_polynomials_over_a_domain_skip_the_nilpotence_test(
     assert calls == []
     assert poly_ring(ModRing(4)).try_inverse((1, 2)) == (1, 2)
     assert calls
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, a: poly_eval(p, a),
+    lambda p, a: factor_theorem_split(p, a),
+    lambda p, a: lagrange_interpolate(QQ, [(a, 1), (2, 3)]),
+], ids=["poly_eval", "factor_theorem_split", "lagrange_interpolate"])
+def test_operands_from_another_ring_are_refused(call):
+    # x^2 - 1/4 over Z has no root 1/2 in Z; a Q element must not pass
+    p = PZ.element([-1, 0, 4])
+    with pytest.raises(ContextMismatch):
+        call(p, poly_ring(QQ).element([Fraction(1, 2)]))
+    with pytest.raises(ContextMismatch):
+        call(p, P7.element([3]))
+
+
+def test_level_of_nested_polynomials_reads_the_base_once(monkeypatch):
+    reads = []
+    monkeypatch.setattr(RationalField, "level", property(
+        lambda self: reads.append(1) or FIELD))
+    ctx = QQ
+    for _ in range(20):
+        ctx = poly_ring(ctx)
+    assert ctx.level == DOMAIN and len(reads) == 1

@@ -28,6 +28,7 @@ from ringkit.intutil import is_prime
 from ringkit.number_rings import IntegerRing, RationalField
 from ringkit.poly import PolyRing
 from ringkit.errors import (
+    ContextMismatch,
     FactorsMismatch,
     InvalidParameters,
     NotInvertible,
@@ -330,3 +331,12 @@ def test_nilpotence_in_characteristic_zero_uses_the_radical():
     assert not N.is_finite
     assert N.is_nilpotent(N.canon([Fraction(0), Fraction(3), Fraction(3)]))
     assert not N.is_nilpotent(N.canon([Fraction(0), Fraction(1)]))
+
+
+def test_moduli_and_reduced_elements_must_live_in_the_base():
+    with pytest.raises(ContextMismatch):
+        quotient_ring(ZZ, QQ.element(6))
+    R = quotient_ring(ZZ, 6)
+    with pytest.raises(ContextMismatch):
+        q_reduce(R, ModRing(6).element(5))
+    assert q_reduce(R, ZZ.element(11)) == q_reduce(R, 5)
