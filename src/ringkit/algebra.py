@@ -50,12 +50,15 @@ class RingContext:
     powers, integer scaling, enumeration-based classification, the
     expression parser) is generic.  signed marks the contexts whose
     payloads are ordered numbers (Z and Q): a sum of terms prints their
-    sign instead of parenthesizing them.
+    sign instead of parenthesizing them.  width is the number of leaf
+    payloads in one element, which composed contexts count against the
+    work budget when they are built.
     """
 
     is_commutative = True
     level = RING
     signed = False
+    width = 1
 
     @property
     def is_domain(self):
@@ -215,12 +218,21 @@ class RingContext:
         """Named payloads usable in expression literals (i, j, k, s, x)."""
         return {}
 
-    def parse(self, text):
-        """A payload from an expression over symbols(); contexts with
-        bracket literals parse those first."""
-        from .parsing import parse_expr
+    def literal(self, text):
+        """The payload of text when it is a literal of this context's own
+        (a coefficient list, a tuple, a rational number), else None."""
+        return None
 
-        return parse_expr(self, text)
+    def parse(self, text):
+        """The one text reader: a literal of this context, else an
+        expression over symbols(), as eval reads it.  Returns a
+        canonical payload."""
+        val = self.literal(text)
+        if val is None:
+            from .parsing import parse_expr
+
+            return parse_expr(self, text)
+        return val
 
     def show(self, a):
         raise NotImplementedError
@@ -242,14 +254,15 @@ class OverBase(RingContext):
     fractions, quotients, matrices over base.
 
     A subclass writes lift(c), the payload of the base constant c; the
-    characteristic, commutativity, one, the image of n and the base's
-    named symbols all follow from it.
+    characteristic, commutativity, one, the image of n, the base's
+    named symbols and the reading of a base constant all follow from it.
     """
 
     def __init__(self, base):
         if not isinstance(base, RingContext):
             raise RingError(f"expected a ring context, got {base!r}")
         self.base = base
+        self.width = base.width
 
     def lift(self, c):
         raise NotImplementedError
@@ -278,6 +291,18 @@ class OverBase(RingContext):
 
     def symbols(self):
         return {name: self.lift(c) for name, c in self.base.symbols().items()}
+
+    def parse(self, text):
+        """As RingContext.parse; a text that reads neither way is tried as
+        a constant of the base, so bracketed base literals read back as
+        they print."""
+        try:
+            return super().parse(text)
+        except ParseError as refused:
+            try:
+                return self.lift(self.base.parse(text))
+            except (ParseError, RingError):
+                raise refused from None
 
 
 class Element:
@@ -579,6 +604,8 @@ class ProductRing(RingContext):
         if not components:
             raise RingError("empty product")
         self.components = components
+        self.width = within_budget(sum(c.width for c in components),
+                                   "product components")
 
     def _key(self):
         return self.components
@@ -653,13 +680,13 @@ class ProductRing(RingContext):
     def characteristic(self):
         return math.lcm(*(c.characteristic() for c in self.components))
 
-    def parse(self, text):
-        """A tuple literal (c1,c2,...), or an expression over such tuples."""
-        from .parsing import group_items, parse_expr
+    def literal(self, text):
+        """A tuple literal (c1,c2,...)."""
+        from .parsing import group_items
 
         parts = group_items(text, "()")
         if parts is None:
-            return parse_expr(self, text)
+            return None
         if len(parts) != len(self.components):
             raise ParseError("component count mismatch")
         return tuple(c.parse(p) for c, p in zip(self.components, parts))

@@ -6,7 +6,9 @@ for parse and usage errors.
 --json wraps the same result text in a single-line envelope whose keys
 appear in a fixed order, so golden transcripts stay byte-stable.
 
-Operands beginning with '-' that are not plain numbers should be
+Every operand is read by its context's parse, so it may be any
+expression eval reads there: inv Zn:40 10+3 inverts 13.  Operands
+beginning with '-' that are not plain numbers should be
 preceded by '--' (the usual argparse convention) or rewritten, e.g.
 "0-x" for "-x".
 """
@@ -38,7 +40,7 @@ from .number_rings import (
     euler_phi,
     quad_norm,
 )
-from .parsing import eval_expr, group_items, split_top
+from .parsing import group_items, split_top
 from .poly import PolyRing, lagrange_interpolate
 from .quotient import QuotientRing, ideal_divisor_lattice
 from .series import (
@@ -50,6 +52,21 @@ from .series import (
 )
 
 
+# verb name -> (operand names, add_parser keywords, int options, handler)
+_VERBS = {}
+
+
+def verb(name, *operands, help=None, **options):
+    """Register the decorated handler for name: one positional per
+    operand ('x...' takes any number), and one int --option per keyword,
+    with the keyword's value as its default."""
+    def register(handler):
+        kw = {} if help is None else {"help": help}
+        _VERBS[name] = (operands, kw, options, handler)
+        return handler
+    return register
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="ringkit",
@@ -59,47 +76,16 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable result envelope")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def verb(name, *operands, **kw):
-        ">>> one positional block per operand name"
+    for name, (operands, kw, options, _) in _VERBS.items():
         s = sub.add_parser(name, **kw)
         for op in operands:
             if op.endswith("..."):
                 s.add_argument(op[:-3], nargs="*")
             else:
                 s.add_argument(op)
-        return s
-
-    verb("eval", "ctx", "expr", help="evaluate an expression in a context")
-    verb("gcd", "ctx", "a", "b")
-    verb("xgcd", "ctx", "a", "b")
-    verb("lcm", "ctx", "a", "b")
-    verb("inv", "ctx", "x")
-    verb("crt", "ctx", "pairs...",
-         help="residue:modulus pairs, or 'b mod m' lines on stdin")
-    verb("phi", "n")
-    verb("factor-int", "n")
-    verb("factor-poly", "ctx", "poly")
-    verb("content", "ctx", "poly")
-    verb("primassoc", "ctx", "poly")
-    verb("sqfree", "ctx", "operand",
-         help="squarefree part of an integer or polynomial")
-    s = verb("irreducible", "ctx", "poly")
-    s.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
-    s.add_argument("--shift-bound", type=int, default=DEFAULT_SHIFT_BOUND)
-    verb("interpolate", "ctx", "points...",
-         help="node:value pairs over a field")
-    s = verb("series-invert", "ctx", "series")
-    s.add_argument("--precision", type=int, default=None)
-    s = verb("laurent", "ctx", "num", "den")
-    s.add_argument("--precision", type=int, default=None)
-    verb("quad-norm", "ctx", "x")
-    verb("quat-mul", "a", "b")
-    verb("classify", "ctx")
-    verb("mat-inv", "ctx", "matrix")
-    verb("cramer", "ctx", "matrix", "column")
-    verb("quot-eval", "ctx", "expr")
-    verb("ideal-lattice", "n")
+        for opt, default in options.items():
+            s.add_argument("--" + opt.replace("_", "-"), type=int,
+                           default=default)
     return p
 
 
@@ -134,27 +120,24 @@ def _series_elem(ctx, text, flag_precision):
     return sctx.parse_element(text)
 
 
-def _int_arg(text, what):
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad {what}: {text!r}")
-
-
 # ------------------------------------------------------------- handlers
 
+@verb("eval", "ctx", "expr", help="evaluate an expression in a context")
 def _h_eval(args):
     ctx = parse_context(args.ctx)
-    val = eval_expr(ctx, args.expr, ctx.symbols())
-    return {"context": ctx.name(), "result": ctx.show(val)}
+    if args.verb == "quot-eval" and not isinstance(ctx, QuotientRing):
+        raise ParseError("quot-eval needs a Quot(...) context")
+    return {"context": ctx.name(), "result": ctx.show(ctx.parse(args.expr))}
 
 
+@verb("gcd", "ctx", "a", "b")
 def _h_gcd(args):
     ctx = parse_context(args.ctx)
     a, b = ctx.parse_element(args.a), ctx.parse_element(args.b)
     return {"context": ctx.name(), "result": repr(euclid_gcd(a, b))}
 
 
+@verb("xgcd", "ctx", "a", "b")
 def _h_xgcd(args):
     ctx = parse_context(args.ctx)
     a, b = ctx.parse_element(args.a), ctx.parse_element(args.b)
@@ -168,17 +151,21 @@ def _h_xgcd(args):
     }
 
 
+@verb("lcm", "ctx", "a", "b")
 def _h_lcm(args):
     ctx = parse_context(args.ctx)
     a, b = ctx.parse_element(args.a), ctx.parse_element(args.b)
     return {"context": ctx.name(), "result": repr(lcm(a, b))}
 
 
+@verb("inv", "ctx", "x")
 def _h_inv(args):
     ctx, x = _ctx_elem(args.ctx, args.x)
     return {"context": ctx.name(), "result": repr(x.inverse())}
 
 
+@verb("crt", "ctx", "pairs...",
+      help="residue:modulus pairs, or 'b mod m' lines on stdin")
 def _h_crt(args):
     ctx = parse_context(args.ctx)
     raw_pairs = list(args.pairs)
@@ -209,44 +196,51 @@ def _h_crt(args):
     }
 
 
+@verb("phi", "n")
 def _h_phi(args):
-    n = _int_arg(args.n, "integer")
-    return {"context": None, "result": str(euler_phi(n))}
+    return {"context": None, "result": str(euler_phi(ZZ.parse(args.n)))}
 
 
+@verb("factor-int", "n")
 def _h_factor_int(args):
-    n = _int_arg(args.n, "integer")
-    return {"context": "Z", "result": str(factor_integer(n))}
+    return {"context": "Z", "result": str(factor_integer(ZZ.parse(args.n)))}
 
 
+@verb("factor-poly", "ctx", "poly")
 def _h_factor_poly(args):
     ctx = _poly_ctx(args.ctx)
     f = ctx.parse_element(args.poly)
     return {"context": ctx.name(), "result": str(factor_poly_fp(f))}
 
 
+@verb("content", "ctx", "poly")
 def _h_content(args):
     ctx = _poly_ctx(args.ctx)
     f = ctx.parse_element(args.poly)
     return {"context": ctx.name(), "result": str(content(f))}
 
 
+@verb("primassoc", "ctx", "poly")
 def _h_primassoc(args):
     ctx = _poly_ctx(args.ctx)
     f = ctx.parse_element(args.poly)
     return {"context": ctx.name(), "result": repr(primitive_associate(f))}
 
 
+@verb("sqfree", "ctx", "operand",
+      help="squarefree part of an integer or polynomial")
 def _h_sqfree(args):
     ctx = parse_context(args.ctx)
     text = args.operand.strip()
     if not text.startswith("[") and ctx == ZZ:
         return {"context": "Z",
-                "result": str(squarefree_part(_int_arg(text, "integer")))}
+                "result": str(squarefree_part(ZZ.parse(text)))}
     f = _poly_ctx(args.ctx).parse_element(args.operand)
     return {"context": f.ctx.name(), "result": repr(squarefree_part(f))}
 
 
+@verb("irreducible", "ctx", "poly", prime_bound=DEFAULT_PRIME_BOUND,
+      shift_bound=DEFAULT_SHIFT_BOUND)
 def _h_irreducible(args):
     ctx = _poly_ctx(args.ctx)
     f = ctx.parse_element(args.poly)
@@ -255,6 +249,8 @@ def _h_irreducible(args):
     return {"context": ctx.name(), "result": verdict.serialize()}
 
 
+@verb("interpolate", "ctx", "points...",
+      help="node:value pairs over a field")
 def _h_interpolate(args):
     ctx = parse_context(args.ctx)
     points = []
@@ -268,12 +264,14 @@ def _h_interpolate(args):
     return {"context": ctx.name(), "result": repr(p)}
 
 
+@verb("series-invert", "ctx", "series", precision=None)
 def _h_series_invert(args):
     ctx = parse_context(args.ctx)
     f = _series_elem(ctx, args.series, args.precision)
     return {"context": f.ctx.name(), "result": repr(ts_invert(f))}
 
 
+@verb("laurent", "ctx", "num", "den", precision=None)
 def _h_laurent(args):
     ctx = parse_context(args.ctx)
     num = _series_elem(ctx, args.num, args.precision)
@@ -282,6 +280,7 @@ def _h_laurent(args):
     return {"context": num.ctx.base.name(), "result": laurent_show(ls)}
 
 
+@verb("quad-norm", "ctx", "x")
 def _h_quad_norm(args):
     ctx, x = _ctx_elem(args.ctx, args.x)
     if not isinstance(ctx, QuadraticRing):
@@ -289,12 +288,14 @@ def _h_quad_norm(args):
     return {"context": ctx.name(), "result": str(quad_norm(x))}
 
 
+@verb("quat-mul", "a", "b")
 def _h_quat_mul(args):
     a = HH.parse_element(args.a)
     b = HH.parse_element(args.b)
     return {"context": "H", "result": repr(a * b)}
 
 
+@verb("classify", "ctx")
 def _h_classify(args):
     ctx = parse_context(args.ctx)
     c = classify(ctx)
@@ -325,11 +326,13 @@ def _matrix_in(ctx_text, matrix_text):
     return MatrixRing(ctx, len(rows)).parse_element(matrix_text)
 
 
+@verb("mat-inv", "ctx", "matrix")
 def _h_mat_inv(args):
     m = _matrix_in(args.ctx, args.matrix)
     return {"context": m.ctx.name(), "result": repr(mat_inverse(m))}
 
 
+@verb("cramer", "ctx", "matrix", "column")
 def _h_cramer(args):
     m = _matrix_in(args.ctx, args.matrix)
     base = m.ctx.base
@@ -345,16 +348,14 @@ def _h_cramer(args):
     }
 
 
-def _h_quot_eval(args):
-    ctx = parse_context(args.ctx)
-    if not isinstance(ctx, QuotientRing):
-        raise ParseError("quot-eval needs a Quot(...) context")
-    val = eval_expr(ctx, args.expr, ctx.symbols())
-    return {"context": ctx.name(), "result": ctx.show(val)}
+# eval's body, which refuses a context that is not a quotient; registered
+# here so the verbs keep their order in --help
+verb("quot-eval", "ctx", "expr")(_h_eval)
 
 
+@verb("ideal-lattice", "n")
 def _h_ideal_lattice(args):
-    n = _int_arg(args.n, "integer")
+    n = ZZ.parse(args.n)
     lattice = ideal_divisor_lattice(n)
     divisors = [d for d, _, _ in lattice]
     maximal = [d for d, _, mx in lattice if mx]
@@ -370,33 +371,6 @@ def _h_ideal_lattice(args):
     }
 
 
-_HANDLERS = {
-    "eval": _h_eval,
-    "gcd": _h_gcd,
-    "xgcd": _h_xgcd,
-    "lcm": _h_lcm,
-    "inv": _h_inv,
-    "crt": _h_crt,
-    "phi": _h_phi,
-    "factor-int": _h_factor_int,
-    "factor-poly": _h_factor_poly,
-    "content": _h_content,
-    "primassoc": _h_primassoc,
-    "sqfree": _h_sqfree,
-    "irreducible": _h_irreducible,
-    "interpolate": _h_interpolate,
-    "series-invert": _h_series_invert,
-    "laurent": _h_laurent,
-    "quad-norm": _h_quad_norm,
-    "quat-mul": _h_quat_mul,
-    "classify": _h_classify,
-    "mat-inv": _h_mat_inv,
-    "cramer": _h_cramer,
-    "quot-eval": _h_quot_eval,
-    "ideal-lattice": _h_ideal_lattice,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -404,7 +378,7 @@ def main(argv=None):
     except SystemExit as e:
         return e.code if e.code is not None else 2
     try:
-        payload = _HANDLERS[args.verb](args)
+        payload = _VERBS[args.verb][-1](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

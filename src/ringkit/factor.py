@@ -40,6 +40,7 @@ from .number_rings import (
     QuadIntRing,
     RationalField,
 )
+from .parsing import atomic_or_parenthesized
 from .poly import PolyRing, derivative, horner
 from .quotient import QuotientRing
 
@@ -64,15 +65,13 @@ class Factorization(namedtuple("Factorization", "ctx unit factors")):
     def __str__(self):
         parts = []
         if not self.ctx.eq(self.unit, self.ctx.one) or not self.factors:
-            parts.append(self._piece(self.unit, 1, unit=True))
+            parts.append(self._piece(self.unit, 1))
         for f, m in self.factors:
             parts.append(self._piece(f, m))
         return " * ".join(parts)
 
-    def _piece(self, payload, mult, unit=False):
-        text = self.ctx.show(payload)
-        if isinstance(self.ctx, PolyRing) and not unit:
-            text = f"({text})"
+    def _piece(self, payload, mult):
+        text = atomic_or_parenthesized(self.ctx.show(payload))
         return text if mult == 1 else f"{text}^{mult}"
 
 
@@ -356,7 +355,8 @@ def rational_roots(f):
 
 
 def low_degree_test(f):
-    """Degree 2 and 3 over a field: reducible exactly when a root exists."""
+    """Degree 2 and 3 over Z, Q or F_p: reducible over the field of
+    fractions exactly when a root exists."""
     if not isinstance(_ctx(f), PolyRing):
         raise RingError("expected a polynomial element")
     base = f.ctx.base
@@ -365,7 +365,7 @@ def low_degree_test(f):
         raise DegreeOutOfRange(
             f"root existence decides irreducibility only in degree 2 and 3, "
             f"got degree {deg}")
-    if isinstance(base, RationalField):
+    if over_z_or_q(f.ctx):
         found = rational_roots(f)
     elif over_prime_field(f.ctx):
         from .poly import roots_over_finite
@@ -596,13 +596,9 @@ def verify_certificate(f, verdict):
             return horner(QQ, f.val, Fraction(data["root"])) == 0
         return base.is_zero(horner(base, f.val, base.parse(data["root"])))
     if kind == "low-degree-no-root":
-        g = f
-        if over_z(f.ctx):
-            qctx = PolyRing(QQ)
-            g = Element(qctx, qctx.canon(f.val))
         try:
             return verdict.is_irreducible and low_degree_test(
-                g).serialize() == verdict.serialize()
+                f).serialize() == verdict.serialize()
         except DegreeOutOfRange:
             return False
     if kind == "trial-divisor":
@@ -672,8 +668,7 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     if deg == 1:
         return _irr("exhaustive")
     if deg in (2, 3):
-        qctx = PolyRing(QQ)
-        return low_degree_test(Element(qctx, qctx.canon(prim.val)))
+        return low_degree_test(prim)
     roots = rational_roots(prim)
     if roots:
         return _red("rational-root", root=roots[0])

@@ -13,11 +13,11 @@ from .algebra import FIELD, Element, OverBase
 from .errors import (
     ContextMismatch,
     NotADomain,
-    ParseError,
     RingError,
     ZeroDenominator,
 )
 from .euclid import gcd_payload
+from .intutil import within_budget
 
 
 class FracField(OverBase):
@@ -30,6 +30,7 @@ class FracField(OverBase):
         if not (base.is_domain and base.is_commutative):
             raise NotADomain(f"{base.name()} is not an integral domain")
         self.reduced = base.is_euclidean
+        self.width = within_budget(2 * base.width, "fraction parts")
 
     def _key(self):
         return ("Frac", self.base)
@@ -110,27 +111,6 @@ class FracField(OverBase):
 
             raise InfiniteRing(f"{self.name()} is not finite")
         return map(self.lift, self.base.elements())
-
-    def parse(self, text):
-        from .parsing import split_top
-
-        parts = split_top(text.strip(), "/")
-        parts = [p.strip() for p in parts]
-        if len(parts) == 1:
-            return self.lift(self._parse_part(parts[0]))
-        if len(parts) == 2:
-            return self._make(self._parse_part(parts[0]),
-                              self._parse_part(parts[1]))
-        raise ParseError(f"too many '/' in fraction literal {text!r}")
-
-    def _parse_part(self, text):
-        if text.startswith("(") and text.endswith(")"):
-            inner = text[1:-1].strip()
-            try:
-                return self.base.canon(self.base.parse(inner))
-            except ParseError:
-                pass
-        return self.base.canon(self.base.parse(text))
 
     def show(self, a):
         from .parsing import atomic_or_parenthesized

@@ -96,7 +96,7 @@ def _parse(text):
                 raise
             base = PolyRing(base)
             m = base.parse(mod)
-        return QuotientRing(base, base.canon(m))
+        return QuotientRing(base, m)
     if head == "Mat":
         if len(args) != 2:
             raise ParseError("Mat takes a context and a dimension")

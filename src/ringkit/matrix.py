@@ -35,6 +35,7 @@ class MatrixRing(OverBase):
         if not isinstance(n, int) or n < 1:
             raise InvalidParameters(f"dimension must be >= 1, got {n!r}")
         within_budget(n**4, f"Berkowitz steps for {n} x {n} matrices")
+        self.width = within_budget(n * n * base.width, "matrix entries")
         self.n = n
 
     def _key(self):
@@ -125,20 +126,19 @@ class MatrixRing(OverBase):
 
         return gen()
 
-    def parse(self, text):
-        """A literal [[a,b,...],[c,d,...],...], or an expression over such
-        literals and the base's symbols."""
-        from .parsing import group_items, parse_expr
+    def literal(self, text):
+        """A literal [[a,b,...],[c,d,...],...]."""
+        from .parsing import group_items
 
         rows = group_items(text)
         if rows is None:
-            return parse_expr(self, text)
+            return None
         out = []
         for part in rows:
             row = group_items(part)
             if not row:
                 raise ParseError(f"expected a row [...], got {part!r}")
-            out.append([self.base.canon(self.base.parse(x)) for x in row])
+            out.append([self.base.parse(x) for x in row])
         return self.canon(out)
 
     def show(self, a):

@@ -207,21 +207,20 @@ class MultiPolyRing(OverBase):
             return iter([()])
         raise InfiniteRing(f"{self.name()} is not finite")
 
-    def parse(self, text):
-        """A literal {coeff:monomial,...}, or an expression over such
-        literals and the base's symbols."""
-        from .parsing import group_items, parse_expr
+    def literal(self, text):
+        """A literal {coeff:monomial,...}."""
+        from .parsing import group_items
 
         items = group_items(text, "{}")
         if items is None:
-            return parse_expr(self, text)
+            return None
         table = {}
         for item in items:
             coeff_part, sep, mono_part = item.partition(":")
             if not sep:
                 raise ParseError(f"missing ':' in term {item!r}")
             m = _mono_parse(mono_part)
-            c = self.base.canon(self.base.parse(coeff_part.strip()))
+            c = self.base.parse(coeff_part.strip())
             table[m] = self.base.add(table[m], c) if m in table else c
         return self._seal(table)
 

@@ -33,7 +33,6 @@ from .errors import (
     DivisionByZero,
     InvalidParameters,
     NotInvertible,
-    ParseError,
     RingError,
 )
 from .intutil import factorize, is_prime, is_squarefree
@@ -112,12 +111,6 @@ class IntegerRing(RingContext):
     def is_prime_element(self, m):
         return is_prime(m)
 
-    def parse(self, text):
-        try:
-            return int(text)
-        except ValueError:
-            raise ParseError(f"not an integer literal: {text!r}")
-
     def show(self, a):
         return str(a)
 
@@ -169,11 +162,12 @@ class RationalField(RingContext):
     def characteristic(self):
         return 0
 
-    def parse(self, text):
+    def literal(self, text):
+        """A rational number as Fraction reads it: 2/3, -4, 1.5."""
         try:
-            return Fraction(text.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a rational literal: {text!r}")
+            return None
 
     def show(self, a):
         return str(a)
@@ -249,12 +243,6 @@ class ModRing(RingContext):
 
     def elements(self):
         return iter(range(self.n))
-
-    def parse(self, text):
-        try:
-            return int(text) % self.n
-        except ValueError:
-            raise ParseError(f"not an integer literal: {text!r}")
 
     def show(self, a):
         return str(a % self.n)

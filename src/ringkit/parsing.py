@@ -1,7 +1,7 @@
 """Text helpers: bracket-aware splitting and a small expression evaluator.
 
-The evaluator implements the shared surface syntax for element literals
-and the CLI's eval verb: +, -, *, /, ^ with the usual precedence,
+The evaluator implements the one surface syntax every context reads
+(RingContext.parse): +, -, *, /, ^ with the usual precedence,
 parentheses, integer atoms (interpreted through the context's from_int),
 named symbols supplied by the caller (x for polynomial generators, s/i
 for quadratic irrationalities, i/j/k for quaternion units), and bracketed
@@ -118,7 +118,7 @@ class _Tokens:
 
 
 def parse_expr(ctx, text):
-    """ctx.parse for text that is not one of ctx's bracket literals: an
+    """ctx.parse for text that is not a literal of ctx's own: an
     expression over ctx.symbols().  A text that is one bracket chunk is
     refused, since evaluating it would hand it straight back here."""
     tok = _Tokens(text).peek()

@@ -44,7 +44,6 @@ from .errors import (
     InfiniteRing,
     NotAField,
     NotARoot,
-    ParseError,
     RingError,
     ZeroPolynomial,
 )
@@ -333,24 +332,20 @@ class PolyRing(OverBase):
     def symbols(self):
         return {**super().symbols(), "x": self.gen.val}
 
-    def parse(self, text):
-        """A coefficient list [c0,c1,...] or an expression in x; a text
-        that neither reads is tried as a constant of the base, so
-        bracketed coefficient literals parse back as they print."""
-        from .parsing import group_items, parse_expr
+    def literal(self, text):
+        """A coefficient list [c0,c1,...]."""
+        from .parsing import group_items
 
-        try:
-            items = group_items(text)
-            if items is None:
-                return parse_expr(self, text)
-            return self._strip([self.base.parse(p) for p in items])
-        except ParseError as refused:
-            try:
-                return self.lift(self.base.canon(self.base.parse(text)))
-            except (ParseError, RingError):
-                raise refused from None
+        items = group_items(text)
+        if items is None:
+            return None
+        return self._strip([self.base.parse(p) for p in items])
 
     def show(self, a):
+        """As poly_show, or the coefficient list when the base has a
+        symbol x of its own, which the generator would shadow."""
+        if a and "x" in self.base.symbols():
+            return "[" + ",".join(self.base.show(c) for c in a) + "]"
         return poly_show(self.base, a)
 
 

@@ -127,9 +127,6 @@ class QuotientRing(OverBase):
             raise InfiniteRing(f"{self.name()} is not finite")
         return self.base.residues(self.modulus)
 
-    def parse(self, text):
-        return self._reduce(self.base.parse(text))
-
     def show(self, a):
         return self.base.show(a)
 

@@ -47,7 +47,7 @@ class SeriesRing(OverBase):
         super().__init__(base)
         if not isinstance(prec, int) or prec < 1:
             raise InvalidParameters(f"precision must be >= 1, got {prec!r}")
-        within_budget(prec, "series coefficients")
+        self.width = within_budget(prec * base.width, "series coefficients")
         self.prec = prec
         self.dense = base.dense_modulus()
 
@@ -140,16 +140,13 @@ class SeriesRing(OverBase):
         return {**super().symbols(),
                 "x": self._fit((self.base.zero, self.base.one))}
 
-    def parse(self, text):
+    def literal(self, text):
         """A literal [c0,c1,...;N] (N read and checked, the window is
-        this context's), or an expression in x."""
-        from .parsing import parse_expr
-
+        this context's)."""
         literal = series_literal(text)
         if literal is None:
-            return parse_expr(self, text)
-        return self._fit([self.base.canon(self.base.parse(c))
-                          for c in literal[0]])
+            return None
+        return self._fit([self.base.parse(c) for c in literal[0]])
 
     def show(self, a):
         inner = ",".join(self.base.show(c) for c in a)

@@ -102,6 +102,36 @@ def test_bracket_chunk_without_bracket_syntax_is_a_parse_error(capsys, argv):
     assert err == f"parse error: {argv[1]} has no literal {argv[2]!r}"
 
 
+# Every operand is read as eval reads it: an expression in its context.
+OPERAND_EXPRESSIONS = [
+    (["inv", "Zn:40", "10+3"], "37"),
+    (["gcd", "Z", "2*3", "4"], "2"),
+    (["crt", "Z", "1+2:4", "8:13"], "47 mod 52"),
+    (["inv", "Frac(Z)", "2+1"], "1/3"),
+    (["inv", "Quot(Z,12)", "1/5"], "5"),
+    (["phi", "2^4"], "8"),
+    (["inv", "Frac(Poly(Q))", "1/2*x"], "2/(x)"),
+    (["eval", "Poly(Poly(Z))", "[[0,1],0,1]"], "[x,0,1]"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", OPERAND_EXPRESSIONS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_operands_read_as_expressions(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("ctx", ["Q", "Frac(Z)"])
+def test_an_operand_dividing_by_zero_is_not_a_unit(capsys, ctx):
+    assert run(capsys, "inv", ctx, "1/0") == (
+        1, "", f"NotInvertible: 0 is not a unit in {ctx}")
+
+
+def test_a_word_in_z_is_an_unknown_symbol(capsys):
+    assert run(capsys, "gcd", "Z", "abc", "4") == (
+        2, "", "parse error: unknown symbol 'abc'")
+
+
 def test_product_literal_evaluates(capsys):
     assert run(capsys, "eval", "Prod(Z,Zn:6)", "(1,2)") == (0, "(1,2)", "")
 
@@ -247,3 +277,19 @@ def test_large_quartic_certificate_replays():
     verdict = irreducibility_pipeline(f)
     assert str(verdict) == "IRREDUCIBLE cert=reduction p=5"
     assert verify_certificate(f, verdict)
+
+
+# Composed contexts whose elements hold more leaf payloads than the
+# budget: evaluating in them took time doubling per level of nesting.
+# Matrices nest only through a commutative base, so the second one puts
+# 2 x 2 matrices over series nested 18 deep (2^18 leaves each).
+SERIES_18 = "Series(" * 18 + "Zn:4" + ",2)" * 18
+WIDE_CONTEXTS = [
+    ["eval", "Series(" * 30 + "Zn:4" + ",2)" * 30, "x+1"],
+    ["eval", f"Mat({SERIES_18},2)", "x+1"],
+]
+
+
+@pytest.mark.parametrize("argv", WIDE_CONTEXTS, ids=["series", "matrices"])
+def test_contexts_wider_than_the_budget_are_refused(argv):
+    test_former_hangs_end_in_bounded_time(argv, 2, "")

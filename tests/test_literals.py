@@ -3,8 +3,11 @@
 import pytest
 
 from ringkit import RingError, parse_context
+from ringkit.algebra import OverBase
 from ringkit.errors import ParseError
 from ringkit.poly import PolyRing
+
+from test_algebra import FLAG_TABLE, _build
 
 
 CANONICAL = [
@@ -107,38 +110,42 @@ def test_parsed_contexts_parse_their_own_elements():
         assert ctx.parse_element(repr(e)) == e
 
 
-# Every coefficient context whose elements print without the polynomial
-# generator x (over a base that prints x, the two generators would share
-# one name).
-ROUND_TRIP_GRID = [
-    "Z", "Q", "H", "Zn:1", "Zn:6", "Fp:2", "Fp:7", "Quad:-1", "Quad:-5",
-    "Quad:2", "QuadF:-1", "QuadF:5", "Series(Z,1)", "Series(Q,2)",
-    "Series(Fp:5,3)", "Series(Quad:-1,2)", "Series(Poly(Z),2)", "Mat(Z,1)",
-    "Mat(Z,2)", "Mat(Fp:3,2)", "Mat(Q,2)", "Mat(Quad:-1,2)", "Prod(Z,Zn:6)",
-    "Prod(Q,Fp:3)", "Prod(Quad:-1,Z)", "Prod(Mat(Z,2),Series(Q,2))",
-    "Frac(Z)", "Frac(Quad:-5)", "Frac(Quad:-1)", "Quot(Z,7)", "Quot(Z,12)",
-    "Quot(Quad:-1,3)", "Quot(Quad:-1,2+i)", "Frac(Quot(Z,7))",
-    "Series(Prod(Z,Zn:6),2)", "Mat(Quot(Z,12),2)", "Series(Mat(Z,1),2)",
-]
+# Every context of the flag table, and contexts it lacks: nested Series,
+# Mat and Prod, Frac over Z[i], and bases that print the generator x or
+# a fraction bar.  Each is checked with the polynomials over it.
+ROUND_TRIP_CONTEXTS = [_build(literal) for literal, _ in FLAG_TABLE] + [
+    parse_context(literal) for literal in (
+        "Frac(Quad:-1)", "Mat(Q,2)", "Mat(Quad:-1,2)", "Mat(Quot(Z,12),2)",
+        "Prod(Mat(Z,2),Series(Q,2))", "Prod(Quad:-1,Z)", "Series(Fp:5,3)",
+        "Series(Mat(Z,1),2)", "Series(Poly(Z),2)", "Series(Prod(Z,Zn:6),2)",
+        "Series(Quad:-1,2)", "Poly(Poly(Z))", "Poly(Frac(Poly(Q)))",
+        "Poly(Quot(Fp:2,[1,1,1]))", "Frac(Frac(Z))", "Poly(Series(Q,2))",
+        "Mat(Poly(Z),2)")]
 
 
 def _samples(ctx):
-    out = [ctx.from_int(k) for k in (0, 1, -4, 3)]
-    for v in ctx.symbols().values():
+    """Images of integers, the symbols and the lifted base symbols with
+    an affine image of each, and every one of these divided by each unit
+    among them."""
+    out = [ctx.from_int(k) for k in (0, 1, -4, 3, 2)]
+    syms = list(ctx.symbols().values())
+    if isinstance(ctx, OverBase):
+        syms += [ctx.lift(v) for v in ctx.base.symbols().values()]
+    for v in syms:
         out += [v, ctx.add(ctx.mul(ctx.from_int(2), v), ctx.from_int(-1))]
-    return out
+    units = [u for u in map(ctx.try_inverse, out) if u is not None]
+    return out + [ctx.mul(v, u) for v in out for u in units]
 
 
-@pytest.mark.parametrize("literal", ROUND_TRIP_GRID)
-def test_shown_elements_parse_back(literal):
-    base = parse_context(literal)
-    bs = _samples(base)
-    poly = PolyRing(base)
+@pytest.mark.parametrize("ctx", ROUND_TRIP_CONTEXTS, ids=repr)
+def test_shown_elements_parse_back(ctx):
+    bs = _samples(ctx)
+    poly = PolyRing(ctx)
     polys = [poly.canon(bs[i:i + 3]) for i in range(len(bs) - 2)]
-    for ctx, vals in ((base, bs), (poly, polys + _samples(poly))):
+    for c, vals in ((ctx, bs), (poly, polys + _samples(poly))):
         for v in vals:
-            text = ctx.show(v)
-            assert ctx.eq(ctx.parse(text), v), (ctx.name(), text)
+            text = c.show(v)
+            assert c.eq(c.parse(text), v), (c.name(), text)
 
 
 def test_polynomial_parse_refusal_reports_its_own_grammar():
