@@ -43,7 +43,6 @@ from .errors import (
     NotADomain,
     NotAField,
     NotARoot,
-    NotAUnit,
     NotComaximal,
     NotInvertible,
     NotPrimeCharacteristic,

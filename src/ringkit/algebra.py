@@ -206,6 +206,12 @@ class RingContext:
             return self.mul(a, self.inverse(b)), self.zero
         raise ContextNotEuclidean(f"no division with remainder in {self.name()}")
 
+    def euclid_modulus(self):
+        """p when the remainder sequences of euclid.gcd_payload and
+        xgcd_payload run on int lists mod p (F_p[x] over the dense
+        kernels: poly.fp_gcd, poly.fp_xgcd), else None."""
+        return None
+
     def canon_unit(self, a):
         """Unit u such that u*a is the canonical associate of a."""
         if self.is_field:
@@ -694,6 +700,3 @@ class ProductRing(RingContext):
     def show(self, a):
         return "(" + ",".join(c.show(x) for c, x in zip(self.components, a)) + ")"
 
-
-def product_ring(contexts):
-    return ProductRing(contexts)

@@ -29,10 +29,6 @@ class NotInvertible(RingError):
         self.gcd = gcd
 
 
-class NotAUnit(NotInvertible):
-    pass
-
-
 class DivisionByZero(RingError):
     pass
 

@@ -6,6 +6,12 @@ Results are canonicalized through the context's canon_unit so gcds are
 unique representatives: nonnegative in Z, monic for polynomials, in the
 first quadrant for Gaussian integers, with gcd(0, 0) = 0.
 
+gcd_payload and xgcd_payload run the remainder loop through the context's
+divmod_.  A context whose euclid_modulus() is a prime p (F_p[x] over the
+dense kernels) hands its payloads to poly.fp_gcd / fp_xgcd instead: the
+same remainder sequence on int lists, by half-gcd from poly.HGCD_MIN
+coefficients, with the same g, x and y.
+
 The CRT solver follows the idempotent recipe: for pairwise comaximal
 moduli m_1..m_r, each Bezout relation 1 = x*m_k + y*m_j yields
 t_j = y*m_j congruent to 1 mod m_k and 0 mod m_j; the product over
@@ -24,15 +30,22 @@ from .errors import (
     NotComaximal,
     RingError,
 )
+from .poly import fp_gcd, fp_xgcd
 
 
 def gcd_payload(ctx, a, b):
+    p = ctx.euclid_modulus()
+    if p:
+        return fp_gcd(a, b, p)
     while not ctx.is_zero(b):
         a, b = b, ctx.divmod_(a, b)[1]
     return ctx.mul(ctx.canon_unit(a), a)
 
 
 def xgcd_payload(ctx, a, b):
+    p = ctx.euclid_modulus()
+    if p:
+        return fp_xgcd(a, b, p)
     r0, r1 = a, b
     s0, s1 = ctx.one, ctx.zero
     t0, t1 = ctx.zero, ctx.one

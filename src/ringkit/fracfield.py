@@ -42,7 +42,10 @@ class FracField(OverBase):
         base = self.base
         if base.is_zero(den):
             raise ZeroDenominator("zero denominator")
-        if not self.reduced:
+        if base.is_field:
+            # already the reduced form, with no gcd in the base
+            return (base.mul(num, base.inverse(den)), base.one)
+        if not self.reduced or base.eq(den, base.one):
             return (num, den)
         g = gcd_payload(base, num, den)
         if not base.is_zero(num):

@@ -20,7 +20,18 @@ int, lets CPython's Karatsuba multiply them and reads the coefficients
 back.  Division with a long quotient multiplies by a Newton inverse of
 the reversed divisor (kron_inverse).  Short operands, and every other
 base, keep the coefficient loops; KRONECKER_MIN and NEWTON_MIN are the
-measured crossovers.
+measured crossovers.  A ring remembers the Newton inverse of its last
+divisor, so a chain of reductions mod one f (powers in Quot(F_p[x], f))
+computes it once.
+
+Over F_p the Euclidean remainder sequence runs on plain int lists
+(fp_gcd, fp_xgcd): a short division and a cofactor update per step, and
+from HGCD_MIN coefficients the half-gcd of Thull and Yap (von zur
+Gathen and Gerhard, Modern Computer Algebra, 11.1), which takes about
+half of the remaining steps at once as a 2x2 transition matrix built
+from two recursive calls of half the size, its products through
+kron_mul: O(M(n) log n) instead of O(n^2) coefficient operations.  The
+quotients, remainders and cofactors are those of the classical loop.
 """
 
 import itertools
@@ -88,9 +99,10 @@ NEG_INF = _NegInfinity()
 # in the shorter factor; Newton division once quotient and divisor both
 # have NEWTON_MIN (with a short divisor the O(len(q) len(b)) loop stays
 # cheaper at any quotient length); Newton series inversion from that
-# precision.
+# precision.  The half-gcd from HGCD_MIN coefficients in the divisor.
 KRONECKER_MIN = 7
 NEWTON_MIN = 48
+HGCD_MIN = 96
 
 
 def _pack(c, w, bias=0):
@@ -144,12 +156,192 @@ def kron_inverse(f, prec, n):
     return g
 
 
+# -- F_p[x] on int lists: coefficients in range(p), p prime, ascending,
+#    no trailing zeros (so every product's leading coefficient is nonzero)
+
+def _trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _fp_add(a, b, p):
+    return _trim([(x + y) % p for x, y in
+                  itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_sub(a, b, p):
+    return _trim([(x - y) % p for x, y in
+                  itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_mul(a, b, p):
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) >= KRONECKER_MIN:
+        return kron_mul(a, b, p)
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for i, c in enumerate(b):
+        if c:
+            out[i:i + n] = [x + c * y for x, y in zip(out[i:i + n], a)]
+    return [x % p for x in out]
+
+
+def _fp_submul(u, q, v, p):
+    """u - q v: one pass per coefficient of q while q is the shorter
+    factor and below KRONECKER_MIN, as in a remainder step."""
+    if len(q) >= KRONECKER_MIN or len(q) > len(v):
+        return _fp_sub(u, _fp_mul(q, v, p), p)
+    n = len(v)
+    out = list(u) + [0] * (len(q) + n - 1 - len(u))
+    for i, c in enumerate(q):
+        if c:
+            out[i:i + n] = [x - c * y for x, y in zip(out[i:i + n], v)]
+    return _trim([x % p for x in out])
+
+
+def newton_divmod(a, b, p, memo=None):
+    """(q, r) of a by b over F_p: rev q = rev a / rev b mod x^m, with
+    m = len(a) - len(b) + 1 > 0, then r = a - q*b.  memo is a list
+    [divisor, inverse] the caller keeps for its last divisor; a stored
+    inverse serves every precision up to its own, truncated."""
+    m = len(a) - len(b) + 1
+    if memo is not None and memo[0] == b and len(memo[1]) >= m:
+        inv = memo[1][:m]
+    else:
+        inv = kron_inverse(b[::-1], m, p)
+        if memo is not None:
+            memo[:] = b, inv
+    q = kron_mul(a[::-1][:m], inv, p)[m - 1::-1]
+    qb = kron_mul(q, b, p)
+    return q, _trim([(x - y) % p for x, y in zip(a[:len(b) - 1], qb)])
+
+
+def fp_divmod(a, b, p):
+    """(q, r) of a by b over F_p, b nonzero: by Newton once quotient and
+    divisor both have NEWTON_MIN coefficients, else by short division,
+    one list comprehension per quotient coefficient."""
+    m = len(a) - len(b) + 1
+    if m <= 0:
+        return [], a
+    if m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
+        return newton_divmod(a, b, p)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    q = [0] * m
+    for k in range(m - 1, -1, -1):
+        c = r[k + db] * inv % p
+        if c:
+            q[k] = c
+            r[k:k + db] = [(x - c * y) % p for x, y in zip(r[k:k + db], b)]
+    return q, _trim(r[:db])
+
+
+def _dot(u, v, a, b, p):
+    return _fp_add(_fp_mul(u, a, p), _fp_mul(v, b, p), p)
+
+
+def _matmul(S, R, p):
+    """S R for transition matrices [s0, t0, s1, t1] (rows (s0, t0) and
+    (s1, t1)) of int lists."""
+    a, b, c, d = S
+    e, f, g, h = R
+    return [_dot(a, b, e, g, p), _dot(a, b, f, h, p),
+            _dot(c, d, e, g, p), _dot(c, d, f, h, p)]
+
+
+def _euclid_steps(a, b, M, p, stop):
+    """Remainder steps (a, b) -> (b, a mod b) while len(b) > stop, each
+    applied to the rows of M, (M0, M1) -> (M1, M0 - q M1), unless M is
+    None.  Returns the last pair."""
+    while len(b) > stop:
+        q, r = fp_divmod(a, b, p)
+        a, b = b, r
+        if M is not None:
+            s0, t0, s1, t1 = M
+            M[:] = s1, t1, _fp_submul(s0, q, s1, p), _fp_submul(t0, q, t1, p)
+    return a, b
+
+
+def _hgcd(a, b, p):
+    """(M, c, d) for len(a) >= len(b): M = [s0, t0, s1, t1] is the
+    product of the remainder steps that take (a, b) to the first pair
+    (c, d) = (s0 a + t0 b, s1 a + t1 b) with deg d < m = ceil(deg a / 2).
+
+    The steps that reach below m depend only on the coefficients of
+    degree >= m, so the first recursive call runs on a // x^m, b // x^m;
+    one step more and a second call of the same kind on the pair it
+    leaves finish the job (Thull-Yap).  Below HGCD_MIN coefficients the
+    remainder loop runs instead."""
+    m = len(a) // 2
+    M = [[1], [], [], [1]]
+    if len(b) <= m:
+        return M, a, b
+    if len(a) < HGCD_MIN:
+        return (M, *_euclid_steps(a, b, M, p, m))
+    R, c, d = _hgcd_above(a, b, m, p)
+    if len(d) <= m:
+        return R, c, d
+    c, d = _euclid_steps(c, d, R, p, len(d) - 1)
+    S, c, d = _hgcd_above(c, d, 2 * m - len(c) + 1, p)
+    return _matmul(S, R, p), c, d
+
+
+def _hgcd_above(a, b, k, p):
+    """(M, M (a, b)) for the half-gcd (M, c, d) of a // x^k and b // x^k:
+    M (a, b) = x^k (c, d) + M (a mod x^k, b mod x^k)."""
+    M, c, d = _hgcd(a[k:], b[k:], p)
+    a0, b0 = _trim(a[:k]), _trim(b[:k])
+    z = [0] * k
+    return (M, _fp_add(z + c, _dot(M[0], M[1], a0, b0, p), p),
+            _fp_add(z + d, _dot(M[2], M[3], a0, b0, p), p))
+
+
+def _fp_euclid(a, b, p, M):
+    """The last nonzero remainder of Euclid's sequence on (a, b), with
+    M, unless None, multiplied by that sequence's transition matrix."""
+    a, b = list(a), list(b)
+    while b:
+        if len(b) < HGCD_MIN:
+            a, b = _euclid_steps(a, b, M, p, 0)
+        elif len(b) <= len(a) // 2 or len(a) < len(b):
+            # the half-gcd takes no step here; one remainder step does
+            a, b = _euclid_steps(a, b, M, p, len(b) - 1)
+        else:
+            T, a, b = _hgcd(a, b, p)
+            if M is not None:
+                M[:] = _matmul(T, M, p)
+    return a
+
+
+def fp_gcd(a, b, p):
+    """The monic gcd of a and b over F_p as a tuple (gcd(0, 0) = ())."""
+    g = _fp_euclid(a, b, p, None)
+    u = pow(g[-1], -1, p) if g else 1
+    return tuple([c * u % p for c in g])
+
+
+def fp_xgcd(a, b, p):
+    """(g, x, y) as tuples with a x + b y = g = fp_gcd(a, b, p): the
+    cofactors of the classical extended Euclid loop, of least degree,
+    scaled with g to make g monic (gcd(0, 0) = 0 * 1 + 0 * 0)."""
+    M = [[1], [], [], [1]]
+    g = _fp_euclid(a, b, p, M)
+    u = pow(g[-1], -1, p) if g else 1
+    return tuple(tuple([c * u % p for c in v]) for v in (g, M[0], M[1]))
+
+
 class PolyRing(OverBase):
     """Polynomials base[x] as a ring context."""
 
     def __init__(self, base):
         super().__init__(base)
         self.dense = base.dense_modulus()
+        self._newton = [None, None]  # newton_divmod's memo
 
     def _key(self):
         return ("Poly", self.base)
@@ -261,12 +453,8 @@ class PolyRing(OverBase):
             return (), a
         m = len(a) - len(b) + 1
         if self.dense is not None and m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
-            n = self.dense
-            rq = kron_mul(a[::-1][:m], kron_inverse(b[::-1], m, n), n)[:m]
-            q = self._strip(rq[::-1])
-            qb = kron_mul(q, b, n)
-            return q, self._strip(
-                [(x - y) % n for x, y in zip(a[:len(b) - 1], qb)])
+            q, r = newton_divmod(a, b, self.dense, self._newton)
+            return tuple(q), tuple(r)
         one = self.base.one
         lead = one if self.base.eq(b[-1], one) else self.base.inverse(b[-1])
         db = len(b) - 1
@@ -281,6 +469,11 @@ class PolyRing(OverBase):
             while r and self.base.is_zero(r[-1]):
                 r.pop()
         return self._strip(q), self._strip(r)
+
+    def euclid_modulus(self):
+        if self.dense is not None and self.base.is_field:
+            return self.dense
+        return None
 
     def canon_unit(self, a):
         if not self.base.is_field:

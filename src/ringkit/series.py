@@ -146,7 +146,11 @@ class SeriesRing(OverBase):
         literal = series_literal(text)
         if literal is None:
             return None
-        return self._fit([self.base.parse(c) for c in literal[0]])
+        coeffs, prec = literal
+        if prec not in (None, self.prec):
+            raise ParseError(
+                f"precision marker ;{prec} does not match {self.name()}")
+        return self._fit([self.base.parse(c) for c in coeffs])
 
     def show(self, a):
         inner = ",".join(self.base.show(c) for c in a)

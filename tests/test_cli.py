@@ -172,6 +172,13 @@ def test_former_tracebacks_end_in_one_typed_line(capsys, argv, code, out, err):
     assert got[2].startswith(err) and "\n" not in got[2]
 
 
+@pytest.mark.parametrize("literal", ["[1,2;5]", "[1,2,3,4,5;5]"])
+def test_a_series_marker_must_match_the_context(capsys, literal):
+    assert run(capsys, "eval", "Series(Q,3)", literal) == (
+        2, "", "parse error: precision marker ;5 does not match Series(Q,3)")
+    assert run(capsys, "eval", "Series(Q,3)", "[1,2;3]") == (0, "[1,2,0;3]", "")
+
+
 def test_unknown_verb_exits_two(capsys):
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()
@@ -256,6 +263,10 @@ FORMER_HANGS = [
      "1000000000000000003^2"),
     (["irreducible", "Quad:-5", "10000000000000079"], 1, ""),
     (["irreducible", "--prime-bound", "100000000", "Q", "[1,0,0,0,1]"], 1, ""),
+    # a gcd at every level of nested fraction fields
+    (["eval", "Frac(" * 7 + "Z" + ")" * 7, "1+1"], 0, "2"),
+    (["eval", "Frac(Poly(" * 5 + "Z" + "))" * 5, "x/(x+1)"], 0,
+     "[0,[[[1]]]]/[[[[1]]],[[[1]]]]"),
 ]
 
 

@@ -125,3 +125,50 @@ def test_finite_fraction_fields_enumerate_as_the_base():
     elems = list(F.elements())
     assert len(elems) == 7
     assert len(set(elems)) == 7
+
+
+def _reduced_by_gcd(ctx, num, den):
+    """The gcd reduction every reduced Frac ran before its shortcuts."""
+    from ringkit.euclid import gcd_payload
+
+    base = ctx.base
+    g = gcd_payload(base, num, den)
+    if not base.is_zero(num):
+        num = base.divmod_(num, g)[0]
+        den = base.divmod_(den, g)[0]
+    else:
+        den = base.one
+    u = base.canon_unit(den)
+    return (base.mul(u, num), base.mul(u, den))
+
+
+@given(st.integers(-50, 50), nonzero, st.lists(st.integers(0, 6), max_size=4),
+       st.lists(st.integers(0, 6), min_size=1, max_size=4).filter(any))
+def test_shortcuts_leave_the_reduced_payloads_as_the_gcd_made_them(
+        a, b, f, g):
+    P7 = poly_ring(ModRing(7))
+    cases = [
+        (frac_field(QQ), QQ.canon(a), QQ.canon(b)),
+        (frac_field(FZ), (a, 1), (b, 1)),
+        (frac_field(frac_field(P7)), (P7.canon(f), P7.one),
+         (P7.canon(g), P7.one)),
+        (FZ, a, 1),
+        (frac_field(P7), P7.canon(f), P7.one),
+    ]
+    for ctx, num, den in cases:
+        assert ctx._make(num, den) == _reduced_by_gcd(ctx, num, den)
+
+
+def test_field_bases_and_unit_denominators_run_no_gcd(monkeypatch):
+    import ringkit.fracfield
+
+    calls = []
+    monkeypatch.setattr(ringkit.fracfield, "gcd_payload",
+                        lambda *args: calls.append(args))
+    nested = frac_field(frac_field(frac_field(ZZ)))
+    assert nested._make(nested.base.one, nested.base.one) == (
+        nested.base.one, nested.base.one)
+    assert frac_field(QQ)._make(QQ.canon(3), QQ.canon(6)) == (
+        QQ.canon(1) / 2, QQ.one)
+    assert FZ._make(6, 1) == (6, 1)
+    assert calls == []
