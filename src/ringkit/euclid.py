@@ -10,7 +10,8 @@ gcd_payload and xgcd_payload run the remainder loop through the context's
 divmod_.  A context whose euclid_modulus() is a prime p (F_p[x] over the
 dense kernels) hands its payloads to poly.fp_gcd / fp_xgcd instead: the
 same remainder sequence on int lists, by half-gcd from poly.HGCD_MIN
-coefficients, with the same g, x and y.
+coefficients (poly.GCD_HGCD_MIN without cofactors), with the same g, x
+and y.
 
 The CRT solver follows the idempotent recipe: for pairwise comaximal
 moduli m_1..m_r, each Bezout relation 1 = x*m_k + y*m_j yields

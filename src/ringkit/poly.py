@@ -16,25 +16,27 @@ and reports the scaling exponent.
 
 Over Z and Z/n (the bases whose dense_modulus() is not None) products
 go through Kronecker substitution: kron_mul packs each operand into one
-int, lets CPython's Karatsuba multiply them and reads the coefficients
-back.  Division with a long quotient multiplies by a Newton inverse of
-the reversed divisor (kron_inverse).  Short operands, and every other
-base, keep the coefficient loops; KRONECKER_MIN and NEWTON_MIN are the
-measured crossovers.  A ring remembers the Newton inverse of its last
-divisor, so a chain of reductions mod one f (powers in Quot(F_p[x], f))
-computes it once.
+int, in slots that struct fills and reads for a whole list at once,
+lets CPython's Karatsuba multiply them and reads back the coefficients,
+or only the low ones a caller keeps.  Division with a long quotient
+multiplies by a Newton inverse of the reversed divisor (kron_inverse),
+which a ring keeps for its last divisor, so a chain of reductions mod
+one f (powers in Quot(F_p[x], f)) computes it once.  Short operands, and
+every other base, keep the coefficient loops; the *_MIN constants are
+the measured crossovers.
 
-Over F_p the Euclidean remainder sequence runs on plain int lists
-(fp_gcd, fp_xgcd): a short division and a cofactor update per step, and
-from HGCD_MIN coefficients the half-gcd of Thull and Yap (von zur
-Gathen and Gerhard, Modern Computer Algebra, 11.1), which takes about
-half of the remaining steps at once as a 2x2 transition matrix built
-from two recursive calls of half the size, its products through
-kron_mul: O(M(n) log n) instead of O(n^2) coefficient operations.  The
-quotients, remainders and cofactors are those of the classical loop.
+Over F_p division and the Euclidean remainder sequence run on plain int
+lists (fp_divmod, fp_gcd, fp_xgcd), from HGCD_MIN coefficients by the
+half-gcd of Thull and Yap (von zur Gathen and Gerhard, Modern Computer
+Algebra, 11.1): about half of the remaining steps at once, as a 2x2
+transition matrix from two recursive calls of half the size, with its
+products through kron_mul, in O(M(n) log n) instead of O(n^2)
+coefficient operations.  The quotients, remainders and cofactors are
+those of the classical loop.
 """
 
 import itertools
+import struct
 
 from .algebra import (
     DOMAIN,
@@ -99,19 +101,44 @@ NEG_INF = _NegInfinity()
 # in the shorter factor; Newton division once quotient and divisor both
 # have NEWTON_MIN (with a short divisor the O(len(q) len(b)) loop stays
 # cheaper at any quotient length); Newton series inversion from that
-# precision.  The half-gcd from HGCD_MIN coefficients in the divisor.
-KRONECKER_MIN = 7
-NEWTON_MIN = 48
-HGCD_MIN = 96
+# precision.  The half-gcd from HGCD_MIN coefficients in the divisor, and
+# from GCD_HGCD_MIN for a gcd alone, which has no cofactors to update.
+KRONECKER_MIN = 5
+NEWTON_MIN = 32
+HGCD_MIN = 48
+GCD_HGCD_MIN = 256
 
 
-def _pack(c, w, bias=0):
-    return int.from_bytes(
-        b"".join([(x + bias).to_bytes(w, "little") for x in c]), "little")
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def kron_mul(a, b, n):
-    """Coefficients of a*b over Z/n (n > 0) or Z (n == 0), a and b nonempty.
+def _width(bits):
+    """Bytes per slot for values below 2^bits: 1, 2, 4 or 8, which struct
+    packs and reads for a whole list at once, else the exact count."""
+    w = (bits + 7) // 8 or 1
+    return 1 << (w - 1).bit_length() if w <= 8 else w
+
+
+def _pack(c, w):
+    if w <= 8:
+        data = struct.pack(f"<{len(c)}{_CODES[w]}", *c)
+    else:
+        data = b"".join([x.to_bytes(w, "little") for x in c])
+    return int.from_bytes(data, "little")
+
+
+def _unpack(x, w, m, keep):
+    """The low keep of the m slots of x."""
+    data = x.to_bytes(m * w, "little")
+    if w <= 8:
+        return struct.unpack_from(f"<{keep}{_CODES[w]}", data)
+    return [int.from_bytes(data[i:i + w], "little")
+            for i in range(0, keep * w, w)]
+
+
+def kron_mul(a, b, n, keep=None):
+    """Coefficients of a*b over Z/n (n > 0) or Z (n == 0), a and b
+    nonempty: all of them, or the low keep.
 
     Each coefficient gets a slot of w bytes wide enough for any product
     coefficient, so the slots never carry into each other.  Over Z every
@@ -121,22 +148,20 @@ def kron_mul(a, b, n):
     """
     k = min(len(a), len(b))
     m = len(a) + len(b) - 1
+    keep = m if keep is None else min(keep, m)
     if n:
-        w = (((n - 1) ** 2 * k).bit_length() + 7) // 8 or 1
+        w = _width(((n - 1) ** 2 * k).bit_length())
         pa = _pack(a, w)
-        data = (pa * (pa if a is b else _pack(b, w))).to_bytes(m * w, "little")
-        return [int.from_bytes(data[i:i + w], "little") % n
-                for i in range(0, m * w, w)]
-    w = (k * max(1, *map(abs, a)) * max(1, *map(abs, b))).bit_length() // 8 + 1
+        c = _unpack(pa * (pa if a is b else _pack(b, w)), w, m, keep)
+        return [x % n for x in c]
+    w = _width((k * max(1, *map(abs, a)) * max(1, *map(abs, b)))
+               .bit_length() + 1)
     h = 1 << (8 * w - 1)
-    slot = h.to_bytes(w, "little")
-    pa = _pack(a, w, h) - int.from_bytes(slot * len(a), "little")
+    bias = int.from_bytes(h.to_bytes(w, "little") * m, "little")
+    pa = _pack([x + h for x in a], w) - (bias >> 8 * w * (m - len(a)))
     pb = pa if a is b else \
-        _pack(b, w, h) - int.from_bytes(slot * len(b), "little")
-    data = (pa * pb + int.from_bytes(slot * m, "little")).to_bytes(
-        m * w, "little")
-    return [int.from_bytes(data[i:i + w], "little") - h
-            for i in range(0, m * w, w)]
+        _pack([x + h for x in b], w) - (bias >> 8 * w * (m - len(b)))
+    return [x - h for x in _unpack(pa * pb + bias, w, m, keep)]
 
 
 def kron_inverse(f, prec, n):
@@ -151,8 +176,8 @@ def kron_inverse(f, prec, n):
     while len(g) < prec:
         h = len(g)
         k = min(2 * h, prec)
-        d = [-c % n if n else -c for c in kron_mul(f[:k], g, n)[h:k]]
-        g += kron_mul(g, d, n)[:k - h]
+        d = [-c % n if n else -c for c in kron_mul(f[:k], g, n, k)[h:]]
+        g += kron_mul(g, d, n, k - h)
     return g
 
 
@@ -167,11 +192,6 @@ def _trim(c):
 
 def _fp_add(a, b, p):
     return _trim([(x + y) % p for x, y in
-                  itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _fp_sub(a, b, p):
-    return _trim([(x - y) % p for x, y in
                   itertools.zip_longest(a, b, fillvalue=0)])
 
 
@@ -194,7 +214,7 @@ def _fp_submul(u, q, v, p):
     """u - q v: one pass per coefficient of q while q is the shorter
     factor and below KRONECKER_MIN, as in a remainder step."""
     if len(q) >= KRONECKER_MIN or len(q) > len(v):
-        return _fp_sub(u, _fp_mul(q, v, p), p)
+        return _fp_add(u, [-c for c in _fp_mul(q, v, p)], p)
     n = len(v)
     out = list(u) + [0] * (len(q) + n - 1 - len(u))
     for i, c in enumerate(q):
@@ -203,32 +223,25 @@ def _fp_submul(u, q, v, p):
     return _trim([x % p for x in out])
 
 
-def newton_divmod(a, b, p, memo=None):
-    """(q, r) of a by b over F_p: rev q = rev a / rev b mod x^m, with
-    m = len(a) - len(b) + 1 > 0, then r = a - q*b.  memo is a list
-    [divisor, inverse] the caller keeps for its last divisor; a stored
-    inverse serves every precision up to its own, truncated."""
-    m = len(a) - len(b) + 1
-    if memo is not None and memo[0] == b and len(memo[1]) >= m:
-        inv = memo[1][:m]
-    else:
-        inv = kron_inverse(b[::-1], m, p)
-        if memo is not None:
-            memo[:] = b, inv
-    q = kron_mul(a[::-1][:m], inv, p)[m - 1::-1]
-    qb = kron_mul(q, b, p)
-    return q, _trim([(x - y) % p for x, y in zip(a[:len(b) - 1], qb)])
-
-
-def fp_divmod(a, b, p):
+def fp_divmod(a, b, p, memo=None):
     """(q, r) of a by b over F_p, b nonzero: by Newton once quotient and
-    divisor both have NEWTON_MIN coefficients, else by short division,
-    one list comprehension per quotient coefficient."""
+    divisor both have NEWTON_MIN coefficients (rev q = rev a / rev b mod
+    x^m, r = a - q*b; memo is a list [divisor, inverse] the caller keeps,
+    whose inverse serves every quotient up to its length), else by short
+    division, one list comprehension per quotient coefficient."""
     m = len(a) - len(b) + 1
     if m <= 0:
         return [], a
     if m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
-        return newton_divmod(a, b, p)
+        if memo is not None and memo[0] == b and len(memo[1]) >= m:
+            inv = memo[1][:m]
+        else:
+            inv = kron_inverse(b[::-1], m, p)
+            if memo is not None:
+                memo[:] = b, inv
+        q = kron_mul(a[::-1][:m], inv, p, m)[::-1]
+        qb = kron_mul(q, b, p, len(b) - 1)
+        return q, _trim([(x - y) % p for x, y in zip(a, qb)])
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
     r = list(a)
@@ -305,8 +318,9 @@ def _fp_euclid(a, b, p, M):
     """The last nonzero remainder of Euclid's sequence on (a, b), with
     M, unless None, multiplied by that sequence's transition matrix."""
     a, b = list(a), list(b)
+    start = GCD_HGCD_MIN if M is None else HGCD_MIN
     while b:
-        if len(b) < HGCD_MIN:
+        if len(b) < start:
             a, b = _euclid_steps(a, b, M, p, 0)
         elif len(b) <= len(a) // 2 or len(a) < len(b):
             # the half-gcd takes no step here; one remainder step does
@@ -341,7 +355,7 @@ class PolyRing(OverBase):
     def __init__(self, base):
         super().__init__(base)
         self.dense = base.dense_modulus()
-        self._newton = [None, None]  # newton_divmod's memo
+        self._newton = [None, None]  # fp_divmod's memo
 
     def _key(self):
         return ("Poly", self.base)
@@ -394,8 +408,7 @@ class PolyRing(OverBase):
     def mul(self, a, b):
         if not a or not b:
             return ()
-        if (self.dense is not None and len(a) >= KRONECKER_MIN
-                and len(b) >= KRONECKER_MIN):
+        if self.dense is not None and min(len(a), len(b)) >= KRONECKER_MIN:
             return self._strip(kron_mul(a, b, self.dense))
         z = self.base.zero
         out = [z] * (len(a) + len(b) - 1)
@@ -451,9 +464,8 @@ class PolyRing(OverBase):
             raise DivisionByZero("division by zero polynomial")
         if len(a) < len(b):
             return (), a
-        m = len(a) - len(b) + 1
-        if self.dense is not None and m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
-            q, r = newton_divmod(a, b, self.dense, self._newton)
+        if self.dense is not None:
+            q, r = fp_divmod(a, b, self.dense, self._newton)
             return tuple(q), tuple(r)
         one = self.base.one
         lead = one if self.base.eq(b[-1], one) else self.base.inverse(b[-1])

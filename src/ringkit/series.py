@@ -90,7 +90,7 @@ class SeriesRing(OverBase):
 
     def mul(self, a, b):
         if self.dense is not None and self.prec >= KRONECKER_MIN:
-            return self._fit(kron_mul(a, b, self.dense))
+            return tuple(kron_mul(a, b, self.dense, self.prec))
         base = self.base
         out = [base.zero] * self.prec
         for i, x in enumerate(a):

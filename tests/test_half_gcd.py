@@ -16,7 +16,7 @@ from loop_bases import LoopMod
 from ringkit import ModRing, QQ, ZZ, extended_gcd, poly_ring, series_ring
 from ringkit.algebra import ring_pow_payload
 from ringkit.euclid import gcd_payload, xgcd_payload
-from ringkit.poly import HGCD_MIN, NEWTON_MIN, PolyRing
+from ringkit.poly import GCD_HGCD_MIN, HGCD_MIN, NEWTON_MIN, PolyRing
 from ringkit.quotient import QuotientRing
 
 PRIMES = [2, 101, 10**12 + 39]
@@ -82,7 +82,7 @@ def test_abnormal_remainder_sequences_equal_the_classical_loop(p):
     # degree NEWTON_MIN sends that step through Newton division
     rng = random.Random(p)
     loop = PolyRing(LoopMod(p))
-    for top in (HGCD_MIN // 2, 3 * HGCD_MIN):
+    for top in (HGCD_MIN // 2, 3 * HGCD_MIN, GCD_HGCD_MIN + 8):
         qs, total = [], 0
         while total < top:
             qs.append(_random_poly(rng, p, rng.choice([1, 2, 3, 7])))
@@ -98,6 +98,7 @@ def test_abnormal_remainder_sequences_equal_the_classical_loop(p):
 def test_deep_half_gcd_recursion_equals_the_classical_loop(cut, monkeypatch):
     # a tiny threshold runs the recursion many levels deep on small inputs
     monkeypatch.setattr(ringkit.poly, "HGCD_MIN", cut)
+    monkeypatch.setattr(ringkit.poly, "GCD_HGCD_MIN", cut)
     rng = random.Random(cut)
     for _ in range(60):
         p = rng.choice(PRIMES)
@@ -162,9 +163,9 @@ def test_degree_1000_xgcd_takes_the_half_gcd(monkeypatch):
         counts["ModRing.mul"] += 1
         return real_mul(self, a, b)
 
-    def kron_mul(a, b, n):
+    def kron_mul(a, b, n, keep=None):
         counts["kron_mul"] += 1
-        return real_kron(a, b, n)
+        return real_kron(a, b, n, keep)
 
     def fp_divmod(a, b, p):
         counts["dividend coefficients"] += len(a)

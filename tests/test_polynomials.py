@@ -1,5 +1,6 @@
 """Dense univariate polynomials: division flavors, roots, interpolation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -238,7 +239,10 @@ def test_parse_rejects_unknown_symbols():
 
 # -- dense kernels over Z and Z/n ------------------------------------------
 
-DENSE_MODULI = [1, 2, 12, 101, 10**18 + 8]
+# With the tested lengths these give Kronecker slots of 1 to 9 bytes and
+# 16: 2**31 - 1 moves from 8 to 9 bytes between 4 and 5 coefficients.
+DENSE_MODULI = [1, 2, 12, 101, 4099, 65537, 2**20 + 7, 2**24 + 43,
+                2**30 + 3, 2**31 - 1, 10**18 + 8]
 FIELD_MODULI = [2, 101, 10**12 + 39, 10**18 + 9]
 
 
@@ -280,6 +284,50 @@ def test_kron_mul_over_z_with_a_zero_operand():
             assert kron_mul(zeros, a, 0) == want
         assert kron_mul(a, [0, 1], 0) == [0] + a
         assert loop._strip(kron_mul(a, a, 0)) == loop.mul(a, a)
+
+
+# (n, shorter length, slot bytes before rounding to 1, 2, 4 or 8):
+# all-(n-1) operands fill the widest product slot
+SLOT_CASES = [(2, 5, 1), (12, 5, 2), (101, 15, 3), (4099, 5, 4),
+              (65537, 5, 5), (2**20 + 7, 5, 6), (2**24 + 43, 5, 7),
+              (2**30 + 3, 15, 8), (2**31 - 1, 4, 8), (2**31 - 1, 5, 9)]
+
+
+def _check_kron_mul(loop, a, b, n):
+    want = loop.mul(tuple(a), tuple(b))
+    got = kron_mul(a, b, n)
+    assert len(got) == len(a) + len(b) - 1
+    assert loop._strip(got) == want
+    for keep in (0, 1, len(a), len(got), len(got) + 3):
+        assert kron_mul(a, b, n, keep) == got[:keep]
+
+
+@pytest.mark.parametrize("n, k, width", SLOT_CASES)
+def test_kron_mul_fills_every_slot_width_over_z_mod_n(n, k, width):
+    assert (((n - 1) ** 2 * k).bit_length() + 7) // 8 == width
+    loop = PolyRing(dense_and_loop_bases(n)[1])
+    a = [n - 1] * k
+    _check_kron_mul(loop, a, a, n)
+    _check_kron_mul(loop, a, list(a), n)
+    _check_kron_mul(loop, a, [n - 1] * (3 * k + 1), n)
+    _check_kron_mul(loop, [n - 1] * (2 * k + 3), a, n)
+    assert kron_mul(a, [0] * k, n) == [0] * (2 * k - 1)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_kron_mul_fills_every_slot_width_over_z(width):
+    # k M^2 just below 2^(8 width - 1), the bias: the widest product
+    # coefficients need the whole slot before it is rounded up
+    k = 5
+    top = math.isqrt((2 ** (8 * width - 1) - 1) // k)
+    assert ((k * top * top).bit_length() + 8) // 8 == width
+    loop = PolyRing(dense_and_loop_bases(0)[1])
+    plus, minus = [top] * k, [-top] * (2 * k + 1)
+    mixed = [top, -top] * k
+    for a, b in ((plus, minus), (minus, plus), (plus, plus), (minus, minus),
+                 (mixed, plus), (mixed, mixed)):
+        _check_kron_mul(loop, a, b, 0)
+    assert kron_mul(plus, [0] * k, 0) == [0] * (2 * k - 1)
 
 
 def test_kron_inverse_over_z_with_a_vanishing_correction():
@@ -363,6 +411,7 @@ def test_dense_products_match_sympy():
 
 
 def test_monic_division_makes_no_inversion(monkeypatch):
+    # the coefficient loop, which every base without the dense hook runs
     calls = []
     real = ModRing.inverse
 
@@ -371,12 +420,31 @@ def test_monic_division_makes_no_inversion(monkeypatch):
         return real(self, a)
 
     monkeypatch.setattr(ModRing, "inverse", counting)
-    R = poly_ring(ModRing(101))
+    R = PolyRing(dense_and_loop_bases(101)[1])
     q, r = R.divmod_(R.canon([3, 1, 4, 1, 5, 9]), R.canon([2, 7, 1]))
     assert R.add(R.mul(q, (2, 7, 1)), r) == R.canon([3, 1, 4, 1, 5, 9])
     assert calls == []
     R.divmod_(R.canon([3, 1, 4, 1, 5, 9]), R.canon([2, 7, 3]))
     assert len(calls) == 1
+
+
+def test_dense_division_makes_no_coefficient_call(monkeypatch):
+    calls = []
+    for name in ("add", "sub", "neg", "mul", "eq", "is_zero",
+                 "try_inverse", "inverse"):
+        def counting(self, *args, real=getattr(ModRing, name), name=name):
+            calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(ModRing, name, counting)
+    dense, loop = dense_and_loop(101)
+    f = (3, 1, 4, 1, 5, 9)
+    # monic, non-monic, and a Newton division
+    for a, b in ((f, (2, 7, 1)), (f, (2, 7, 3)), ((5,) * 200, (1,) * 99)):
+        calls.clear()
+        qr = dense.divmod_(a, b)
+        assert calls == []
+        assert qr == loop.divmod_(a, b)
 
 
 def test_short_dividend_makes_no_inversion(monkeypatch):
