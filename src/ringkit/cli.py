@@ -18,7 +18,7 @@ import json
 import sys
 
 from .algebra import classify
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 from .euclid import crt_solve, euclid_gcd, extended_gcd, lcm
 from .factor import (
     content,
@@ -30,6 +30,7 @@ from .factor import (
     DEFAULT_PRIME_BOUND,
     DEFAULT_SHIFT_BOUND,
 )
+from .intutil import MAX_DIGITS
 from .literals import parse_context
 from .matrix import MatrixRing, cramer_solve, mat_inverse
 from .number_rings import (
@@ -372,6 +373,8 @@ def _h_ideal_lattice(args):
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        sys.set_int_max_str_digits(MAX_DIGITS)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -383,6 +386,8 @@ def main(argv=None):
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a RingError, or as a last resort any other
+        if "integer string conversion" in str(e):  # str() past MAX_DIGITS
+            e = TooLarge(f"a result of more than {MAX_DIGITS} digits")
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     if args.json:

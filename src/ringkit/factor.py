@@ -381,10 +381,7 @@ def low_degree_test(f):
 def _shift_payload(ctx, coeffs, a):
     """Substitute x -> x + a."""
     shift = (ctx.base.from_int(a), ctx.base.one)
-    acc = ()
-    for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, shift), ctx.lift(c))
-    return acc
+    return horner(ctx, [ctx.lift(c) for c in coeffs], shift)
 
 
 def _eisenstein_holds(coeffs, p):

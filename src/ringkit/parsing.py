@@ -20,6 +20,7 @@ like "(x+1)(x+2)" read naturally.
 
 from .algebra import ring_pow_payload
 from .errors import ParseError, TooLarge
+from .intutil import MAX_DIGITS
 
 _CLOSE = {"(": ")", "[": "]", "{": "}"}
 # Each bracket level costs the recursive readers a few interpreter frames,
@@ -219,10 +220,12 @@ def _atom(ctx, toks, symbols):
 
 
 def _int(digits):
-    try:
-        return int(digits)
-    except ValueError:  # the interpreter's limit on digits per int
-        raise TooLarge(f"integer literal of {len(digits)} digits") from None
+    if len(digits) <= MAX_DIGITS:
+        try:
+            return int(digits)
+        except ValueError:  # the interpreter's own limit, when it is lower
+            pass
+    raise TooLarge(f"integer literal of {len(digits)} digits")
 
 
 def atomic_or_parenthesized(text):

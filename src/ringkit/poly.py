@@ -14,16 +14,18 @@ divrem_scaled over any commutative base, which scales f by the leading
 coefficient of g just often enough to keep every division step exact
 and reports the scaling exponent.
 
-Over Z and Z/n (the bases whose dense_modulus() is not None) products
-go through Kronecker substitution: kron_mul packs each operand into one
-int, in slots that struct fills and reads for a whole list at once,
+Over Z and Z/n (the bases whose dense_modulus() is not None) a product
+is one dense_mul call on int lists: the schoolbook loop on short
+operands, else Kronecker substitution: kron_mul packs each operand into
+one int, in slots that struct fills and reads for a whole list at once,
 lets CPython's Karatsuba multiply them and reads back the coefficients,
-or only the low ones a caller keeps.  Division with a long quotient
-multiplies by a Newton inverse of the reversed divisor (kron_inverse),
-which a ring keeps for its last divisor, so a chain of reductions mod
-one f (powers in Quot(F_p[x], f)) computes it once.  Short operands, and
-every other base, keep the coefficient loops; the *_MIN constants are
-the measured crossovers.
+or only the low ones a caller keeps.  Inverses of power series are one
+kron_inverse call, and division with a long quotient multiplies by a
+Newton inverse of the reversed divisor, which a ring keeps for its last
+divisor, so a chain of reductions mod one f (powers in Quot(F_p[x], f))
+computes it once.  Every other base runs loop_mul, one base call per
+coefficient operation.  This module alone chooses among the dense
+algorithms; the *_MIN constants are the measured crossovers.
 
 Over F_p division and the Euclidean remainder sequence run on plain int
 lists (fp_divmod, fp_gcd, fp_xgcd), from HGCD_MIN coefficients by the
@@ -36,6 +38,7 @@ those of the classical loop.
 """
 
 import itertools
+import operator
 import struct
 
 from .algebra import (
@@ -63,39 +66,7 @@ from .errors import (
 from .number_rings import RationalField
 
 
-class _NegInfinity:
-    """Degree of the zero polynomial: below every int, absorbs +."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __hash__(self):
-        return hash("ringkit.NEG_INF")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInfinity()
+NEG_INF = float("-inf")
 
 # Measured crossovers: Kronecker products from KRONECKER_MIN coefficients
 # in the shorter factor; Newton division once quotient and divisor both
@@ -164,20 +135,62 @@ def kron_mul(a, b, n, keep=None):
     return [x - h for x in _unpack(pa * pb + bias, w, m, keep)]
 
 
-def kron_inverse(f, prec, n):
-    """First prec coefficients of 1/f over Z/n or Z; f[0] must be a unit.
+def dense_mul(a, b, n, keep=None):
+    """Coefficients of a*b over Z/n (n > 0) or Z (n == 0): all of them,
+    or the low keep; [] when a or b is empty.  The schoolbook loop on
+    ints while the shorter factor is below KRONECKER_MIN, else
+    kron_mul."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) >= KRONECKER_MIN:
+        return kron_mul(a, b, n, keep)
+    if not b:
+        return []
+    m = len(a) + len(b) - 1
+    keep = m if keep is None else min(keep, m)
+    out = [0] * keep
+    for i, c in enumerate(b[:keep]):
+        if c:
+            for j, x in enumerate(a[:keep - i], i):
+                out[j] += c * x
+    return [x % n for x in out] if n else out
 
-    Newton iteration g <- g(2 - fg) mod x^k for k = 2, 4, ..., prec,
-    with f padded by zeros to prec coefficients: fg = 1 mod x^h already,
-    so only its coefficients h..k-1 enter.
+
+def loop_mul(base, a, b, keep):
+    """The low keep coefficients of a*b over any base, by the schoolbook
+    loop with one base call per coefficient operation."""
+    out = [base.zero] * keep
+    for i, x in enumerate(a[:keep]):
+        if base.is_zero(x):
+            continue
+        for j, y in enumerate(b[:keep - i]):
+            out[i + j] = base.add(out[i + j], base.mul(x, y))
+    return out
+
+
+def kron_inverse(f, prec, n, u=None):
+    """First prec coefficients of 1/f over Z/n or Z; f[0] must be a unit,
+    and u, when given, is its inverse.
+
+    The recurrence g_h = -u (f_1 g_(h-1) + ... + f_h g_0) gives the
+    first NEWTON_MIN coefficients; from there Newton iteration g <- g(2
+    - fg) mod x^k doubles k up to prec (von zur Gathen and Gerhard,
+    9.1), with f padded by zeros to k coefficients: fg = 1 mod x^h
+    already, so only its coefficients h..k-1 enter.
     """
-    f = list(f[:prec]) + [0] * (prec - len(f))
-    g = [pow(f[0], -1, n) if n else f[0]]
+    if u is None:
+        u = pow(f[0], -1, n) if n else f[0]
+    g = [u]
     while len(g) < prec:
         h = len(g)
+        if h < NEWTON_MIN:
+            c = -u * sum(map(operator.mul, f[1:h + 1], g[::-1]))
+            g.append(c % n if n else c)
+            continue
         k = min(2 * h, prec)
-        d = [-c % n if n else -c for c in kron_mul(f[:k], g, n, k)[h:]]
-        g += kron_mul(g, d, n, k - h)
+        fk = list(f[:k]) + [0] * (k - len(f))
+        d = [-c % n if n else -c for c in dense_mul(fk, g, n, k)[h:]]
+        g += dense_mul(g, d, n, k - h)
     return g
 
 
@@ -195,26 +208,11 @@ def _fp_add(a, b, p):
                   itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) >= KRONECKER_MIN:
-        return kron_mul(a, b, p)
-    n = len(a)
-    out = [0] * (n + len(b) - 1)
-    for i, c in enumerate(b):
-        if c:
-            out[i:i + n] = [x + c * y for x, y in zip(out[i:i + n], a)]
-    return [x % p for x in out]
-
-
 def _fp_submul(u, q, v, p):
     """u - q v: one pass per coefficient of q while q is the shorter
     factor and below KRONECKER_MIN, as in a remainder step."""
     if len(q) >= KRONECKER_MIN or len(q) > len(v):
-        return _fp_add(u, [-c for c in _fp_mul(q, v, p)], p)
+        return _fp_add(u, [-c for c in dense_mul(q, v, p)], p)
     n = len(v)
     out = list(u) + [0] * (len(q) + n - 1 - len(u))
     for i, c in enumerate(q):
@@ -255,7 +253,7 @@ def fp_divmod(a, b, p, memo=None):
 
 
 def _dot(u, v, a, b, p):
-    return _fp_add(_fp_mul(u, a, p), _fp_mul(v, b, p), p)
+    return _fp_add(dense_mul(u, a, p), dense_mul(v, b, p), p)
 
 
 def _matmul(S, R, p):
@@ -408,16 +406,9 @@ class PolyRing(OverBase):
     def mul(self, a, b):
         if not a or not b:
             return ()
-        if self.dense is not None and min(len(a), len(b)) >= KRONECKER_MIN:
-            return self._strip(kron_mul(a, b, self.dense))
-        z = self.base.zero
-        out = [z] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if self.base.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
-        return self._strip(out)
+        if self.dense is not None:
+            return tuple(_trim(dense_mul(a, b, self.dense)))
+        return self._strip(loop_mul(self.base, a, b, len(a) + len(b) - 1))
 
     def eq(self, a, b):
         return len(a) == len(b) and all(

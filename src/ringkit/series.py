@@ -7,11 +7,12 @@ different precisions over the same base meet at the minimum precision
 (ts_add/ts_mul below); the context's own operators require equal
 contexts like everywhere else.
 
-Over Z and Z/n (dense_modulus() not None) products from KRONECKER_MIN
-coefficients go through poly.kron_mul, and inverses from NEWTON_MIN
-through the Newton iteration poly.kron_inverse: O(M(prec)) instead of
-O(prec^2) coefficient operations.  Other bases, and shorter windows,
-keep the coefficient loops.
+Over Z and Z/n (dense_modulus() not None) a product is one
+poly.dense_mul call and an inverse one poly.kron_inverse call, which
+pick their algorithms by size (Kronecker products and Newton iteration
+on long windows: O(M(prec)) instead of O(prec^2) coefficient
+operations).  Other bases run poly.loop_mul and the inverse recurrence
+below, one base call per coefficient operation.
 
 Orders of vanishing are only known up to the window, so ts_ord returns
 either a known order (index of the first nonzero coefficient) or the
@@ -37,7 +38,7 @@ from .errors import (
     RingError,
 )
 from .intutil import within_budget
-from .poly import KRONECKER_MIN, NEWTON_MIN, kron_inverse, kron_mul, x_power
+from .poly import dense_mul, kron_inverse, loop_mul, x_power
 
 
 class SeriesRing(OverBase):
@@ -89,18 +90,9 @@ class SeriesRing(OverBase):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        if self.dense is not None and self.prec >= KRONECKER_MIN:
-            return tuple(kron_mul(a, b, self.dense, self.prec))
-        base = self.base
-        out = [base.zero] * self.prec
-        for i, x in enumerate(a):
-            if base.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                if i + j >= self.prec:
-                    break
-                out[i + j] = base.add(out[i + j], base.mul(x, y))
-        return tuple(out)
+        if self.dense is not None:
+            return tuple(dense_mul(a, b, self.dense, self.prec))
+        return tuple(loop_mul(self.base, a, b, self.prec))
 
     def eq(self, a, b):
         return all(self.base.eq(x, y) for x, y in zip(a, b))
@@ -112,8 +104,8 @@ class SeriesRing(OverBase):
         u = self.base.try_inverse(a[0])
         if u is None:
             return None
-        if self.dense is not None and self.prec >= NEWTON_MIN:
-            return tuple(kron_inverse(a, self.prec, self.dense))
+        if self.dense is not None:
+            return tuple(kron_inverse(a, self.prec, self.dense, u))
         base = self.base
         out = [u] + [base.zero] * (self.prec - 1)
         for n in range(1, self.prec):

@@ -44,6 +44,7 @@ from ringkit.poly import (
 )
 
 from ringkit.number_rings import RationalField
+from ringkit.series import SeriesRing
 from loop_bases import dense_and_loop_bases
 
 PZ = poly_ring(ZZ)
@@ -64,7 +65,7 @@ def test_degree_conventions():
     assert degree(PZ.element([0, 0, 3])) == 2
     assert degree(PZ.element([])) == NEG_INF
     assert NEG_INF < 0 and NEG_INF < -10 ** 9
-    assert NEG_INF + 5 is NEG_INF
+    assert NEG_INF + 5 == NEG_INF
     assert leading_coefficient(PZ.element([1, 2, 3])).val == 3
 
 
@@ -352,6 +353,32 @@ def test_dense_products_on_both_sides_of_the_threshold():
                                  for _ in range(lb)])
                 assert dense.mul(a, b) == loop.mul(a, b)
                 assert dense.mul(a, a) == loop.mul(a, a)
+
+
+def test_dense_products_and_inverses_make_no_base_calls(monkeypatch):
+    calls = []
+    for cls in (ModRing, type(ZZ)):
+        for name in ("add", "mul"):
+            def counting(self, a, b, real=getattr(cls, name)):
+                calls.append(name)
+                return real(self, a, b)
+            monkeypatch.setattr(cls, name, counting)
+    rng = random.Random(13)
+    for base in (ModRing(101), ModRing(12), ZZ):
+        R = PolyRing(base)
+        for la in range(1, 2 * KRONECKER_MIN + 1):
+            a = R.canon([rng.randrange(1, 12) for _ in range(la)])
+            for lb in range(1, 201):
+                b = R.canon([rng.randrange(1, 12) for _ in range(lb)])
+                R.mul(a, b)
+                R.mul(b, a)
+            R.mul(a, a)
+        for prec in range(1, NEWTON_MIN + 2):
+            S = SeriesRing(base, prec)
+            f = S.canon([1] + [rng.randrange(12) for _ in range(prec - 1)])
+            S.mul(f, f)
+            assert S.mul(f, S.try_inverse(f)) == S.one
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
