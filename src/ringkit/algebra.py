@@ -190,6 +190,16 @@ class RingContext:
         """
         return None
 
+    def tower_modulus(self):
+        """(p, m) when payloads are the remainders mod m in F_p[y], as
+        tuples of ints (a quotient of F_p[y]), else None.
+
+        Polynomial and series contexts over such a base multiply by
+        two-level Kronecker substitution (poly.tower_mul) and add on the
+        ints mod p, with no call into this context.
+        """
+        return None
+
     def radical(self, m):
         """A generator of the radical of the ideal (m) when this context
         finds one without factoring m, else None: then a quotient by m

@@ -23,9 +23,19 @@ or only the low ones a caller keeps.  Inverses of power series are one
 kron_inverse call, and division with a long quotient multiplies by a
 Newton inverse of the reversed divisor, which a ring keeps for its last
 divisor, so a chain of reductions mod one f (powers in Quot(F_p[x], f))
-computes it once.  Every other base runs loop_mul, one base call per
-coefficient operation.  This module alone chooses among the dense
-algorithms; the *_MIN constants are the measured crossovers.
+computes it once.
+
+Over a finite field or ring F_p[y]/(m) (the bases whose tower_modulus()
+is (p, m)) a product of two polynomials, unless both are constants, is
+one tower_mul call: two-level Kronecker substitution, three products of
+ints in all, with every coefficient reduced mod m by one packed Barrett
+step.  Sums and negatives work on the ints mod p, division multiplies
+by a Newton inverse of the reversed divisor (tower_divmod), and series
+invert by the same iteration (tower_inverse), with no call into the
+base but one inverse of a leading or constant coefficient.  Every other
+base runs loop_mul, one base call per coefficient operation.  This
+module alone chooses among the dense algorithms; the *_MIN constants
+are the measured crossovers.
 
 Over F_p division and the Euclidean remainder sequence run on plain int
 lists (fp_divmod, fp_gcd, fp_xgcd), from HGCD_MIN coefficients by the
@@ -137,11 +147,14 @@ def kron_mul(a, b, n, keep=None):
 
 def dense_mul(a, b, n, keep=None):
     """Coefficients of a*b over Z/n (n > 0) or Z (n == 0): all of them,
-    or the low keep; [] when a or b is empty.  The schoolbook loop on
-    ints while the shorter factor is below KRONECKER_MIN, else
-    kron_mul."""
+    or the low keep; [] when a or b is empty.  One pass when a factor
+    has one coefficient, the schoolbook loop on ints while the shorter
+    factor is below KRONECKER_MIN, else kron_mul."""
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 1:
+        c, a = b[0], a[:keep]
+        return [c * x % n for x in a] if n else [c * x for x in a]
     if len(b) >= KRONECKER_MIN:
         return kron_mul(a, b, n, keep)
     if not b:
@@ -192,6 +205,112 @@ def kron_inverse(f, prec, n, u=None):
         d = [-c % n if n else -c for c in dense_mul(fk, g, n, k)[h:]]
         g += dense_mul(g, d, n, k - h)
     return g
+
+
+# -- (F_p[y]/(m))[x]: coefficients are remainders mod m, m monic of degree
+#    k, as tuples of ints in range(p) with no trailing zeros
+
+def tower(p, m):
+    """What tower_mul needs of F_p[y]/(m), computed once per ring: (p,
+    k, 1/rev(m) mod y^(k-1), rev(-m mod p)), rev reversing the
+    coefficient order."""
+    k = len(m) - 1
+    inv = kron_inverse(m[::-1], k - 1, p) if k > 1 else []
+    return p, k, inv, [-c % p for c in reversed(m)]
+
+
+def tower_mul(a, b, t, keep=None):
+    """Coefficients of a*b over F_p[y]/(m), for t = tower(p, m): all of
+    them, or the low keep; [] when a or b is empty.
+
+    Two-level Kronecker substitution (von zur Gathen and Gerhard, 8.4):
+    coefficient i of a factor goes reversed into the low k of the 2k - 1
+    slots of block i, so one product of two ints leaves in block h the
+    reverse of c_h = sum a_i b_(h-i), of degree <= 2k - 2 in y, with
+    unreduced coefficients.  A packed Barrett step then reduces every
+    block mod m at once: the low k - 1 slots of a block (the degrees >=
+    k) times 1/rev(m) give the reversed quotient of c_h by m there, and
+    adding that times rev(-m mod p) leaves c_h mod m in the high k
+    slots, up to multiples of p.  No slot goes negative, and the slot
+    width holds the largest value of that last step.  Listed from the
+    top slot down, each block holds its coefficient in ascending order,
+    so the slots are packed and read in that order.
+    """
+    p, k, inv, neg = t
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a) + len(b) - 1
+    keep = n if keep is None else min(keep, n)
+    if not b or keep <= 0:
+        return []
+    square = a is b
+    a, b = a[:keep], b[:keep]
+    s = 2 * k - 1
+    d = (k - 1) * (p - 1)
+    w = _width((len(b) * k * (p - 1) ** 2 * (1 + d * d)).bit_length())
+    pa = _tower_pack(a, k, w)
+    c = pa * (pa if square else _tower_pack(b, k, w))
+    if k > 1:
+        mask = int.from_bytes(
+            (b"\xff" * (w * (k - 1)) + bytes(w * k)) * keep, "little")
+        c += ((c & mask) * _pack(inv, w) & mask) * _pack(neg, w)
+    x = _unpack(c, w, (len(a) + len(b) - 1) * s, keep * s)[::-1]
+    return [tuple(_trim([v % p for v in x[i:i + k]]))
+            for i in range((keep - 1) * s, -1, -s)]
+
+
+def _tower_pack(a, k, w):
+    """a as tower_mul lays it out.  Listed from the top slot down: each
+    coefficient c in ascending order and 2k - 1 - len(c) zeros, less the
+    last k - 1 zeros, which puts c reversed in the low k slots of its
+    block."""
+    z = [0] * (2 * k - 1)
+    flat = []
+    for c in reversed(a):
+        flat += c
+        flat += z[len(c):]
+    del flat[len(flat) - k + 1:]
+    flat.reverse()
+    return _pack(flat, w)
+
+
+def tower_inverse(f, prec, t, u):
+    """First prec coefficients of 1/f over F_p[y]/(m), for t = tower(p,
+    m) and u the inverse of f[0]: Newton iteration g <- g(2 - fg) mod
+    x^k from g = u, doubling k up to prec, as in kron_inverse."""
+    g = [u]
+    while len(g) < prec:
+        h = len(g)
+        k = min(2 * h, prec)
+        fk = list(f[:k]) + [()] * (k - len(f))
+        e = tower_mul(fk, g, t, k)[h:]
+        g += tower_mul(g, tower_neg(e, t[0]), t, k - h)
+    return g
+
+
+def tower_neg(a, p):
+    """-a over F_p[y]/(m)."""
+    return [tuple([-x % p for x in c]) for c in a]
+
+
+def tower_add(a, b, p, sign=1):
+    """a + sign*b over F_p[y]/(m), sign 1 or -1, trimmed: coefficientwise
+    mod p, as a sum of remainders mod m is one."""
+    return _trim([
+        tuple(_trim([(x + sign * y) % p for x, y in
+                     itertools.zip_longest(u, v, fillvalue=0)]))
+        for u, v in itertools.zip_longest(a, b, fillvalue=())])
+
+
+def tower_divmod(a, b, t, u):
+    """(q, r) of a by b over the field F_p[y]/(m), len(a) >= len(b), u
+    the inverse of b's leading coefficient: rev q = rev a / rev b mod x^n
+    by a Newton inverse, and r = a - q*b."""
+    n = len(a) - len(b) + 1
+    inv = tower_inverse(b[::-1], n, t, u)
+    q = tower_mul(a[::-1][:n], inv, t, n)[::-1]
+    db = len(b) - 1
+    return q, tower_add(a[:db], tower_mul(q, b, t, db), t[0], -1)
 
 
 # -- F_p[x] on int lists: coefficients in range(p), p prime, ascending,
@@ -353,6 +472,8 @@ class PolyRing(OverBase):
     def __init__(self, base):
         super().__init__(base)
         self.dense = base.dense_modulus()
+        t = base.tower_modulus()
+        self.tower = None if t is None else tower(*t)
         self._newton = [None, None]  # fp_divmod's memo
 
     def _key(self):
@@ -395,12 +516,21 @@ class PolyRing(OverBase):
         return self._strip([self.base.canon(c) for c in coeffs])
 
     def add(self, a, b):
+        if self.tower is not None:
+            return tuple(tower_add(a, b, self.tower[0]))
         z = self.base.zero
         out = [self.base.add(x, y)
                for x, y in itertools.zip_longest(a, b, fillvalue=z)]
         return self._strip(out)
 
+    def sub(self, a, b):
+        if self.tower is not None:
+            return tuple(tower_add(a, b, self.tower[0], -1))
+        return super().sub(a, b)
+
     def neg(self, a):
+        if self.tower is not None:
+            return tuple(tower_neg(a, self.tower[0]))
         return tuple(self.base.neg(c) for c in a)
 
     def mul(self, a, b):
@@ -408,6 +538,8 @@ class PolyRing(OverBase):
             return ()
         if self.dense is not None:
             return tuple(_trim(dense_mul(a, b, self.dense)))
+        if self.tower is not None and len(a) + len(b) > 2:
+            return tuple(_trim(tower_mul(a, b, self.tower)))
         return self._strip(loop_mul(self.base, a, b, len(a) + len(b) - 1))
 
     def eq(self, a, b):
@@ -457,6 +589,9 @@ class PolyRing(OverBase):
             return (), a
         if self.dense is not None:
             q, r = fp_divmod(a, b, self.dense, self._newton)
+            return tuple(q), tuple(r)
+        if self.tower is not None:
+            q, r = tower_divmod(a, b, self.tower, self.base.inverse(b[-1]))
             return tuple(q), tuple(r)
         one = self.base.one
         lead = one if self.base.eq(b[-1], one) else self.base.inverse(b[-1])

@@ -27,6 +27,13 @@ field has no nonzero non-unit, and the other contexts that claim
 Euclidean division (a one-component product, series or matrix ring over
 Z) have no canonical associate.
 
+Two more hooks tell the polynomial and series rings over a quotient
+which kernels they may use, again by asking the base: dense_modulus()
+is m over Z (base dense_modulus() 0), where the remainders are the ints
+of range(m) as in Z/m, and tower_modulus() is (p, m) over F_p[y] (base
+euclid_modulus() p), where they are tuples of ints mod p; both are None
+over any other base.
+
 iso_check_crt tests the splitting Z/n = Z/f1 x ... x Z/fr by brute
 force, within the work budget: the factors must multiply to n, and the
 residue map is checked for bijectivity on all of Z/n.
@@ -126,6 +133,14 @@ class QuotientRing(OverBase):
         if not self.is_finite:
             raise InfiniteRing(f"{self.name()} is not finite")
         return self.base.residues(self.modulus)
+
+    def dense_modulus(self):
+        # over Z the remainders are the ints of range(m), as in Z/m
+        return self.modulus if self.base.dense_modulus() == 0 else None
+
+    def tower_modulus(self):
+        p = self.base.euclid_modulus()
+        return (p, self.modulus) if p else None
 
     def show(self, a):
         return self.base.show(a)

@@ -7,12 +7,15 @@ different precisions over the same base meet at the minimum precision
 (ts_add/ts_mul below); the context's own operators require equal
 contexts like everywhere else.
 
-Over Z and Z/n (dense_modulus() not None) a product is one
-poly.dense_mul call and an inverse one poly.kron_inverse call, which
-pick their algorithms by size (Kronecker products and Newton iteration
-on long windows: O(M(prec)) instead of O(prec^2) coefficient
-operations).  Other bases run poly.loop_mul and the inverse recurrence
-below, one base call per coefficient operation.
+Over Z and Z/n, Quot(Z, n) among them (dense_modulus() not None), a
+product is one poly.dense_mul call and an inverse one poly.kron_inverse
+call, which pick their algorithms by size (Kronecker products and
+Newton iteration on long windows: O(M(prec)) instead of O(prec^2)
+coefficient operations).  Over F_p[y]/(m) (tower_modulus() not None)
+a product of precision 2 or more is one poly.tower_mul call and an
+inverse one poly.tower_inverse call, Newton iteration on the same
+packed products.  Other bases run poly.loop_mul and the inverse
+recurrence below, one base call per coefficient operation.
 
 Orders of vanishing are only known up to the window, so ts_ord returns
 either a known order (index of the first nonzero coefficient) or the
@@ -38,7 +41,15 @@ from .errors import (
     RingError,
 )
 from .intutil import within_budget
-from .poly import dense_mul, kron_inverse, loop_mul, x_power
+from .poly import (
+    dense_mul,
+    kron_inverse,
+    loop_mul,
+    tower,
+    tower_inverse,
+    tower_mul,
+    x_power,
+)
 
 
 class SeriesRing(OverBase):
@@ -51,6 +62,8 @@ class SeriesRing(OverBase):
         self.width = within_budget(prec * base.width, "series coefficients")
         self.prec = prec
         self.dense = base.dense_modulus()
+        t = base.tower_modulus()
+        self.tower = None if t is None else tower(*t)
 
     def _key(self):
         return ("Series", self.base, self.prec)
@@ -92,6 +105,8 @@ class SeriesRing(OverBase):
     def mul(self, a, b):
         if self.dense is not None:
             return tuple(dense_mul(a, b, self.dense, self.prec))
+        if self.tower is not None and self.prec > 1:
+            return tuple(tower_mul(a, b, self.tower, self.prec))
         return tuple(loop_mul(self.base, a, b, self.prec))
 
     def eq(self, a, b):
@@ -106,6 +121,8 @@ class SeriesRing(OverBase):
             return None
         if self.dense is not None:
             return tuple(kron_inverse(a, self.prec, self.dense, u))
+        if self.tower is not None:
+            return tuple(tower_inverse(a, self.prec, self.tower, u))
         base = self.base
         out = [u] + [base.zero] * (self.prec - 1)
         for n in range(1, self.prec):

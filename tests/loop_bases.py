@@ -1,12 +1,15 @@
-"""Oracle bases for the dense kernels over Z and Z/n.
+"""Oracle bases for the dense kernels over Z, Z/n and F_p[y]/(m).
 
 LoopMod and LoopZ are ModRing and IntegerRing with the dense hook off,
-so polynomial and series rings over them run the coefficient loops at
-every size; the dense tests compare against them.
+and LoopQuot is QuotientRing with the tower hook off, so polynomial and
+series rings over them run the coefficient loops at every size; the
+dense and tower tests compare against them.
 """
 
 from ringkit import ModRing, ZZ
 from ringkit.number_rings import IntegerRing
+from ringkit.poly import PolyRing
+from ringkit.quotient import QuotientRing
 
 
 class LoopMod(ModRing):
@@ -26,3 +29,17 @@ def dense_and_loop_bases(n):
     if n == 0:
         return ZZ, LoopZ()
     return ModRing(n), LoopMod(n)
+
+
+class LoopQuot(QuotientRing):
+    """A quotient with the tower hook off: one base call per coefficient
+    operation in the rings over it."""
+
+    def tower_modulus(self):
+        return None
+
+
+def tower_and_loop_bases(p, m):
+    """(tower base, oracle base) for F_p[y]/(m)."""
+    Fy = PolyRing(ModRing(p))
+    return QuotientRing(Fy, m), LoopQuot(Fy, m)
