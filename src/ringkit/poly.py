@@ -26,14 +26,14 @@ divisor, so a chain of reductions mod one f (powers in Quot(F_p[x], f))
 computes it once.
 
 Over a finite field or ring F_p[y]/(m) (the bases whose tower_modulus()
-is (p, m)) a product of two polynomials, unless both are constants, is
-one tower_mul call: two-level Kronecker substitution, three products of
-ints in all, with every coefficient reduced mod m by one packed Barrett
-step.  Sums and negatives work on the ints mod p, division multiplies
-by a Newton inverse of the reversed divisor (tower_divmod), and series
-invert by the same iteration (tower_inverse), with no call into the
-base but one inverse of a leading or constant coefficient.  Every other
-base runs loop_mul, one base call per coefficient operation.  This
+is (p, m)) every product of two polynomials is one tower_mul call:
+two-level Kronecker substitution, three products of ints in all, with
+every coefficient reduced mod m by one packed Barrett step.  Sums and
+negatives work on the ints mod p, division multiplies by a Newton
+inverse of the reversed divisor (tower_divmod), and series invert by the
+same iteration (tower_inverse), with no call into the base but one
+inverse of a leading or constant coefficient.  Every other base runs
+loop_mul, one base call per coefficient operation.  This
 module alone chooses among the dense algorithms; the *_MIN constants
 are the measured crossovers.
 
@@ -293,11 +293,11 @@ def tower_neg(a, p):
     return [tuple([-x % p for x in c]) for c in a]
 
 
-def tower_add(a, b, p, sign=1):
-    """a + sign*b over F_p[y]/(m), sign 1 or -1, trimmed: coefficientwise
-    mod p, as a sum of remainders mod m is one."""
+def tower_add(a, b, p):
+    """a + b over F_p[y]/(m), trimmed: coefficientwise mod p, as a sum of
+    remainders mod m is one."""
     return _trim([
-        tuple(_trim([(x + sign * y) % p for x, y in
+        tuple(_trim([(x + y) % p for x, y in
                      itertools.zip_longest(u, v, fillvalue=0)]))
         for u, v in itertools.zip_longest(a, b, fillvalue=())])
 
@@ -310,7 +310,8 @@ def tower_divmod(a, b, t, u):
     inv = tower_inverse(b[::-1], n, t, u)
     q = tower_mul(a[::-1][:n], inv, t, n)[::-1]
     db = len(b) - 1
-    return q, tower_add(a[:db], tower_mul(q, b, t, db), t[0], -1)
+    p = t[0]
+    return q, tower_add(a[:db], tower_neg(tower_mul(q, b, t, db), p), p)
 
 
 # -- F_p[x] on int lists: coefficients in range(p), p prime, ascending,
@@ -523,11 +524,6 @@ class PolyRing(OverBase):
                for x, y in itertools.zip_longest(a, b, fillvalue=z)]
         return self._strip(out)
 
-    def sub(self, a, b):
-        if self.tower is not None:
-            return tuple(tower_add(a, b, self.tower[0], -1))
-        return super().sub(a, b)
-
     def neg(self, a):
         if self.tower is not None:
             return tuple(tower_neg(a, self.tower[0]))
@@ -538,7 +534,7 @@ class PolyRing(OverBase):
             return ()
         if self.dense is not None:
             return tuple(_trim(dense_mul(a, b, self.dense)))
-        if self.tower is not None and len(a) + len(b) > 2:
+        if self.tower is not None:
             return tuple(_trim(tower_mul(a, b, self.tower)))
         return self._strip(loop_mul(self.base, a, b, len(a) + len(b) - 1))
 

@@ -12,10 +12,10 @@ product is one poly.dense_mul call and an inverse one poly.kron_inverse
 call, which pick their algorithms by size (Kronecker products and
 Newton iteration on long windows: O(M(prec)) instead of O(prec^2)
 coefficient operations).  Over F_p[y]/(m) (tower_modulus() not None)
-a product of precision 2 or more is one poly.tower_mul call and an
-inverse one poly.tower_inverse call, Newton iteration on the same
-packed products.  Other bases run poly.loop_mul and the inverse
-recurrence below, one base call per coefficient operation.
+every product is one poly.tower_mul call and an inverse one
+poly.tower_inverse call, Newton iteration on the same packed products.
+Other bases run poly.loop_mul and the inverse recurrence below, one
+base call per coefficient operation.
 
 Orders of vanishing are only known up to the window, so ts_ord returns
 either a known order (index of the first nonzero coefficient) or the
@@ -105,7 +105,7 @@ class SeriesRing(OverBase):
     def mul(self, a, b):
         if self.dense is not None:
             return tuple(dense_mul(a, b, self.dense, self.prec))
-        if self.tower is not None and self.prec > 1:
+        if self.tower is not None:
             return tuple(tower_mul(a, b, self.tower, self.prec))
         return tuple(loop_mul(self.base, a, b, self.prec))
 

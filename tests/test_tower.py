@@ -85,7 +85,7 @@ def test_tower_division_gcd_and_series_inverse_match_the_loops(case):
 
 
 @pytest.mark.parametrize("p, m", FIELDS + REDUCIBLE)
-def test_tower_products_on_both_sides_of_the_one_coefficient_rule(p, m):
+def test_tower_products_at_short_and_lopsided_lengths(p, m):
     # zero coefficients inside, short and lopsided factors, a is b
     tower, loop = rings(p, m)
     rng = random.Random(p)
