@@ -1,13 +1,19 @@
 """Factorization and irreducibility certificates.
 
 Everything here is exact and certificate-driven.  Integers factor by
-Pollard's rho under intutil's work budget; polynomials over a prime
-field by distinct-degree factorization and Cantor-Zassenhaus splitting,
-in polynomial time; elements of imaginary quadratic rings are tested by
-exhausting the divisors allowed by the norm.  For Z[x] and Q[x], where
-no complete factorization is attempted, irreducibility is reported as a
-verdict carrying a checkable certificate (Eisenstein after a shift,
-reduction mod p, a rational root, a trial divisor) or INCONCLUSIVE.
+Pollard's rho with Brent's cycle finding, one budget unit per step
+under intutil's work budget; polynomials over a prime field by
+distinct-degree factorization and Cantor-Zassenhaus splitting, in
+polynomial time, both on tuples of ints mod p through poly's F_p
+kernels (fp_powmod, fp_divmod, fp_gcd) rather than the ring contexts;
+elements of imaginary quadratic rings are tested by exhausting the
+divisors allowed by the norm.  For Z[x] and Q[x], where no complete
+factorization is attempted, irreducibility is reported as a verdict
+carrying a checkable certificate (Eisenstein after a shift, reduction
+mod p, a rational root, a trial divisor) or INCONCLUSIVE.  Their inner
+loops run on integer lists too: a shift x -> x + a is a Taylor shift
+by synthetic division, and a rational root candidate s/q is tested by
+the homogenised Horner sum q^n f(s/q) in integers.
 
 verify_certificate replays any certificate against the element it
 claims to describe, so a verdict never has to be taken on faith.
@@ -41,8 +47,15 @@ from .number_rings import (
     RationalField,
 )
 from .parsing import atomic_or_parenthesized
-from .poly import PolyRing, derivative, horner
-from .quotient import QuotientRing
+from .poly import (
+    PolyRing,
+    derivative,
+    fp_add,
+    fp_divmod,
+    fp_gcd,
+    fp_powmod,
+    horner,
+)
 
 DEFAULT_PRIME_BOUND = 50
 DEFAULT_SHIFT_BOUND = 10
@@ -177,20 +190,19 @@ def _distinct_degree(ctx, f):
     product of the distinct irreducible factors of degree d, and divides
     it out of rest, again while factors of degree d remain: the j-th g of
     a degree holds its factors of multiplicity >= j.  The last rest, too
-    small for two factors of degree above d, is irreducible.
+    small for two factors of degree above d, is irreducible.  f and the
+    g are tuples of ints mod p; divisions use the ring's Newton memo.
     """
-    p = ctx.base.n
-    x = ctx.gen.val
-    rest, h, d = f, x, 0
+    p, memo = ctx.euclid_modulus(), ctx.newton
+    rest, h, d = f, (0, 1), 0
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        h = ctx.divmod_(h, rest)[1]
-        h = ring_pow_payload(QuotientRing(ctx, rest), h, p)
-        g = gcd_payload(ctx, rest, ctx.sub(h, x))
+        h = fp_powmod(h, p, rest, p, memo)
+        g = fp_gcd(rest, fp_add(h, (0, p - 1), p), p)  # h - x
         while len(g) > 1:
             yield g, d
-            rest = ctx.divmod_(rest, g)[0]
-            g = gcd_payload(ctx, rest, g)
+            rest = tuple(fp_divmod(rest, g, p, memo)[0])
+            g = fp_gcd(rest, g, p)
     if len(rest) > 1:
         yield rest, len(rest) - 1
 
@@ -200,7 +212,7 @@ def _equal_degree_split(ctx, g, d):
     monic irreducibles of degree d, split off by gcd(g, t) for random a,
     t = a^((p^d - 1)/2) - 1 for odd p and the trace a + a^2 + ... +
     a^(2^(d-1)) for p = 2.  Its random source is seeded from g."""
-    p = ctx.base.n
+    p, memo = ctx.euclid_modulus(), ctx.newton
     rng = random.Random(repr(g))
     todo, out = [g], []
     while todo:
@@ -208,20 +220,32 @@ def _equal_degree_split(ctx, g, d):
         if len(g) - 1 == d:
             out.append(g)
             continue
-        quot = QuotientRing(ctx, g)
         h = ()
         while not 0 < len(h) - 1 < len(g) - 1:
-            a = ctx._strip([rng.randrange(p) for _ in range(len(g) - 1)])
+            # trimmed by the sum
+            a = fp_add([rng.randrange(p) for _ in range(len(g) - 1)], (), p)
             if p == 2:
                 t = s = a
                 for _ in range(d - 1):
-                    s = quot.mul(s, s)
-                    t = ctx.add(t, s)
+                    s = fp_powmod(s, 2, g, p, memo)
+                    t = fp_add(t, s, p)
             else:
-                t = ctx.sub(ring_pow_payload(quot, a, (p ** d - 1) // 2),
-                            ctx.one)
-            h = gcd_payload(ctx, g, t)
-        todo += [h, ctx.divmod_(g, h)[0]]
+                t = fp_add(fp_powmod(a, (p ** d - 1) // 2, g, p, memo),
+                           (p - 1,), p)
+            h = fp_gcd(g, t, p)
+        todo += [h, tuple(fp_divmod(g, h, p, memo)[0])]
+    return out
+
+
+def radical_fp(ctx, m):
+    """The product of the distinct irreducible factors of a monic m over
+    F_p: the first distinct-degree group of each degree, so no group is
+    split."""
+    out, last = ctx.one, None
+    for g, d in _distinct_degree(ctx, m):
+        if d != last:
+            out = ctx.mul(out, g)
+        last = d
     return out
 
 
@@ -348,10 +372,22 @@ def rational_roots(f):
         within_budget(2 * len(ps) * len(qs) * len(coeffs), "Horner steps")
         for p in ps:
             for q in qs:
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if horner(QQ, coeffs, cand) == 0:
-                        roots.add(cand)
+                if math.gcd(p, q) > 1:
+                    continue  # a reduced pair gives the same candidate
+                for s in (p, -p):
+                    if _is_root(coeffs, s, q):
+                        roots.add(Fraction(s, q))
     return sorted(roots)
+
+
+def _is_root(coeffs, s, q):
+    """Is s/q (q > 0) a root of the integer coefficients?  By Horner on
+    the homogenised sum of c_k s^k q^(n-k) = q^n f(s/q), in integers."""
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * s + c * qk
+        qk *= q
+    return acc == 0
 
 
 def low_degree_test(f):
@@ -378,10 +414,16 @@ def low_degree_test(f):
     return _irr("low-degree-no-root")
 
 
-def _shift_payload(ctx, coeffs, a):
-    """Substitute x -> x + a."""
-    shift = (ctx.base.from_int(a), ctx.base.one)
-    return horner(ctx, [ctx.lift(c) for c in coeffs], shift)
+def _shift_payload(coeffs, a):
+    """The coefficients of f(x + a) over Z, by the Taylor shift of
+    repeated synthetic division: n(n - 1)/2 multiply-adds on the n
+    coefficients, which keeps the leading one."""
+    c = list(coeffs)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
 
 
 def _eisenstein_holds(coeffs, p):
@@ -419,13 +461,13 @@ def eisenstein_translate_search(f, prime_bound=DEFAULT_PRIME_BOUND,
     divide the shifted constant term; shifts with constant term 0 prove
     reducibility is possible only through other routes and are skipped.
     """
-    ctx = _require_primitive(f)
+    _require_primitive(f)
     primes = primes_up_to(prime_bound)
     shifts = [0]
     for a in range(1, shift_bound + 1):
         shifts.extend((a, -a))
     for a in shifts:
-        g = _shift_payload(ctx, f.val, a) if a else f.val
+        g = _shift_payload(f.val, a) if a else f.val
         if g[0] == 0:
             continue
         for p in primes:
@@ -574,8 +616,7 @@ def verify_certificate(f, verdict):
         a = int(data["shift"])
         if not is_prime(p):
             return False
-        ctx = g.ctx
-        coeffs = _shift_payload(ctx, g.val, a) if a else g.val
+        coeffs = _shift_payload(g.val, a) if a else g.val
         return verdict.is_irreducible and _eisenstein_holds(coeffs, p)
     if kind == "reduction":
         g = primitive_associate(f)

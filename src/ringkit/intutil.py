@@ -1,7 +1,8 @@
 """Integer helpers shared across the package, and the one work budget.
 
 is_prime is Miller-Rabin, factorize splits perfect powers by integer
-roots and the rest by Pollard's rho after the small primes, and divisors
+roots and the rest by Pollard's rho with Brent's cycle finding after the
+small primes, each rho step counted against the budget, and divisors
 are expanded from the factorization.  Every search
 whose cost grows with its input calls within_budget first, so work above
 BUDGET raises TooLarge instead of running unbounded.
@@ -19,6 +20,8 @@ BUDGET = 10**6
 MAX_DIGITS = BUDGET // 10
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# steps of Pollard's rho between two gcds
+RHO_BATCH = 128
 # the least strong pseudoprime to every base in SMALL_PRIMES
 PSI_13 = 3317044064679887385961981
 
@@ -61,17 +64,36 @@ def is_prime(n):
 
 def _rho(n, steps):
     """A proper divisor of the composite n and the running step count, by
-    Pollard's rho: Floyd cycle detection on x^2 + c for c = 1, 2, ..."""
+    Pollard's rho on x^2 + c for c = 1, 2, ... with Brent's cycle finding
+    (Brent 1980): y runs ahead of the saved x in stretches of doubling
+    length, one product per step, and the x - y are multiplied up mod n
+    and tested by one gcd per batch of at most RHO_BATCH steps.  A batch
+    whose gcd is n is replayed step by step from its start.  Each step
+    counts one unit of the budget, checked before it runs."""
     what = f"Pollard rho steps on {n}"
     for c in itertools.count(1):
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            steps = within_budget(steps + 1, what)
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
+            x = y
+            steps = within_budget(steps + r, what)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys, m = y, min(RHO_BATCH, r - k)
+                steps = within_budget(steps + m, what)
+                for _ in range(m):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = math.gcd(q, n)
+                k += m
+            r *= 2
+        if d == n:
+            steps = within_budget(steps + m, what)
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(x - ys, n)
         if d != n:
             return d, steps
 

@@ -37,8 +37,10 @@ loop_mul, one base call per coefficient operation.  This
 module alone chooses among the dense algorithms; the *_MIN constants
 are the measured crossovers.
 
-Over F_p division and the Euclidean remainder sequence run on plain int
-lists (fp_divmod, fp_gcd, fp_xgcd), from HGCD_MIN coefficients by the
+Over F_p division, powers modulo a polynomial and the Euclidean
+remainder sequence run on plain int lists (fp_divmod, fp_powmod, fp_gcd,
+fp_xgcd, which factor.py's distinct- and equal-degree loops call
+directly); the remainder sequence from HGCD_MIN coefficients by the
 half-gcd of Thull and Yap (von zur Gathen and Gerhard, Modern Computer
 Algebra, 11.1): about half of the remaining steps at once, as a 2x2
 transition matrix from two recursive calls of half the size, with its
@@ -323,7 +325,8 @@ def _trim(c):
     return c
 
 
-def _fp_add(a, b, p):
+def fp_add(a, b, p):
+    """a + b over F_p, trimmed (a and b need not be)."""
     return _trim([(x + y) % p for x, y in
                   itertools.zip_longest(a, b, fillvalue=0)])
 
@@ -332,7 +335,7 @@ def _fp_submul(u, q, v, p):
     """u - q v: one pass per coefficient of q while q is the shorter
     factor and below KRONECKER_MIN, as in a remainder step."""
     if len(q) >= KRONECKER_MIN or len(q) > len(v):
-        return _fp_add(u, [-c for c in dense_mul(q, v, p)], p)
+        return fp_add(u, [-c for c in dense_mul(q, v, p)], p)
     n = len(v)
     out = list(u) + [0] * (len(q) + n - 1 - len(u))
     for i, c in enumerate(q):
@@ -372,8 +375,21 @@ def fp_divmod(a, b, p, memo=None):
     return q, _trim(r[:db])
 
 
+def fp_powmod(a, e, f, p, memo=None):
+    """a^e mod f over F_p, e >= 1: left-to-right square and
+    multiply, each product reduced by fp_divmod with memo, so the Newton
+    inverse of a long f is computed once."""
+    a = fp_divmod(a, f, p, memo)[1]
+    out = a
+    for bit in bin(e)[3:]:
+        out = fp_divmod(dense_mul(out, out, p), f, p, memo)[1]
+        if bit == "1":
+            out = fp_divmod(dense_mul(out, a, p), f, p, memo)[1]
+    return out
+
+
 def _dot(u, v, a, b, p):
-    return _fp_add(dense_mul(u, a, p), dense_mul(v, b, p), p)
+    return fp_add(dense_mul(u, a, p), dense_mul(v, b, p), p)
 
 
 def _matmul(S, R, p):
@@ -428,8 +444,8 @@ def _hgcd_above(a, b, k, p):
     M, c, d = _hgcd(a[k:], b[k:], p)
     a0, b0 = _trim(a[:k]), _trim(b[:k])
     z = [0] * k
-    return (M, _fp_add(z + c, _dot(M[0], M[1], a0, b0, p), p),
-            _fp_add(z + d, _dot(M[2], M[3], a0, b0, p), p))
+    return (M, fp_add(z + c, _dot(M[0], M[1], a0, b0, p), p),
+            fp_add(z + d, _dot(M[2], M[3], a0, b0, p), p))
 
 
 def _fp_euclid(a, b, p, M):
@@ -475,7 +491,7 @@ class PolyRing(OverBase):
         self.dense = base.dense_modulus()
         t = base.tower_modulus()
         self.tower = None if t is None else tower(*t)
-        self._newton = [None, None]  # fp_divmod's memo
+        self.newton = [None, None]  # fp_divmod's memo
 
     def _key(self):
         return ("Poly", self.base)
@@ -584,7 +600,7 @@ class PolyRing(OverBase):
         if len(a) < len(b):
             return (), a
         if self.dense is not None:
-            q, r = fp_divmod(a, b, self.dense, self._newton)
+            q, r = fp_divmod(a, b, self.dense, self.newton)
             return tuple(q), tuple(r)
         if self.tower is not None:
             q, r = tower_divmod(a, b, self.tower, self.base.inverse(b[-1]))
@@ -647,8 +663,14 @@ class PolyRing(OverBase):
         return False
 
     def radical(self, m):
-        """m / gcd(m, m') in characteristic 0, where that is the product
-        of the distinct prime factors of m; None in characteristic p."""
+        """The product of the distinct prime factors of m, found without
+        factoring it: over F_p the first distinct-degree group of each
+        degree (no equal-degree split), m / gcd(m, m') in characteristic
+        0; None over any other base."""
+        if self.euclid_modulus():
+            from .factor import radical_fp
+
+            return radical_fp(self, m)
         if self.characteristic() != 0:
             return None
         from .euclid import gcd_payload

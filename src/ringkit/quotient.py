@@ -18,8 +18,10 @@ hooks:
   * is_prime_element(m): whether (m) is prime, hence maximal, which
     makes the quotient a field (and otherwise leaves it at level RING);
   * radical(m): a generator of the radical of (m) where the base finds
-    one without factoring m (polynomials in characteristic 0), else None,
-    and nilpotence is decided by repeated squaring.
+    one without factoring m (polynomials over F_p from their
+    distinct-degree groups, in characteristic 0 from the gcd with the
+    derivative), else None, and nilpotence is decided by repeated
+    squaring.  A quotient asks once and keeps the answer.
 
 Z, the polynomial rings over a field and the Gaussian integers
 implement them.  They are the only bases a quotient can be built on: a
@@ -117,11 +119,15 @@ class QuotientRing(OverBase):
             return None
         return self._reduce(self.base.mul(x, u))
 
+    @functools.cached_property
+    def _radical(self):
+        # base.radical(m), asked once per ring
+        return self.base.radical(self.modulus)
+
     def is_nilpotent(self, a):
-        rad = self.base.radical(self.modulus)
-        if rad is None:
+        if self._radical is None:
             return super().is_nilpotent(a)
-        return self.base.is_zero(self.base.divmod_(a, rad)[1])
+        return self.base.is_zero(self.base.divmod_(a, self._radical)[1])
 
     def characteristic(self):
         return self.base.residue_characteristic(self.modulus)

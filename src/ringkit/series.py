@@ -13,7 +13,8 @@ call, which pick their algorithms by size (Kronecker products and
 Newton iteration on long windows: O(M(prec)) instead of O(prec^2)
 coefficient operations).  Over F_p[y]/(m) (tower_modulus() not None)
 every product is one poly.tower_mul call and an inverse one
-poly.tower_inverse call, Newton iteration on the same packed products.
+poly.tower_inverse call, Newton iteration on the same packed products;
+sums and negatives work on the ints mod p (tower_add, tower_neg).
 Other bases run poly.loop_mul and the inverse recurrence below, one
 base call per coefficient operation.
 
@@ -46,8 +47,10 @@ from .poly import (
     kron_inverse,
     loop_mul,
     tower,
+    tower_add,
     tower_inverse,
     tower_mul,
+    tower_neg,
     x_power,
 )
 
@@ -97,9 +100,14 @@ class SeriesRing(OverBase):
         return self._fit([self.base.canon(c) for c in coeffs])
 
     def add(self, a, b):
+        if self.tower is not None:
+            # tower_add trims the window, which _fit pads back
+            return self._fit(tower_add(a, b, self.tower[0]))
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
+        if self.tower is not None:
+            return tuple(tower_neg(a, self.tower[0]))
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):

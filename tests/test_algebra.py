@@ -483,6 +483,10 @@ NILPOTENCE_CONTEXTS = [
     "Zn:1", "Zn:8", "Zn:72", "Zn:97", "Quot(Z,36)", "Quot(Fp:2,[0,0,1,1])",
     "Quot(Quad:-1,4)", "Mat(Zn:4,2)", "Mat(Fp:2,3)", "Prod(Zn:8,Zn:9)",
     "Prod(Zn:4,Mat(Fp:2,2))",
+    # repeated factors, decided by the distinct-degree radical: (x+1)^2
+    # (x^2+1) over F_3, (x^2+x+1)^2 over F_2, (x+1)^3 over F_5
+    "Quot(Fp:3,[1,2,2,2,1])", "Quot(Fp:2,[1,0,1,0,1])",
+    "Quot(Fp:5,[1,3,3,1])",
 ]
 
 

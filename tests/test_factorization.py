@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringkit import GAUSSIAN, ModRing, QQ, ZZ, poly_ring, quotient_ring
+from ringkit.poly import horner
 from ringkit.factor import (
     INCONCLUSIVE,
     _fp_divisor,
+    _is_root,
+    _shift_payload,
     content,
     eisenstein_check,
     eisenstein_translate_search,
@@ -212,18 +215,51 @@ def test_prime_field_path_matches_trial_division(case):
         assert _fp_divisor(f) == (None if whole else factors[0][0])
 
 
-@given(fp_polys())
-@settings(max_examples=60, deadline=None)
-def test_prime_field_path_matches_sympy(case):
+def _assert_sympy_factors(p, coeffs):
     sympy = pytest.importorskip("sympy")
-    p, coeffs = case
     x = sympy.Symbol("x")
     lead, parts = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()
     want = sorted(((tuple(int(c) % p for c in g.all_coeffs()[::-1]), e)
                    for g, e in parts), key=lambda ge: (len(ge[0]), ge[0]))
-    fac = factor_poly_fp(poly_ring(ModRing(p)).element(coeffs))
+    f = poly_ring(ModRing(p)).element(coeffs)
+    fac = factor_poly_fp(f)
     assert fac.unit == (int(lead) % p,)
     assert list(fac.factors) == want
+    assert fac.value() == f
+
+
+@given(fp_polys())
+@settings(max_examples=60, deadline=None)
+def test_prime_field_path_matches_sympy(case):
+    _assert_sympy_factors(*case)
+
+
+# past the trial-division oracle's reach, and long enough that the
+# distinct-degree loop divides by Newton through the ring's memo
+_LONG_FP_DEGREES = {2: 70, 3: 44, 5: 36, 7: 34, 101: 20}
+
+
+@st.composite
+def long_fp_polys(draw):
+    """(p, coefficients of a * b^2) for random a, b over F_p of degree up
+    to _LONG_FP_DEGREES[p] in all."""
+    p = draw(st.sampled_from(sorted(_LONG_FP_DEGREES)))
+    top = _LONG_FP_DEGREES[p]
+    P = poly_ring(ModRing(p))
+    coeffs = st.integers(0, p - 1)
+    db = draw(st.integers(0, top // 4))
+    da = draw(st.integers(1, top - 2 * db))
+    a, b = (P.element(draw(st.lists(coeffs, min_size=n, max_size=n))
+                      + [draw(st.integers(1, p - 1))]) for n in (da, db))
+    return p, list((a * b * b).val)
+
+
+@given(long_fp_polys())
+@settings(max_examples=40, deadline=None)
+def test_int_list_factorization_matches_sympy_at_length(case):
+    # the distinct- and equal-degree loops on int lists, against sympy
+    # and against the product of their own factors
+    _assert_sympy_factors(*case)
 
 
 def test_pipeline_reduction_runs_at_every_degree():
@@ -326,6 +362,28 @@ def test_translate_search_finds_a_shift():
     assert verify_certificate(PZ.element([-9, 26, 16, 6, 1]), v)
 
 
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=12)
+       .filter(lambda c: c[-1]), st.integers(-12, 12))
+@settings(max_examples=150)
+def test_integer_taylor_shift_matches_the_horner_shift(coeffs, a):
+    # the substitution x -> x + a as it was, by Horner over Z[x]
+    want = horner(PZ, [PZ.lift(c) for c in coeffs], PZ.canon([a, 1]))
+    assert tuple(_shift_payload(coeffs, a)) == want
+
+
+@given(st.lists(st.integers(-20, 20), max_size=5), st.integers(-9, 9),
+       st.integers(1, 9), st.integers(-30, 30), st.integers(1, 30))
+@settings(max_examples=200)
+def test_integer_root_test_matches_the_fraction_horner(cofactor, r, q, s, t):
+    # f = (q x - r) * cofactor has the root r/q planted
+    f = PZ.mul(PZ.canon(cofactor + [1]), PZ.canon([-r, q]))
+    assert _is_root(f, r, q)
+    for cand_s, cand_q in ((s, t), (-s, t), (r, q), (s * q, t * q)):
+        assert _is_root(f, cand_s, cand_q) == (
+            horner(QQ, f, Fraction(cand_s, cand_q)) == 0)
+    assert Fraction(r, q) in rational_roots(PZ.element(f))
+
+
 # ------------------------------------------------------------ reduction mod p
 
 def test_reduction_mod_p_fixtures():
@@ -375,6 +433,20 @@ def fp_powers(draw):
         f = P.element(draw(st.lists(coeffs, min_size=d, max_size=d)) + [1])
         acc = acc * f ** draw(st.integers(1, 4))
     return p, list(acc.val)
+
+
+@given(fp_powers())
+@settings(max_examples=100, deadline=None)
+def test_prime_field_radical_is_the_product_of_the_distinct_factors(case):
+    p, coeffs = case
+    P = poly_ring(ModRing(p))
+    f = P.element(coeffs)
+    want = P.one
+    for g, _ in factor_poly_fp(f).factors:
+        want = P.mul(want, g)
+    monic = P.mul(P.canon_unit(f.val), f.val)
+    if len(monic) > 1:
+        assert P.radical(monic) == want
 
 
 @given(fp_powers())

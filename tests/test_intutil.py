@@ -8,11 +8,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringkit.errors import TooLarge
 from ringkit.intutil import (
     BUDGET,
     PSI_13,
+    _rho,
     divisors,
     factorize,
     is_prime,
@@ -122,6 +124,27 @@ def test_factorize_splits_products_of_primes_near_10_6():
         assert factorize(p * q) == _factors_by_trial(p * q)
         assert factorize(p * q * r * p) == _factors_by_trial(p * q * r * p)
     assert divisors(p * q) == _divisors_by_scan(p * q)
+
+
+def _prime_at_least(n):
+    while not _is_prime_by_trial(n):
+        n += 1
+    return n
+
+
+@given(st.integers(50, 10**7), st.integers(50, 10**7), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_brent_rho_round_trips_semiprimes_and_prime_powers(a, b, k):
+    # primes above SMALL_PRIMES, so rho (or the root test) splits them
+    p, q = _prime_at_least(a), _prime_at_least(b)
+    n = p**k * q
+    want = [(p, k + 1)] if p == q else sorted([(p, k), (q, 1)])
+    fac = factorize(n)
+    assert fac == want
+    assert math.prod(r**e for r, e in fac) == n
+    if p != q and k == 1:
+        d, steps = _rho(n, 0)
+        assert d in (p, q) and 0 < steps <= BUDGET
 
 
 def test_factorize_matches_sympy():

@@ -64,6 +64,11 @@ def test_tower_products_sums_and_series_match_the_loops(case):
     f, g = S._fit(a), S._fit(b)
     assert S.mul(f, g) == SL.mul(f, g)
     assert S.mul(f, f) == SL.mul(f, f)
+    # sums keep the full window, zero coefficients included
+    assert S.add(f, g) == SL.add(f, g)
+    assert S.sub(f, g) == SL.sub(f, g)
+    assert S.sub(f, f) == S.zero
+    assert S.neg(f) == SL.neg(f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,6 +142,9 @@ def test_tower_rings_make_no_quotient_calls(monkeypatch):
     tower.divmod_(tower.mul(a, b), poly(60))
     S = SeriesRing(tower.base, 101)
     S.mul(S._fit(a), S._fit(b))
+    S.add(S._fit(a), S._fit(b))
+    S.sub(S._fit(a), S._fit(b))
+    S.neg(S._fit(a))
     S.try_inverse(S._fit(b[::-1]))
     assert calls == []
 
