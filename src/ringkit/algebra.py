@@ -181,23 +181,17 @@ class RingContext:
     def characteristic(self):
         raise NotImplementedError
 
-    def dense_modulus(self):
-        """n when payloads are the ints of Z/n (0 for Z itself), else None.
-
-        Polynomial and series contexts over such a base multiply by
-        packing coefficients into one int (poly.kron_mul); every other
-        base keeps the coefficient loops.
-        """
+    def kernel(self):
+        """The kernel record that works on this context's payloads
+        directly, built once per context, else None: poly.IntKernel(n)
+        for the ints of Z/n (n = 0 for Z), poly.TowerKernel(p, m) for
+        the remainders mod m in F_p[y].  Polynomial and series contexts
+        over such a base hand it their arithmetic, with no call into
+        this context; every other base keeps the coefficient loops."""
         return None
 
-    def tower_modulus(self):
-        """(p, m) when payloads are the remainders mod m in F_p[y], as
-        tuples of ints (a quotient of F_p[y]), else None.
-
-        Polynomial and series contexts over such a base multiply by
-        two-level Kronecker substitution (poly.tower_mul) and add on the
-        ints mod p, with no call into this context.
-        """
+    def residue_kernel(self, m):
+        """The kernel() of Quot(self, m), else None (see quotient.py)."""
         return None
 
     def radical(self, m):
@@ -217,10 +211,9 @@ class RingContext:
             return self.mul(a, self.inverse(b)), self.zero
         raise ContextNotEuclidean(f"no division with remainder in {self.name()}")
 
-    def euclid_modulus(self):
-        """p when the remainder sequences of euclid.gcd_payload and
-        xgcd_payload run on int lists mod p (F_p[x] over the dense
-        kernels: poly.fp_gcd, poly.fp_xgcd), else None."""
+    def euclid_kernel(self):
+        """The kernel whose gcd and xgcd (by half-gcd on long operands)
+        euclid runs this context's payloads on, else None."""
         return None
 
     def canon_unit(self, a):
@@ -561,9 +554,9 @@ class Classification(namedtuple(
 def classify(ctx):
     """Exhaustive unit/zero-divisor/nilpotent/idempotent classification.
 
-    One enumeration decides all four, with one try_inverse per element:
-    a unit when the inverse exists, a zero divisor when it does not and
-    the element is nonzero.  That is right in any finite ring, where the
+    One enumeration decides all four, with one is_unit per element (a
+    quotient asks for one gcd with the modulus, no cofactors): a unit, or
+    a zero divisor when it is none and the element is nonzero.  That is right in any finite ring, where the
     zero divisors (nonzero a annihilating some nonzero b on either side)
     are exactly the nonzero non-units: if a annihilates nothing on either
     side, x -> ax and x -> xa are injective on a finite set, hence onto,
@@ -574,7 +567,7 @@ def classify(ctx):
     units, zero_divisors, nilpotents, idempotents = [], [], [], []
     for e in enumerate_elements(ctx):
         a = e.val
-        if ctx.try_inverse(a) is not None:
+        if ctx.is_unit(a):
             units.append(e)
         elif not ctx.is_zero(a):
             zero_divisors.append(e)

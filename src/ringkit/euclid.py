@@ -7,11 +7,10 @@ unique representatives: nonnegative in Z, monic for polynomials, in the
 first quadrant for Gaussian integers, with gcd(0, 0) = 0.
 
 gcd_payload and xgcd_payload run the remainder loop through the context's
-divmod_.  A context whose euclid_modulus() is a prime p (F_p[x] over the
-dense kernels) hands its payloads to poly.fp_gcd / fp_xgcd instead: the
-same remainder sequence on int lists, by half-gcd from poly.HGCD_MIN
-coefficients (poly.GCD_HGCD_MIN without cofactors), with the same g, x
-and y.
+divmod_.  A context whose euclid_kernel() is not None (a polynomial ring
+over F_p, Quot(Z, p) or F_p[y]/(m) a field) hands its payloads to that
+kernel's gcd / xgcd instead: the same remainder sequence on coefficient
+lists, by half-gcd on long operands (poly.py), with the same g, x and y.
 
 The CRT solver follows the idempotent recipe: for pairwise comaximal
 moduli m_1..m_r, each Bezout relation 1 = x*m_k + y*m_j yields
@@ -31,22 +30,21 @@ from .errors import (
     NotComaximal,
     RingError,
 )
-from .poly import fp_gcd, fp_xgcd
 
 
 def gcd_payload(ctx, a, b):
-    p = ctx.euclid_modulus()
-    if p:
-        return fp_gcd(a, b, p)
+    K = ctx.euclid_kernel()
+    if K is not None:
+        return K.gcd(a, b)
     while not ctx.is_zero(b):
         a, b = b, ctx.divmod_(a, b)[1]
     return ctx.mul(ctx.canon_unit(a), a)
 
 
 def xgcd_payload(ctx, a, b):
-    p = ctx.euclid_modulus()
-    if p:
-        return fp_xgcd(a, b, p)
+    K = ctx.euclid_kernel()
+    if K is not None:
+        return K.xgcd(a, b)
     r0, r1 = a, b
     s0, s1 = ctx.one, ctx.zero
     t0, t1 = ctx.zero, ctx.one

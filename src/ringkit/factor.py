@@ -4,8 +4,9 @@ Everything here is exact and certificate-driven.  Integers factor by
 Pollard's rho with Brent's cycle finding, one budget unit per step
 under intutil's work budget; polynomials over a prime field by
 distinct-degree factorization and Cantor-Zassenhaus splitting, in
-polynomial time, both on tuples of ints mod p through poly's F_p
-kernels (fp_powmod, fp_divmod, fp_gcd) rather than the ring contexts;
+polynomial time, both on tuples of ints mod p through the kernel of
+F_p (poly.prime_kernel: powmod, divmod, gcd) rather than the ring
+contexts;
 elements of imaginary quadratic rings are tested by exhausting the
 divisors allowed by the norm.  For Z[x] and Q[x], where no complete
 factorization is attempted, irreducibility is reported as a verdict
@@ -47,15 +48,7 @@ from .number_rings import (
     RationalField,
 )
 from .parsing import atomic_or_parenthesized
-from .poly import (
-    PolyRing,
-    derivative,
-    fp_add,
-    fp_divmod,
-    fp_gcd,
-    fp_powmod,
-    horner,
-)
+from .poly import PolyRing, derivative, horner, prime_kernel
 
 DEFAULT_PRIME_BOUND = 50
 DEFAULT_SHIFT_BOUND = 10
@@ -138,12 +131,6 @@ def _ctx(x):
     return x.ctx if isinstance(x, Element) else None
 
 
-def over_prime_field(ctx):
-    """Is ctx a polynomial ring over F_p?"""
-    return (isinstance(ctx, PolyRing) and isinstance(ctx.base, ModRing)
-            and ctx.base.is_field)
-
-
 def over_z(ctx):
     """Is ctx a polynomial ring over Z?"""
     return isinstance(ctx, PolyRing) and isinstance(ctx.base, IntegerRing)
@@ -191,18 +178,19 @@ def _distinct_degree(ctx, f):
     it out of rest, again while factors of degree d remain: the j-th g of
     a degree holds its factors of multiplicity >= j.  The last rest, too
     small for two factors of degree above d, is irreducible.  f and the
-    g are tuples of ints mod p; divisions use the ring's Newton memo.
+    g are tuples of ints mod p; divisions use the kernel's Newton memo.
     """
-    p, memo = ctx.euclid_modulus(), ctx.newton
+    K = prime_kernel(ctx)
+    p = K.n
     rest, h, d = f, (0, 1), 0
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        h = fp_powmod(h, p, rest, p, memo)
-        g = fp_gcd(rest, fp_add(h, (0, p - 1), p), p)  # h - x
+        h = K.powmod(h, p, rest)
+        g = K.gcd(rest, K.add(h, (0, p - 1)))  # h - x
         while len(g) > 1:
             yield g, d
-            rest = tuple(fp_divmod(rest, g, p, memo)[0])
-            g = fp_gcd(rest, g, p)
+            rest = tuple(K.divmod(rest, g)[0])
+            g = K.gcd(rest, g)
     if len(rest) > 1:
         yield rest, len(rest) - 1
 
@@ -212,7 +200,8 @@ def _equal_degree_split(ctx, g, d):
     monic irreducibles of degree d, split off by gcd(g, t) for random a,
     t = a^((p^d - 1)/2) - 1 for odd p and the trace a + a^2 + ... +
     a^(2^(d-1)) for p = 2.  Its random source is seeded from g."""
-    p, memo = ctx.euclid_modulus(), ctx.newton
+    K = prime_kernel(ctx)
+    p = K.n
     rng = random.Random(repr(g))
     todo, out = [g], []
     while todo:
@@ -223,17 +212,16 @@ def _equal_degree_split(ctx, g, d):
         h = ()
         while not 0 < len(h) - 1 < len(g) - 1:
             # trimmed by the sum
-            a = fp_add([rng.randrange(p) for _ in range(len(g) - 1)], (), p)
+            a = K.add([rng.randrange(p) for _ in range(len(g) - 1)], ())
             if p == 2:
                 t = s = a
                 for _ in range(d - 1):
-                    s = fp_powmod(s, 2, g, p, memo)
-                    t = fp_add(t, s, p)
+                    s = K.powmod(s, 2, g)
+                    t = K.add(t, s)
             else:
-                t = fp_add(fp_powmod(a, (p ** d - 1) // 2, g, p, memo),
-                           (p - 1,), p)
-            h = fp_gcd(g, t, p)
-        todo += [h, tuple(fp_divmod(g, h, p, memo)[0])]
+                t = K.add(K.powmod(a, (p ** d - 1) // 2, g), (p - 1,))
+            h = K.gcd(g, t)
+        todo += [h, tuple(K.divmod(g, h)[0])]
     return out
 
 
@@ -263,7 +251,7 @@ def monic_irreducibles(p, maxdeg):
 
 
 def _fp_poly_ctx(f):
-    if over_prime_field(_ctx(f)):
+    if isinstance(f, Element) and prime_kernel(f.ctx):
         return f.ctx
     raise RingError("expected a polynomial over a prime field")
 
@@ -403,7 +391,7 @@ def low_degree_test(f):
             f"got degree {deg}")
     if over_z_or_q(f.ctx):
         found = rational_roots(f)
-    elif over_prime_field(f.ctx):
+    elif prime_kernel(f.ctx):
         from .poly import roots_over_finite
 
         found = roots_over_finite(f)
@@ -504,7 +492,7 @@ def squarefree_part(x):
         return squarefree_part_int(x)
     if not isinstance(_ctx(x), PolyRing):
         raise RingError(f"no squarefree decomposition for {x!r}")
-    if over_prime_field(x.ctx):
+    if prime_kernel(x.ctx):
         return _squarefree_part_fp(x)
     if over_z_or_q(x.ctx):
         return _squarefree_part_q(x)
@@ -666,7 +654,7 @@ def verify_certificate(f, verdict):
             return quad_irreducible_check(f).serialize() == \
                 verdict.serialize()
         if isinstance(f.ctx, PolyRing):
-            if over_prime_field(f.ctx):
+            if prime_kernel(f.ctx):
                 return verdict.is_irreducible and poly_is_irreducible_fp(f)
             return verdict.is_irreducible and len(f.val) - 1 == 1
         return False
@@ -689,7 +677,7 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     if not isinstance(_ctx(f), PolyRing):
         raise RingError(f"no irreducibility test for {f!r}")
     base = f.ctx.base
-    if over_prime_field(f.ctx):
+    if prime_kernel(f.ctx):
         deg = len(f.val) - 1
         if deg < 1:
             raise ConstantPolynomial("constants are not tested")

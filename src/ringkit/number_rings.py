@@ -36,6 +36,7 @@ from .errors import (
     RingError,
 )
 from .intutil import factorize, is_prime, is_squarefree
+from .poly import IntKernel
 
 
 class IntegerRing(RingContext):
@@ -43,6 +44,9 @@ class IntegerRing(RingContext):
 
     level = EUCLIDEAN
     signed = True
+
+    def __init__(self):
+        self._kernel = IntKernel(0)
 
     def _key(self):
         return ("Z",)
@@ -81,8 +85,8 @@ class IntegerRing(RingContext):
     def characteristic(self):
         return 0
 
-    def dense_modulus(self):
-        return 0
+    def kernel(self):
+        return self._kernel
 
     def divmod_(self, a, b):
         if b == 0:
@@ -107,6 +111,9 @@ class IntegerRing(RingContext):
 
     def residue_characteristic(self, m):
         return m
+
+    def residue_kernel(self, m):
+        return IntKernel(m)
 
     def is_prime_element(self, m):
         return is_prime(m)
@@ -181,6 +188,7 @@ class ModRing(RingContext):
             raise InvalidParameters(f"modulus must be a positive integer, got {n!r}")
         self.n = n
         self.level = FIELD if is_prime(n) else RING
+        self._kernel = IntKernel(n)
 
     def _key(self):
         return ("Mod", self.n)
@@ -235,8 +243,8 @@ class ModRing(RingContext):
     def characteristic(self):
         return self.n
 
-    def dense_modulus(self):
-        return self.n
+    def kernel(self):
+        return self._kernel
 
     def cardinality(self):
         return self.n

@@ -14,42 +14,42 @@ divrem_scaled over any commutative base, which scales f by the leading
 coefficient of g just often enough to keep every division step exact
 and reports the scaling exponent.
 
-Over Z and Z/n (the bases whose dense_modulus() is not None) a product
-is one dense_mul call on int lists: the schoolbook loop on short
-operands, else Kronecker substitution: kron_mul packs each operand into
-one int, in slots that struct fills and reads for a whole list at once,
-lets CPython's Karatsuba multiply them and reads back the coefficients,
-or only the low ones a caller keeps.  Inverses of power series are one
-kron_inverse call, and division with a long quotient multiplies by a
-Newton inverse of the reversed divisor, which a ring keeps for its last
-divisor, so a chain of reductions mod one f (powers in Quot(F_p[x], f))
-computes it once.
+A base whose payloads the dense algorithms read directly returns a
+kernel record from its kernel() hook, and PolyRing and SeriesRing hand
+each sum, negative, product, division and series inverse to it in one
+call; every other base runs loop_mul and the loops in the methods, one
+base call per coefficient operation.  There are two records, both on
+lists of coefficients:
 
-Over a finite field or ring F_p[y]/(m) (the bases whose tower_modulus()
-is (p, m)) every product of two polynomials is one tower_mul call:
-two-level Kronecker substitution, three products of ints in all, with
-every coefficient reduced mod m by one packed Barrett step.  Sums and
-negatives work on the ints mod p, division multiplies by a Newton
-inverse of the reversed divisor (tower_divmod), and series invert by the
-same iteration (tower_inverse), with no call into the base but one
-inverse of a leading or constant coefficient.  Every other base runs
-loop_mul, one base call per coefficient operation.  This
-module alone chooses among the dense algorithms; the *_MIN constants
-are the measured crossovers.
+  * IntKernel(n) for Z/n and Z (n = 0), Quot(Z, n) among them: a
+    product is one dense_mul call, the schoolbook loop on short
+    operands, else Kronecker substitution: kron_mul packs each operand
+    into one int, in slots that struct fills and reads for a whole list
+    at once, lets CPython's Karatsuba multiply them and reads back the
+    coefficients, or only the low ones a caller keeps.
+  * TowerKernel(p, m) for F_p[y]/(m): two-level Kronecker substitution,
+    three products of ints in all, with every coefficient reduced mod m
+    by one packed Barrett step; sums and negatives on the ints mod p.
 
-Over F_p division, powers modulo a polynomial and the Euclidean
-remainder sequence run on plain int lists (fp_divmod, fp_powmod, fp_gcd,
-fp_xgcd, which factor.py's distinct- and equal-degree loops call
-directly); the remainder sequence from HGCD_MIN coefficients by the
+The rest is one code for both (Kernel).  Series invert by Newton
+iteration, from the recurrence below NEWTON_MIN over Z/n.  Division
+multiplies by a Newton inverse of the reversed divisor, which the
+kernel keeps for its last divisor, so a chain of reductions mod one f
+computes it once; over F_p short division runs below NEWTON_MIN.  Over
+a field the Euclidean remainder sequence (gcd, xgcd, which euclid
+reaches through euclid_kernel()) runs from HGCD_MIN coefficients by the
 half-gcd of Thull and Yap (von zur Gathen and Gerhard, Modern Computer
 Algebra, 11.1): about half of the remaining steps at once, as a 2x2
-transition matrix from two recursive calls of half the size, with its
-products through kron_mul, in O(M(n) log n) instead of O(n^2)
-coefficient operations.  The quotients, remainders and cofactors are
-those of the classical loop.
+transition matrix from two recursive calls of half the size, in
+O(M(n) log n) instead of O(n^2) coefficient operations, with the
+quotients, remainders and cofactors of the classical loop.  factor.py's
+distinct- and equal-degree loops call the kernel of F_p (prime_kernel)
+directly.  This module alone chooses among the dense algorithms; the
+*_MIN constants are the measured crossovers.
 """
 
 import itertools
+import math
 import operator
 import struct
 
@@ -75,7 +75,6 @@ from .errors import (
     RingError,
     ZeroPolynomial,
 )
-from .number_rings import RationalField
 
 
 NEG_INF = float("-inf")
@@ -183,88 +182,238 @@ def loop_mul(base, a, b, keep):
     return out
 
 
-def kron_inverse(f, prec, n, u=None):
-    """First prec coefficients of 1/f over Z/n or Z; f[0] must be a unit,
-    and u, when given, is its inverse.
+def _trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
 
-    The recurrence g_h = -u (f_1 g_(h-1) + ... + f_h g_0) gives the
-    first NEWTON_MIN coefficients; from there Newton iteration g <- g(2
-    - fg) mod x^k doubles k up to prec (von zur Gathen and Gerhard,
-    9.1), with f padded by zeros to k coefficients: fg = 1 mod x^h
-    already, so only its coefficients h..k-1 enter.
-    """
-    if u is None:
-        u = pow(f[0], -1, n) if n else f[0]
-    g = [u]
-    while len(g) < prec:
-        h = len(g)
-        if h < NEWTON_MIN:
+
+# -- kernels: the arithmetic of one base on lists of its payloads,
+#    ascending, which PolyRing, SeriesRing and euclid hand over
+
+class Kernel:
+    """What IntKernel and TowerKernel share.  A subclass gives zero, one,
+    mul(a, b, keep) (all coefficients of a*b, or the low keep; [] when a
+    or b is empty), add (trimmed), neg, invert (the inverse of one
+    coefficient, None for a non-unit) and memo, divmod's last divisor
+    and its inverse."""
+
+    def submul(self, u, q, v):
+        """u - q v."""
+        return self.add(u, self.neg(self.mul(q, v)))
+
+    def seed(self, f, prec, u):
+        """The first coefficients of 1/f, for u = 1/f[0]."""
+        return [u]
+
+    def inverse(self, f, prec):
+        """First prec coefficients of 1/f, or None when f[0] is not a
+        unit: from the seed, Newton iteration g <- g(2 - fg) mod x^k
+        doubles k up to prec (von zur Gathen and Gerhard, 9.1), with f
+        padded by zeros to k coefficients: fg = 1 mod x^h already, so only
+        its coefficients h..k-1 enter."""
+        u = self.invert(f[0])
+        if u is None:
+            return None
+        g = self.seed(f, prec, u)
+        while len(g) < prec:
+            h = len(g)
+            k = min(2 * h, prec)
+            fk = list(f[:k]) + [self.zero] * (k - len(f))
+            g += self.mul(g, self.neg(self.mul(fk, g, k)[h:]), k - h)
+        return g
+
+    def divmod(self, a, b, memo=True):
+        """(q, r) of a by b, whose leading coefficient is a unit: rev q =
+        rev a / rev b mod x^m by a Newton inverse, r = a - q*b.  With memo
+        the kernel keeps b and that inverse, which serves every quotient
+        up to its length, so a chain of reductions mod one f (powers in
+        Quot(F[x], f)) computes it once."""
+        m = len(a) - len(b) + 1
+        if m <= 0:
+            return [], a
+        if memo and self.memo[0] == b and len(self.memo[1]) >= m:
+            inv = self.memo[1][:m]
+        else:
+            inv = self.inverse(b[::-1], m)
+            if memo:
+                self.memo[:] = b, inv
+        q = self.mul(a[::-1][:m], inv, m)[::-1]
+        db = len(b) - 1
+        return q, self.add(a[:db], self.neg(self.mul(q, b, db)))
+
+    def powmod(self, a, e, f):
+        """a^e mod f, e >= 1: left-to-right square and multiply, each
+        product reduced by divmod with the memo."""
+        a = self.divmod(a, f)[1]
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.divmod(self.mul(out, out), f)[1]
+            if bit == "1":
+                out = self.divmod(self.mul(out, a), f)[1]
+        return out
+
+    def gcd(self, a, b):
+        """The monic gcd of a and b over a field as a tuple (gcd(0, 0) =
+        ())."""
+        return self._monic(_euclid(a, b, self, None))[0]
+
+    def xgcd(self, a, b):
+        """(g, x, y) as tuples with a x + b y = g = gcd(a, b): the
+        cofactors of the classical extended Euclid loop, of least degree,
+        scaled with g to make g monic (gcd(0, 0) = 0 * 1 + 0 * 0)."""
+        M = [[self.one], [], [], [self.one]]
+        g = _euclid(a, b, self, M)
+        return self._monic(g, M[0], M[1])
+
+    def _monic(self, g, *cofactors):
+        u = [self.invert(g[-1]) if g else self.one]
+        return tuple(tuple(self.mul(u, v)) for v in (g, *cofactors))
+
+
+class IntKernel(Kernel):
+    """Z/n (n > 0), coefficients in range(n), or Z (n == 0)."""
+
+    zero, one = 0, 1
+
+    def __init__(self, n):
+        self.n, self.memo = n, [None, None]
+
+    def mul(self, a, b, keep=None):
+        return dense_mul(a, b, self.n, keep)
+
+    def add(self, a, b):
+        n = self.n
+        s = itertools.zip_longest(a, b, fillvalue=0)
+        return _trim([(x + y) % n for x, y in s] if n
+                     else [x + y for x, y in s])
+
+    def neg(self, a):
+        n = self.n
+        return [-x % n for x in a] if n else [-x for x in a]
+
+    def invert(self, c):
+        if self.n:
+            return pow(c, -1, self.n) if math.gcd(c, self.n) == 1 else None
+        return c if c in (1, -1) else None
+
+    def seed(self, f, prec, u):
+        """The first NEWTON_MIN coefficients, by the recurrence g_h = -u
+        (f_1 g_(h-1) + ... + f_h g_0)."""
+        n = self.n
+        g = [u]
+        for h in range(1, min(prec, NEWTON_MIN)):
             c = -u * sum(map(operator.mul, f[1:h + 1], g[::-1]))
             g.append(c % n if n else c)
-            continue
-        k = min(2 * h, prec)
-        fk = list(f[:k]) + [0] * (k - len(f))
-        d = [-c % n if n else -c for c in dense_mul(fk, g, n, k)[h:]]
-        g += dense_mul(g, d, n, k - h)
-    return g
+        return g
+
+    def divmod(self, a, b, memo=True):
+        """As Kernel.divmod once quotient and divisor both have NEWTON_MIN
+        coefficients (with a short divisor the O(len(q) len(b)) loop stays
+        cheaper at any quotient length), else over F_p by short division,
+        one list comprehension per quotient coefficient."""
+        m = len(a) - len(b) + 1
+        if m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
+            return super().divmod(a, b, memo)
+        if m <= 0:
+            return [], a
+        p = self.n
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        r = list(a)
+        q = [0] * m
+        for k in range(m - 1, -1, -1):
+            c = r[k + db] * inv % p
+            if c:
+                q[k] = c
+                r[k:k + db] = [(x - c * y) % p for x, y in zip(r[k:k + db], b)]
+        return q, _trim(r[:db])
+
+    def submul(self, u, q, v):
+        """u - q v: one pass per coefficient of q while q is the shorter
+        factor and below KRONECKER_MIN, as in a remainder step."""
+        if len(q) >= KRONECKER_MIN or len(q) > len(v):
+            return super().submul(u, q, v)
+        n = len(v)
+        out = list(u) + [0] * (len(q) + n - 1 - len(u))
+        for i, c in enumerate(q):
+            if c:
+                out[i:i + n] = [x - c * y for x, y in zip(out[i:i + n], v)]
+        return _trim([x % self.n for x in out])
 
 
-# -- (F_p[y]/(m))[x]: coefficients are remainders mod m, m monic of degree
-#    k, as tuples of ints in range(p) with no trailing zeros
+class TowerKernel(Kernel):
+    """F_p[y]/(m), m monic of degree k >= 1 over the prime p: remainders
+    mod m as tuples of ints in range(p), no trailing zeros, which add
+    coefficientwise.  Built once per ring with what mul needs: 1/rev(m)
+    mod y^(k-1) and rev(-m mod p), rev reversing the coefficient order."""
 
-def tower(p, m):
-    """What tower_mul needs of F_p[y]/(m), computed once per ring: (p,
-    k, 1/rev(m) mod y^(k-1), rev(-m mod p)), rev reversing the
-    coefficient order."""
-    k = len(m) - 1
-    inv = kron_inverse(m[::-1], k - 1, p) if k > 1 else []
-    return p, k, inv, [-c % p for c in reversed(m)]
+    zero, one = (), (1,)
 
+    def __init__(self, p, m):
+        k = len(m) - 1
+        self.p, self.m, self.k, self.memo = p, m, k, [None, None]
+        self.fp = IntKernel(p)
+        self.rinv = self.fp.inverse(m[::-1], k - 1) if k > 1 else []
+        self.rneg = [-c % p for c in reversed(m)]
 
-def tower_mul(a, b, t, keep=None):
-    """Coefficients of a*b over F_p[y]/(m), for t = tower(p, m): all of
-    them, or the low keep; [] when a or b is empty.
+    def mul(self, a, b, keep=None):
+        """Two-level Kronecker substitution (von zur Gathen and Gerhard,
+        8.4): coefficient i of a factor goes reversed into the low k of
+        the 2k - 1 slots of block i, so one product of two ints leaves in
+        block h the reverse of c_h = sum a_i b_(h-i), of degree <= 2k - 2
+        in y, with unreduced coefficients.  A packed Barrett step then
+        reduces every block mod m at once: the low k - 1 slots of a block
+        (the degrees >= k) times 1/rev(m) give the reversed quotient of
+        c_h by m there, and adding that times rev(-m mod p) leaves c_h mod
+        m in the high k slots, up to multiples of p.  No slot goes
+        negative, and the slot width holds the largest value of that last
+        step.  Listed from the top slot down, each block holds its
+        coefficient in ascending order, so the slots are packed and read
+        in that order."""
+        p, k = self.p, self.k
+        if len(a) < len(b):
+            a, b = b, a
+        n = len(a) + len(b) - 1
+        keep = n if keep is None else min(keep, n)
+        if not b or keep <= 0:
+            return []
+        square = a is b
+        a, b = a[:keep], b[:keep]
+        s = 2 * k - 1
+        d = (k - 1) * (p - 1)
+        w = _width((len(b) * k * (p - 1) ** 2 * (1 + d * d)).bit_length())
+        pa = _tower_pack(a, k, w)
+        c = pa * (pa if square else _tower_pack(b, k, w))
+        if k > 1:
+            mask = int.from_bytes(
+                (b"\xff" * (w * (k - 1)) + bytes(w * k)) * keep, "little")
+            q = (c & mask) * _pack(self.rinv, w) & mask
+            c += q * _pack(self.rneg, w)
+        x = _unpack(c, w, (len(a) + len(b) - 1) * s, keep * s)[::-1]
+        return [tuple(_trim([v % p for v in x[i:i + k]]))
+                for i in range((keep - 1) * s, -1, -s)]
 
-    Two-level Kronecker substitution (von zur Gathen and Gerhard, 8.4):
-    coefficient i of a factor goes reversed into the low k of the 2k - 1
-    slots of block i, so one product of two ints leaves in block h the
-    reverse of c_h = sum a_i b_(h-i), of degree <= 2k - 2 in y, with
-    unreduced coefficients.  A packed Barrett step then reduces every
-    block mod m at once: the low k - 1 slots of a block (the degrees >=
-    k) times 1/rev(m) give the reversed quotient of c_h by m there, and
-    adding that times rev(-m mod p) leaves c_h mod m in the high k
-    slots, up to multiples of p.  No slot goes negative, and the slot
-    width holds the largest value of that last step.  Listed from the
-    top slot down, each block holds its coefficient in ascending order,
-    so the slots are packed and read in that order.
-    """
-    p, k, inv, neg = t
-    if len(a) < len(b):
-        a, b = b, a
-    n = len(a) + len(b) - 1
-    keep = n if keep is None else min(keep, n)
-    if not b or keep <= 0:
-        return []
-    square = a is b
-    a, b = a[:keep], b[:keep]
-    s = 2 * k - 1
-    d = (k - 1) * (p - 1)
-    w = _width((len(b) * k * (p - 1) ** 2 * (1 + d * d)).bit_length())
-    pa = _tower_pack(a, k, w)
-    c = pa * (pa if square else _tower_pack(b, k, w))
-    if k > 1:
-        mask = int.from_bytes(
-            (b"\xff" * (w * (k - 1)) + bytes(w * k)) * keep, "little")
-        c += ((c & mask) * _pack(inv, w) & mask) * _pack(neg, w)
-    x = _unpack(c, w, (len(a) + len(b) - 1) * s, keep * s)[::-1]
-    return [tuple(_trim([v % p for v in x[i:i + k]]))
-            for i in range((keep - 1) * s, -1, -s)]
+    def add(self, a, b):
+        p = self.p
+        return _trim([
+            tuple(_trim([(x + y) % p for x, y in
+                         itertools.zip_longest(u, v, fillvalue=0)]))
+            for u, v in itertools.zip_longest(a, b, fillvalue=())])
+
+    def neg(self, a):
+        p = self.p
+        return [tuple([-x % p for x in c]) for c in a]
+
+    def invert(self, c):
+        g, x, _ = self.fp.xgcd(c, self.m)
+        return x if g == (1,) else None
 
 
 def _tower_pack(a, k, w):
-    """a as tower_mul lays it out.  Listed from the top slot down: each
-    coefficient c in ascending order and 2k - 1 - len(c) zeros, less the
-    last k - 1 zeros, which puts c reversed in the low k slots of its
+    """a as TowerKernel.mul lays it out.  Listed from the top slot down:
+    each coefficient c in ascending order and 2k - 1 - len(c) zeros, less
+    the last k - 1 zeros, which puts c reversed in the low k slots of its
     block."""
     z = [0] * (2 * k - 1)
     flat = []
@@ -276,145 +425,42 @@ def _tower_pack(a, k, w):
     return _pack(flat, w)
 
 
-def tower_inverse(f, prec, t, u):
-    """First prec coefficients of 1/f over F_p[y]/(m), for t = tower(p,
-    m) and u the inverse of f[0]: Newton iteration g <- g(2 - fg) mod
-    x^k from g = u, doubling k up to prec, as in kron_inverse."""
-    g = [u]
-    while len(g) < prec:
-        h = len(g)
-        k = min(2 * h, prec)
-        fk = list(f[:k]) + [()] * (k - len(f))
-        e = tower_mul(fk, g, t, k)[h:]
-        g += tower_mul(g, tower_neg(e, t[0]), t, k - h)
-    return g
+def prime_kernel(ctx):
+    """ctx's Euclid kernel when it is F_p itself (over Fp:p or Quot(Z,
+    p)), else None: the DDF, which computes x^p, not x^q, and the towers
+    F_p[y]/(m) run on this one alone."""
+    K = ctx.euclid_kernel()
+    return K if isinstance(K, IntKernel) else None
 
 
-def tower_neg(a, p):
-    """-a over F_p[y]/(m)."""
-    return [tuple([-x % p for x in c]) for c in a]
+# -- the Euclidean remainder sequence over any kernel of a field, as
+#    transition matrices [s0, t0, s1, t1] (rows (s0, t0) and (s1, t1))
+
+def _dot(u, v, a, b, K):
+    return K.add(K.mul(u, a), K.mul(v, b))
 
 
-def tower_add(a, b, p):
-    """a + b over F_p[y]/(m), trimmed: coefficientwise mod p, as a sum of
-    remainders mod m is one."""
-    return _trim([
-        tuple(_trim([(x + y) % p for x, y in
-                     itertools.zip_longest(u, v, fillvalue=0)]))
-        for u, v in itertools.zip_longest(a, b, fillvalue=())])
-
-
-def tower_divmod(a, b, t, u):
-    """(q, r) of a by b over the field F_p[y]/(m), len(a) >= len(b), u
-    the inverse of b's leading coefficient: rev q = rev a / rev b mod x^n
-    by a Newton inverse, and r = a - q*b."""
-    n = len(a) - len(b) + 1
-    inv = tower_inverse(b[::-1], n, t, u)
-    q = tower_mul(a[::-1][:n], inv, t, n)[::-1]
-    db = len(b) - 1
-    p = t[0]
-    return q, tower_add(a[:db], tower_neg(tower_mul(q, b, t, db), p), p)
-
-
-# -- F_p[x] on int lists: coefficients in range(p), p prime, ascending,
-#    no trailing zeros (so every product's leading coefficient is nonzero)
-
-def _trim(c):
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def fp_add(a, b, p):
-    """a + b over F_p, trimmed (a and b need not be)."""
-    return _trim([(x + y) % p for x, y in
-                  itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _fp_submul(u, q, v, p):
-    """u - q v: one pass per coefficient of q while q is the shorter
-    factor and below KRONECKER_MIN, as in a remainder step."""
-    if len(q) >= KRONECKER_MIN or len(q) > len(v):
-        return fp_add(u, [-c for c in dense_mul(q, v, p)], p)
-    n = len(v)
-    out = list(u) + [0] * (len(q) + n - 1 - len(u))
-    for i, c in enumerate(q):
-        if c:
-            out[i:i + n] = [x - c * y for x, y in zip(out[i:i + n], v)]
-    return _trim([x % p for x in out])
-
-
-def fp_divmod(a, b, p, memo=None):
-    """(q, r) of a by b over F_p, b nonzero: by Newton once quotient and
-    divisor both have NEWTON_MIN coefficients (rev q = rev a / rev b mod
-    x^m, r = a - q*b; memo is a list [divisor, inverse] the caller keeps,
-    whose inverse serves every quotient up to its length), else by short
-    division, one list comprehension per quotient coefficient."""
-    m = len(a) - len(b) + 1
-    if m <= 0:
-        return [], a
-    if m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
-        if memo is not None and memo[0] == b and len(memo[1]) >= m:
-            inv = memo[1][:m]
-        else:
-            inv = kron_inverse(b[::-1], m, p)
-            if memo is not None:
-                memo[:] = b, inv
-        q = kron_mul(a[::-1][:m], inv, p, m)[::-1]
-        qb = kron_mul(q, b, p, len(b) - 1)
-        return q, _trim([(x - y) % p for x, y in zip(a, qb)])
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    r = list(a)
-    q = [0] * m
-    for k in range(m - 1, -1, -1):
-        c = r[k + db] * inv % p
-        if c:
-            q[k] = c
-            r[k:k + db] = [(x - c * y) % p for x, y in zip(r[k:k + db], b)]
-    return q, _trim(r[:db])
-
-
-def fp_powmod(a, e, f, p, memo=None):
-    """a^e mod f over F_p, e >= 1: left-to-right square and
-    multiply, each product reduced by fp_divmod with memo, so the Newton
-    inverse of a long f is computed once."""
-    a = fp_divmod(a, f, p, memo)[1]
-    out = a
-    for bit in bin(e)[3:]:
-        out = fp_divmod(dense_mul(out, out, p), f, p, memo)[1]
-        if bit == "1":
-            out = fp_divmod(dense_mul(out, a, p), f, p, memo)[1]
-    return out
-
-
-def _dot(u, v, a, b, p):
-    return fp_add(dense_mul(u, a, p), dense_mul(v, b, p), p)
-
-
-def _matmul(S, R, p):
-    """S R for transition matrices [s0, t0, s1, t1] (rows (s0, t0) and
-    (s1, t1)) of int lists."""
+def _matmul(S, R, K):
     a, b, c, d = S
     e, f, g, h = R
-    return [_dot(a, b, e, g, p), _dot(a, b, f, h, p),
-            _dot(c, d, e, g, p), _dot(c, d, f, h, p)]
+    return [_dot(a, b, e, g, K), _dot(a, b, f, h, K),
+            _dot(c, d, e, g, K), _dot(c, d, f, h, K)]
 
 
-def _euclid_steps(a, b, M, p, stop):
+def _euclid_steps(a, b, M, K, stop):
     """Remainder steps (a, b) -> (b, a mod b) while len(b) > stop, each
     applied to the rows of M, (M0, M1) -> (M1, M0 - q M1), unless M is
     None.  Returns the last pair."""
     while len(b) > stop:
-        q, r = fp_divmod(a, b, p)
+        q, r = K.divmod(a, b, False)
         a, b = b, r
         if M is not None:
             s0, t0, s1, t1 = M
-            M[:] = s1, t1, _fp_submul(s0, q, s1, p), _fp_submul(t0, q, t1, p)
+            M[:] = s1, t1, K.submul(s0, q, s1), K.submul(t0, q, t1)
     return a, b
 
 
-def _hgcd(a, b, p):
+def _hgcd(a, b, K):
     """(M, c, d) for len(a) >= len(b): M = [s0, t0, s1, t1] is the
     product of the remainder steps that take (a, b) to the first pair
     (c, d) = (s0 a + t0 b, s1 a + t1 b) with deg d < m = ceil(deg a / 2).
@@ -425,62 +471,45 @@ def _hgcd(a, b, p):
     leaves finish the job (Thull-Yap).  Below HGCD_MIN coefficients the
     remainder loop runs instead."""
     m = len(a) // 2
-    M = [[1], [], [], [1]]
+    M = [[K.one], [], [], [K.one]]
     if len(b) <= m:
         return M, a, b
     if len(a) < HGCD_MIN:
-        return (M, *_euclid_steps(a, b, M, p, m))
-    R, c, d = _hgcd_above(a, b, m, p)
+        return (M, *_euclid_steps(a, b, M, K, m))
+    R, c, d = _hgcd_above(a, b, m, K)
     if len(d) <= m:
         return R, c, d
-    c, d = _euclid_steps(c, d, R, p, len(d) - 1)
-    S, c, d = _hgcd_above(c, d, 2 * m - len(c) + 1, p)
-    return _matmul(S, R, p), c, d
+    c, d = _euclid_steps(c, d, R, K, len(d) - 1)
+    S, c, d = _hgcd_above(c, d, 2 * m - len(c) + 1, K)
+    return _matmul(S, R, K), c, d
 
 
-def _hgcd_above(a, b, k, p):
+def _hgcd_above(a, b, k, K):
     """(M, M (a, b)) for the half-gcd (M, c, d) of a // x^k and b // x^k:
     M (a, b) = x^k (c, d) + M (a mod x^k, b mod x^k)."""
-    M, c, d = _hgcd(a[k:], b[k:], p)
+    M, c, d = _hgcd(a[k:], b[k:], K)
     a0, b0 = _trim(a[:k]), _trim(b[:k])
-    z = [0] * k
-    return (M, fp_add(z + c, _dot(M[0], M[1], a0, b0, p), p),
-            fp_add(z + d, _dot(M[2], M[3], a0, b0, p), p))
+    z = [K.zero] * k
+    return (M, K.add(z + c, _dot(M[0], M[1], a0, b0, K)),
+            K.add(z + d, _dot(M[2], M[3], a0, b0, K)))
 
 
-def _fp_euclid(a, b, p, M):
+def _euclid(a, b, K, M):
     """The last nonzero remainder of Euclid's sequence on (a, b), with
     M, unless None, multiplied by that sequence's transition matrix."""
     a, b = list(a), list(b)
     start = GCD_HGCD_MIN if M is None else HGCD_MIN
     while b:
         if len(b) < start:
-            a, b = _euclid_steps(a, b, M, p, 0)
+            a, b = _euclid_steps(a, b, M, K, 0)
         elif len(b) <= len(a) // 2 or len(a) < len(b):
             # the half-gcd takes no step here; one remainder step does
-            a, b = _euclid_steps(a, b, M, p, len(b) - 1)
+            a, b = _euclid_steps(a, b, M, K, len(b) - 1)
         else:
-            T, a, b = _hgcd(a, b, p)
+            T, a, b = _hgcd(a, b, K)
             if M is not None:
-                M[:] = _matmul(T, M, p)
+                M[:] = _matmul(T, M, K)
     return a
-
-
-def fp_gcd(a, b, p):
-    """The monic gcd of a and b over F_p as a tuple (gcd(0, 0) = ())."""
-    g = _fp_euclid(a, b, p, None)
-    u = pow(g[-1], -1, p) if g else 1
-    return tuple([c * u % p for c in g])
-
-
-def fp_xgcd(a, b, p):
-    """(g, x, y) as tuples with a x + b y = g = fp_gcd(a, b, p): the
-    cofactors of the classical extended Euclid loop, of least degree,
-    scaled with g to make g monic (gcd(0, 0) = 0 * 1 + 0 * 0)."""
-    M = [[1], [], [], [1]]
-    g = _fp_euclid(a, b, p, M)
-    u = pow(g[-1], -1, p) if g else 1
-    return tuple(tuple([c * u % p for c in v]) for v in (g, M[0], M[1]))
 
 
 class PolyRing(OverBase):
@@ -488,10 +517,7 @@ class PolyRing(OverBase):
 
     def __init__(self, base):
         super().__init__(base)
-        self.dense = base.dense_modulus()
-        t = base.tower_modulus()
-        self.tower = None if t is None else tower(*t)
-        self.newton = [None, None]  # fp_divmod's memo
+        self.base_kernel = base.kernel()
 
     def _key(self):
         return ("Poly", self.base)
@@ -533,25 +559,23 @@ class PolyRing(OverBase):
         return self._strip([self.base.canon(c) for c in coeffs])
 
     def add(self, a, b):
-        if self.tower is not None:
-            return tuple(tower_add(a, b, self.tower[0]))
+        if self.base_kernel is not None:
+            return tuple(self.base_kernel.add(a, b))
         z = self.base.zero
         out = [self.base.add(x, y)
                for x, y in itertools.zip_longest(a, b, fillvalue=z)]
         return self._strip(out)
 
     def neg(self, a):
-        if self.tower is not None:
-            return tuple(tower_neg(a, self.tower[0]))
+        if self.base_kernel is not None:
+            return tuple(self.base_kernel.neg(a))
         return tuple(self.base.neg(c) for c in a)
 
     def mul(self, a, b):
         if not a or not b:
             return ()
-        if self.dense is not None:
-            return tuple(_trim(dense_mul(a, b, self.dense)))
-        if self.tower is not None:
-            return tuple(_trim(tower_mul(a, b, self.tower)))
+        if self.base_kernel is not None:
+            return tuple(_trim(self.base_kernel.mul(a, b)))
         return self._strip(loop_mul(self.base, a, b, len(a) + len(b) - 1))
 
     def eq(self, a, b):
@@ -599,12 +623,8 @@ class PolyRing(OverBase):
             raise DivisionByZero("division by zero polynomial")
         if len(a) < len(b):
             return (), a
-        if self.dense is not None:
-            q, r = fp_divmod(a, b, self.dense, self.newton)
-            return tuple(q), tuple(r)
-        if self.tower is not None:
-            q, r = tower_divmod(a, b, self.tower, self.base.inverse(b[-1]))
-            return tuple(q), tuple(r)
+        if self.base_kernel is not None:
+            return tuple(map(tuple, self.base_kernel.divmod(a, b)))
         one = self.base.one
         lead = one if self.base.eq(b[-1], one) else self.base.inverse(b[-1])
         db = len(b) - 1
@@ -620,10 +640,8 @@ class PolyRing(OverBase):
                 r.pop()
         return self._strip(q), self._strip(r)
 
-    def euclid_modulus(self):
-        if self.dense is not None and self.base.is_field:
-            return self.dense
-        return None
+    def euclid_kernel(self):
+        return self.base_kernel if self.base.is_field else None
 
     def canon_unit(self, a):
         if not self.base.is_field:
@@ -647,16 +665,20 @@ class PolyRing(OverBase):
     def residue_characteristic(self, m):
         return self.characteristic()
 
+    def residue_kernel(self, m):
+        K = prime_kernel(self)
+        return None if K is None else TowerKernel(K.n, m)
+
     def is_prime_element(self, m):
         """Decided in degree 1, over F_p by Rabin's test and over Q in
         degree 2 and 3 by the absence of a rational root; any other
         modulus counts as not prime."""
-        from .factor import (
-            over_prime_field, poly_is_irreducible_fp, rational_roots)
+        from .factor import poly_is_irreducible_fp, rational_roots
+        from .number_rings import RationalField
 
         if len(m) == 2:
             return True
-        if over_prime_field(self):
+        if prime_kernel(self):
             return poly_is_irreducible_fp(Element(self, m))
         if isinstance(self.base, RationalField) and len(m) in (3, 4):
             return not rational_roots(Element(self, m))
@@ -667,7 +689,7 @@ class PolyRing(OverBase):
         factoring it: over F_p the first distinct-degree group of each
         degree (no equal-degree split), m / gcd(m, m') in characteristic
         0; None over any other base."""
-        if self.euclid_modulus():
+        if prime_kernel(self):
             from .factor import radical_fp
 
             return radical_fp(self, m)

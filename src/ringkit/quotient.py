@@ -6,7 +6,7 @@ coset representative in all three Euclidean contexts (least nonnegative
 residue in Z, remainder of lower degree for polynomials, the
 nearest-integer remainder for Gaussian integers, whose rounding is
 translation invariant).  Units invert through the extended Euclidean
-algorithm on representatives.
+algorithm on representatives, and one gcd with m tells them apart.
 
 Whatever depends on what m generates is asked of the base context, so
 this module names no base type.  The base answers through its residue
@@ -21,20 +21,19 @@ hooks:
     one without factoring m (polynomials over F_p from their
     distinct-degree groups, in characteristic 0 from the gcd with the
     derivative), else None, and nilpotence is decided by repeated
-    squaring.  A quotient asks once and keeps the answer.
+    squaring.  A quotient asks once and keeps the answer;
+  * residue_kernel(m): the kernel record that works on the remainders
+    directly, which the quotient's kernel() hook returns to polynomial
+    and series rings over it: IntKernel(m) over Z, where they are the
+    ints of range(m) as in Z/m, and TowerKernel(p, m) over F_p[y],
+    where they are tuples of ints mod p; None over any other base, a
+    tower included, so there is no tower of towers.
 
 Z, the polynomial rings over a field and the Gaussian integers
 implement them.  They are the only bases a quotient can be built on: a
 field has no nonzero non-unit, and the other contexts that claim
 Euclidean division (a one-component product, series or matrix ring over
 Z) have no canonical associate.
-
-Two more hooks tell the polynomial and series rings over a quotient
-which kernels they may use, again by asking the base: dense_modulus()
-is m over Z (base dense_modulus() 0), where the remainders are the ints
-of range(m) as in Z/m, and tower_modulus() is (p, m) over F_p[y] (base
-euclid_modulus() p), where they are tuples of ints mod p; both are None
-over any other base.
 
 iso_check_crt tests the splitting Z/n = Z/f1 x ... x Z/fr by brute
 force, within the work budget: the factors must multiply to n, and the
@@ -51,7 +50,7 @@ from .errors import (
     InvalidParameters,
     NotInvertible,
 )
-from .euclid import xgcd_payload
+from .euclid import gcd_payload, xgcd_payload
 from .intutil import divisors, factorize, within_budget
 
 
@@ -112,6 +111,10 @@ class QuotientRing(OverBase):
     def hash_payload(self, a):
         return self.base.hash_payload(a)
 
+    def is_unit(self, a):
+        # coprime to m: one gcd, without the cofactors of try_inverse
+        return self.base.is_unit(gcd_payload(self.base, a, self.modulus))
+
     def try_inverse(self, a):
         g, x, _ = xgcd_payload(self.base, a, self.modulus)
         u = self.base.try_inverse(g)
@@ -140,13 +143,14 @@ class QuotientRing(OverBase):
             raise InfiniteRing(f"{self.name()} is not finite")
         return self.base.residues(self.modulus)
 
-    def dense_modulus(self):
-        # over Z the remainders are the ints of range(m), as in Z/m
-        return self.modulus if self.base.dense_modulus() == 0 else None
+    @functools.cached_property
+    def _kernel(self):
+        # when first asked: a tower inverts m, which a quotient that no
+        # polynomial or series ring is built on never needs
+        return self.base.residue_kernel(self.modulus)
 
-    def tower_modulus(self):
-        p = self.base.euclid_modulus()
-        return (p, self.modulus) if p else None
+    def kernel(self):
+        return self._kernel
 
     def show(self, a):
         return self.base.show(a)
@@ -172,8 +176,6 @@ def q_is_unit(x):
 def q_inverse(x):
     inv = x.ctx.try_inverse(x.val)
     if inv is None:
-        from .euclid import gcd_payload
-
         g = gcd_payload(x.ctx.base, x.val, x.ctx.modulus)
         raise NotInvertible(
             f"{x!r} shares the factor {x.ctx.base.show(g)} with the modulus",

@@ -7,16 +7,13 @@ different precisions over the same base meet at the minimum precision
 (ts_add/ts_mul below); the context's own operators require equal
 contexts like everywhere else.
 
-Over Z and Z/n, Quot(Z, n) among them (dense_modulus() not None), a
-product is one poly.dense_mul call and an inverse one poly.kron_inverse
-call, which pick their algorithms by size (Kronecker products and
-Newton iteration on long windows: O(M(prec)) instead of O(prec^2)
-coefficient operations).  Over F_p[y]/(m) (tower_modulus() not None)
-every product is one poly.tower_mul call and an inverse one
-poly.tower_inverse call, Newton iteration on the same packed products;
-sums and negatives work on the ints mod p (tower_add, tower_neg).
-Other bases run poly.loop_mul and the inverse recurrence below, one
-base call per coefficient operation.
+Over a base with a kernel record (kernel() not None: Z, Z/n and
+Quot(Z, n) on ints, F_p[y]/(m) on tuples of ints mod p) every sum,
+negative, product and inverse is one call into it, and the kernel picks
+its algorithm by size (packed products and Newton iteration on long
+windows: O(M(prec)) instead of O(prec^2) coefficient operations; see
+poly.py).  Other bases run poly.loop_mul and the inverse recurrence
+below, one base call per coefficient operation.
 
 Orders of vanishing are only known up to the window, so ts_ord returns
 either a known order (index of the first nonzero coefficient) or the
@@ -42,17 +39,7 @@ from .errors import (
     RingError,
 )
 from .intutil import within_budget
-from .poly import (
-    dense_mul,
-    kron_inverse,
-    loop_mul,
-    tower,
-    tower_add,
-    tower_inverse,
-    tower_mul,
-    tower_neg,
-    x_power,
-)
+from .poly import loop_mul, x_power
 
 
 class SeriesRing(OverBase):
@@ -64,9 +51,7 @@ class SeriesRing(OverBase):
             raise InvalidParameters(f"precision must be >= 1, got {prec!r}")
         self.width = within_budget(prec * base.width, "series coefficients")
         self.prec = prec
-        self.dense = base.dense_modulus()
-        t = base.tower_modulus()
-        self.tower = None if t is None else tower(*t)
+        self.base_kernel = base.kernel()
 
     def _key(self):
         return ("Series", self.base, self.prec)
@@ -100,21 +85,19 @@ class SeriesRing(OverBase):
         return self._fit([self.base.canon(c) for c in coeffs])
 
     def add(self, a, b):
-        if self.tower is not None:
-            # tower_add trims the window, which _fit pads back
-            return self._fit(tower_add(a, b, self.tower[0]))
+        if self.base_kernel is not None:
+            # the kernel trims the sum, which _fit pads back to the window
+            return self._fit(self.base_kernel.add(a, b))
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
-        if self.tower is not None:
-            return tuple(tower_neg(a, self.tower[0]))
+        if self.base_kernel is not None:
+            return tuple(self.base_kernel.neg(a))
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        if self.dense is not None:
-            return tuple(dense_mul(a, b, self.dense, self.prec))
-        if self.tower is not None:
-            return tuple(tower_mul(a, b, self.tower, self.prec))
+        if self.base_kernel is not None:
+            return tuple(self.base_kernel.mul(a, b, self.prec))
         return tuple(loop_mul(self.base, a, b, self.prec))
 
     def eq(self, a, b):
@@ -124,13 +107,12 @@ class SeriesRing(OverBase):
         return hash(tuple(self.base.hash_payload(c) for c in a))
 
     def try_inverse(self, a):
+        if self.base_kernel is not None:
+            inv = self.base_kernel.inverse(a, self.prec)
+            return None if inv is None else tuple(inv)
         u = self.base.try_inverse(a[0])
         if u is None:
             return None
-        if self.dense is not None:
-            return tuple(kron_inverse(a, self.prec, self.dense, u))
-        if self.tower is not None:
-            return tuple(tower_inverse(a, self.prec, self.tower, u))
         base = self.base
         out = [u] + [base.zero] * (self.prec - 1)
         for n in range(1, self.prec):

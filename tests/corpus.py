@@ -111,7 +111,8 @@ def argvs():
     for ctx in ["Fp:2", "Fp:101", "Zn:12", "Z", "Quot(Z,7)", GF8,
                 "Poly(Fp:2)", "Series(Fp:2,4)", "Series(Zn:12,2)",
                 "Series(Quot(Z,7),2)", f"Series({GF8},2)",
-                "Quot(Poly(Quot(Z,7)),[3,0,1])", "Quot(Poly(Quot(Z,7)),[1,0,1])"]:
+                "Quot(Poly(Quot(Z,7)),[3,0,1])",
+                "Quot(Poly(Quot(Z,7)),[1,0,1])"]:
         out.append(["classify", ctx])
     for _ in range(10):  # quotients of F_2[x] and F_3[x], Z and Z[i]
         deg = rng.randint(1, 6)

@@ -1,9 +1,9 @@
-"""Oracle bases for the dense kernels over Z, Z/n and F_p[y]/(m).
+"""Oracle bases for the kernels over Z, Z/n and F_p[y]/(m).
 
-LoopMod and LoopZ are ModRing and IntegerRing with the dense hook off,
-and LoopQuot is QuotientRing with the tower hook off, so polynomial and
-series rings over them run the coefficient loops at every size; the
-dense and tower tests compare against them.
+LoopMod and LoopZ are ModRing and IntegerRing, and LoopQuot is
+QuotientRing, with the kernel() hook off, so polynomial and series rings
+over them run the coefficient loops at every size; the kernel tests
+compare against them.
 """
 
 from ringkit import ModRing, ZZ
@@ -13,29 +13,29 @@ from ringkit.quotient import QuotientRing
 
 
 class LoopMod(ModRing):
-    """Z/n with the dense hook off: the coefficient loops at every size."""
+    """Z/n with no kernel: the coefficient loops at every size."""
 
-    def dense_modulus(self):
+    def kernel(self):
         return None
 
 
 class LoopZ(IntegerRing):
-    def dense_modulus(self):
+    def kernel(self):
         return None
 
 
 def dense_and_loop_bases(n):
-    """(dense base, oracle base) for Z (n == 0) or Z/n."""
+    """(kernel base, oracle base) for Z (n == 0) or Z/n."""
     if n == 0:
         return ZZ, LoopZ()
     return ModRing(n), LoopMod(n)
 
 
 class LoopQuot(QuotientRing):
-    """A quotient with the tower hook off: one base call per coefficient
-    operation in the rings over it."""
+    """A quotient with no kernel: one base call per coefficient operation
+    in the rings over it."""
 
-    def tower_modulus(self):
+    def kernel(self):
         return None
 
 

@@ -342,6 +342,9 @@ def _zero_divisors_by_pairs(ctx):
     "Quot(Quad:-1,3)", "Quot(Quad:-1,2+2i)", "Quot(Quad:-1,3+2i)",
     "Series(Zn:4,3)", "Series(Zn:1,2)", "Mat(Zn:2,2)", "Mat(Zn:3,2)",
     "Prod(Zn:4,Zn:6)", "Prod(Zn:1,Fp:3)", "Frac(Fp:5)",
+    # units by one gcd with the modulus (QuotientRing.is_unit)
+    "Quot(Fp:2,[1,1,0,0,1,0,1])", "Quot(Fp:2,[1,0,0,0,0,0,1])",
+    "Quot(Fp:3,[1,0,0,1,1])", "Quot(Fp:3,[1,0,2,0,1])", "Quot(Z,360)",
 ])
 def test_probes_match_the_pairwise_definitions(literal):
     ctx = parse_context(literal)
@@ -355,19 +358,20 @@ def test_classify_enumerates_once_and_inverts_each_element_once(
         literal, monkeypatch):
     ctx = parse_context(literal)
     cls = type(ctx)
+    # the unit test is is_unit, which a quotient answers by one gcd
     enumerations, inversions = [], []
-    real_elements, real_inverse = cls.elements, cls.try_inverse
+    real_elements, real_is_unit = cls.elements, cls.is_unit
 
     def elements(self):
         enumerations.append(self)
         return real_elements(self)
 
-    def try_inverse(self, a):
+    def is_unit(self, a):
         inversions.append(a)
-        return real_inverse(self, a)
+        return real_is_unit(self, a)
 
     monkeypatch.setattr(cls, "elements", elements)
-    monkeypatch.setattr(cls, "try_inverse", try_inverse)
+    monkeypatch.setattr(cls, "is_unit", is_unit)
     c = classify(ctx)
     assert len(enumerations) == 1
     assert sorted(inversions) == sorted(real_elements(ctx))

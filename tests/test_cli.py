@@ -320,3 +320,32 @@ WIDE_CONTEXTS = [
 @pytest.mark.parametrize("argv", WIDE_CONTEXTS, ids=["series", "matrices"])
 def test_contexts_wider_than_the_budget_are_refused(argv):
     test_former_hangs_end_in_bounded_time(argv, 2, "")
+
+
+# F_p given as Quot(Z, p) is a prime field: these verbs refused it before
+# (factor-poly and irreducible with "expected a polynomial over a prime
+# field" and "no irreducibility test over Quot(Z,5)"), and now print what
+# they print over Fp:p
+@pytest.mark.parametrize("argv", [
+    ["factor-poly", "{}", "[1,0,0,0,1]"],
+    ["factor-poly", "{}", "[0,5,7,1]^3*[5,8,3]"],
+    ["irreducible", "{}", "[2,0,1]"],
+    ["irreducible", "{}", "[1,1,0,1]^2"],
+    ["sqfree", "{}", "[1,2,1]*[3,0,0,1]"],
+], ids=lambda v: " ".join(v))
+def test_quotients_of_z_by_a_prime_are_prime_fields(capsys, argv):
+    want = run(capsys, *[a.format("Fp:5") for a in argv])
+    assert want[0] == 0
+    assert run(capsys, *[a.format("Quot(Z,5)") for a in argv]) == want
+
+
+def test_the_quot_z_certificate_replays(capsys):
+    assert run(capsys, "irreducible", "Quot(Z,5)", "[2,0,1]") == (
+        0, "IRREDUCIBLE cert=exhaustive", "")
+    assert run(capsys, "factor-poly", "Quot(Z,5)", "[1,0,0,0,1]") == (
+        0, "(x^2+2) * (x^2+3)", "")
+    ctx = PolyRing(ringkit.parse_context("Quot(Z,5)"))
+    for text in ("[2,0,1]", "[1,0,0,0,1]"):
+        f = ctx.parse_element(text)
+        verdict = irreducibility_pipeline(f)
+        assert verify_certificate(f, verdict)

@@ -1,9 +1,10 @@
 """Euclid over F_p[x] on int lists and by half-gcd, against the classical loop.
 
 gcd_payload and xgcd_payload over PolyRing(ModRing(p)) take the int-list
-path of poly.fp_gcd / fp_xgcd; over PolyRing(LoopMod(p)) the dense hook
-is off and they run the generic remainder loop, which is the oracle: g,
-x and y must be equal payloads, not merely a valid Bezout identity.
+path of the kernel's gcd / xgcd (poly.IntKernel); over
+PolyRing(LoopMod(p)) the kernel hook is off and they run the generic
+remainder loop, which is the oracle: g, x and y must be equal payloads,
+not merely a valid Bezout identity.
 """
 
 import random
@@ -16,7 +17,8 @@ from loop_bases import LoopMod
 from ringkit import ModRing, QQ, ZZ, extended_gcd, poly_ring, series_ring
 from ringkit.algebra import ring_pow_payload
 from ringkit.euclid import gcd_payload, xgcd_payload
-from ringkit.poly import GCD_HGCD_MIN, HGCD_MIN, NEWTON_MIN, PolyRing
+from ringkit.poly import (
+    GCD_HGCD_MIN, HGCD_MIN, NEWTON_MIN, IntKernel, PolyRing)
 from ringkit.quotient import QuotientRing
 
 PRIMES = [2, 101, 10**12 + 39]
@@ -119,7 +121,7 @@ def test_half_gcd_stops_at_half_the_degree(p):
     loop = PolyRing(LoopMod(p))
     for n in (HGCD_MIN, 2 * HGCD_MIN + 1, 3 * HGCD_MIN):
         a, b = _random_poly(rng, p, n), _random_poly(rng, p, n - 1)
-        M, c, d = ringkit.poly._hgcd(list(a), list(b), p)
+        M, c, d = ringkit.poly._hgcd(list(a), list(b), IntKernel(p))
         assert len(d) - 1 < len(a) // 2 <= len(c) - 1
         r0, r1 = a, b
         while r0 != tuple(c):
@@ -157,7 +159,7 @@ def test_degree_1000_xgcd_takes_the_half_gcd(monkeypatch):
     # deg^2 / 2 dividend coefficients in all
     counts = {"ModRing.mul": 0, "kron_mul": 0, "dividend coefficients": 0}
     real_mul, real_kron, real_divmod = (
-        ModRing.mul, ringkit.poly.kron_mul, ringkit.poly.fp_divmod)
+        ModRing.mul, ringkit.poly.kron_mul, IntKernel.divmod)
 
     def mul(self, a, b):
         counts["ModRing.mul"] += 1
@@ -167,13 +169,13 @@ def test_degree_1000_xgcd_takes_the_half_gcd(monkeypatch):
         counts["kron_mul"] += 1
         return real_kron(a, b, n, keep)
 
-    def fp_divmod(a, b, p):
+    def divmod(self, a, b, memo=True):
         counts["dividend coefficients"] += len(a)
-        return real_divmod(a, b, p)
+        return real_divmod(self, a, b, memo)
 
     monkeypatch.setattr(ModRing, "mul", mul)
     monkeypatch.setattr(ringkit.poly, "kron_mul", kron_mul)
-    monkeypatch.setattr(ringkit.poly, "fp_divmod", fp_divmod)
+    monkeypatch.setattr(IntKernel, "divmod", divmod)
     rng = random.Random(1)
     R = poly_ring(ModRing(101))
     a = R.element(_random_poly(rng, 101, 1000))
@@ -186,11 +188,13 @@ def test_degree_1000_xgcd_takes_the_half_gcd(monkeypatch):
 
 
 def test_only_dense_prime_field_polynomials_take_the_int_lists():
-    assert poly_ring(ModRing(101)).euclid_modulus() == 101
+    R = poly_ring(ModRing(101))
+    assert R.euclid_kernel() is R.base_kernel is R.base.kernel()
+    assert R.euclid_kernel().n == 101
     for ctx in (poly_ring(LoopMod(101)), poly_ring(ModRing(12)),
                 poly_ring(ZZ), poly_ring(QQ), series_ring(ModRing(7), 1),
                 ModRing(7)):
-        assert ctx.euclid_modulus() is None
+        assert ctx.euclid_kernel() is None
     # a one-term series window over F_7 is a field whose payloads are
     # never stripped: its gcds stay on the generic loop
     S = series_ring(ModRing(7), 1)
@@ -199,13 +203,13 @@ def test_only_dense_prime_field_polynomials_take_the_int_lists():
 
 def test_reductions_mod_one_divisor_share_one_newton_inverse(monkeypatch):
     calls = []
-    real = ringkit.poly.kron_inverse
+    real = IntKernel.inverse
 
-    def counting(f, prec, n):
+    def counting(self, f, prec):
         calls.append(prec)
-        return real(f, prec, n)
+        return real(self, f, prec)
 
-    monkeypatch.setattr(ringkit.poly, "kron_inverse", counting)
+    monkeypatch.setattr(IntKernel, "inverse", counting)
     rng = random.Random(2)
     dense, loop = PolyRing(ModRing(101)), PolyRing(LoopMod(101))
     f = _random_poly(rng, 101, 119) + (1,)  # monic: the quotient keeps it

@@ -38,8 +38,8 @@ from ringkit.poly import (
     KRONECKER_MIN,
     NEG_INF,
     NEWTON_MIN,
+    IntKernel,
     PolyRing,
-    kron_inverse,
     kron_mul,
 )
 
@@ -335,9 +335,9 @@ def test_kron_inverse_over_z_with_a_vanishing_correction():
     # 1 - 200x inverts sum 200^i x^i exactly, so the Newton correction
     # is zero from the second step on.
     f = [200**i for i in range(48)]
-    assert kron_inverse(f, 48, 0) == [1, -200] + [0] * 46
-    assert kron_inverse([1] + [0] * 20, 21, 0) == [1] + [0] * 20
-    assert kron_inverse([1] + [0] * 20, 21, 101) == [1] + [0] * 20
+    assert IntKernel(0).inverse(f, 48) == [1, -200] + [0] * 46
+    assert IntKernel(0).inverse([1] + [0] * 20, 21) == [1] + [0] * 20
+    assert IntKernel(101).inverse([1] + [0] * 20, 21) == [1] + [0] * 20
 
 
 def test_dense_products_on_both_sides_of_the_threshold():
@@ -394,16 +394,14 @@ def test_newton_division_matches_the_coefficient_loop(p, m, lb, rng):
 
 
 def test_newton_division_runs_from_the_threshold(monkeypatch):
-    import ringkit.poly
-
     calls = []
-    real = ringkit.poly.kron_inverse
+    real = IntKernel.inverse
 
-    def counting(f, prec, n):
+    def counting(self, f, prec):
         calls.append(prec)
-        return real(f, prec, n)
+        return real(self, f, prec)
 
-    monkeypatch.setattr(ringkit.poly, "kron_inverse", counting)
+    monkeypatch.setattr(IntKernel, "inverse", counting)
     rng = random.Random(3)
     dense, loop = dense_and_loop(101)
     for m in (1, NEWTON_MIN - 1, NEWTON_MIN, 300):

@@ -15,6 +15,7 @@ from ringkit import (
     enumerate_elements,
     ideal_divisor_lattice,
     iso_check_crt,
+    parse_context,
     poly_ring,
     q_cardinality,
     q_inverse,
@@ -22,6 +23,7 @@ from ringkit import (
     q_lift,
     q_reduce,
     quotient_ring,
+    units_of,
 )
 from ringkit.factor import poly_is_irreducible_fp, rational_roots
 from ringkit.intutil import is_prime
@@ -340,3 +342,12 @@ def test_moduli_and_reduced_elements_must_live_in_the_base():
     with pytest.raises(ContextMismatch):
         q_reduce(R, ModRing(6).element(5))
     assert q_reduce(R, ZZ.element(11)) == q_reduce(R, 5)
+
+
+def test_gf25_over_a_quotient_of_z_is_a_field():
+    # x^2 + 2 has no root mod 5, so F_5[x]/(x^2 + 2) is GF(25); with F_5
+    # given as Quot(Z, 5) it used to report level RING
+    gf25 = parse_context("Quot(Poly(Quot(Z,5)),[2,0,1])")
+    assert gf25.is_field and gf25.is_euclidean
+    assert len(units_of(gf25)) == 24
+    assert not parse_context("Quot(Poly(Quot(Z,5)),[1,0,1])").is_field

@@ -6,9 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ringkit.poly
 from ringkit import QQ, ZZ
-from ringkit.euclid import xgcd_payload
-from ringkit.poly import PolyRing
+from ringkit.euclid import gcd_payload, xgcd_payload
+from ringkit.poly import (
+    HGCD_MIN, IntKernel, PolyRing, TowerKernel, prime_kernel)
 from ringkit.quotient import QuotientRing
 from ringkit.series import SeriesRing
 
@@ -152,10 +154,12 @@ def test_tower_rings_make_no_quotient_calls(monkeypatch):
 @pytest.mark.parametrize("n", [2, 12, 101, 2**31 - 1])
 def test_quotients_of_z_run_the_dense_kernels(n):
     zn = QuotientRing(ZZ, n)
-    assert zn.dense_modulus() == n
-    assert zn.tower_modulus() is None
+    K = zn.kernel()
+    assert type(K) is IntKernel and K.n == n and zn.kernel() is K
     dense, loop = PolyRing(zn), PolyRing(dense_and_loop_bases(n)[1])
-    assert dense.euclid_modulus() == (n if n != 12 else None)
+    assert dense.base_kernel is K
+    assert dense.euclid_kernel() is (K if n != 12 else None)
+    assert (prime_kernel(dense) is K) == (n != 12)
     rng = random.Random(n)
     for la in (1, 2, 4, 5, 30):
         for lb in (1, 4, 5, 60):
@@ -173,7 +177,140 @@ def test_quotients_of_z_run_the_dense_kernels(n):
 
 def test_quotients_of_polynomials_answer_the_tower_hook():
     tower, loop = tower_and_loop_bases(*FIELDS[0])
-    assert tower.tower_modulus() == (2, FIELDS[0][1])
-    assert tower.dense_modulus() is None
-    assert loop.tower_modulus() is None
-    assert QuotientRing(PolyRing(QQ), (-2, 0, 1)).tower_modulus() is None
+    K = tower.kernel()
+    assert type(K) is TowerKernel and (K.p, K.m) == FIELDS[0]
+    assert tower.kernel() is K
+    assert PolyRing(tower).euclid_kernel() is K
+    assert prime_kernel(PolyRing(tower)) is None
+    assert loop.kernel() is None
+    assert QuotientRing(PolyRing(QQ), (-2, 0, 1)).kernel() is None
+    # F_5 as Quot(Z, 5) is a prime kernel too; a tower over a tower is not
+    gf25 = QuotientRing(PolyRing(QuotientRing(ZZ, 5)), (2, 0, 1))
+    assert (gf25.kernel().p, gf25.kernel().m) == (5, (2, 0, 1))
+    assert QuotientRing(PolyRing(tower), [[1], [], [1]]).kernel() is None
+
+
+# (p, m) of GF(4), GF(8), GF(9), GF(2^8) and GF(101^2)
+GF = [(2, (1, 1, 1)), (2, (1, 1, 0, 1)), (3, (1, 0, 1)), FIELDS[0],
+      FIELDS[2]]
+
+
+@st.composite
+def gf_pairs(draw):
+    """Operands of gcd and xgcd, half-gcd sized or short, with zero
+    operands and planted common factors."""
+    p, m = draw(st.sampled_from(GF))
+    rng = draw(st.randoms(use_true_random=False))
+    ring = PolyRing(tower_and_loop_bases(p, m)[0])
+
+    def poly(deg):
+        if deg < 0:
+            return ()
+        coeffs = [[rng.randrange(p) for _ in m[1:]] for _ in range(deg)]
+        return ring.canon(coeffs + [[1 + rng.randrange(p - 1)]])
+
+    size = st.integers(-1, 12) | st.integers(HGCD_MIN - 4, HGCD_MIN + 8)
+    a, b = poly(draw(size)), poly(draw(size))
+    shape = draw(st.sampled_from(["random", "planted", "zero", "equal"]))
+    if shape == "planted":
+        c = poly(draw(st.integers(1, 24)))
+        a, b = ring.mul(a, c), ring.mul(b, c)
+    elif shape == "zero":
+        a = ()
+    elif shape == "equal":
+        b = a
+    return p, m, a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(gf_pairs())
+def test_gcd_and_xgcd_over_gf_q_equal_the_classical_loop(case):
+    p, m, a, b = case
+    tower, loop = rings(p, m)
+    for x, y in ((a, b), (b, a)):
+        assert gcd_payload(tower, x, y) == gcd_payload(loop, x, y)
+        assert xgcd_payload(tower, x, y) == xgcd_payload(loop, x, y)
+
+
+def test_degree_200_xgcd_over_gf256_takes_the_half_gcd(monkeypatch):
+    # a fall back to the generic loop shows as QuotientRing calls on the
+    # coefficient field, and the half-gcd as calls of _hgcd
+    tower, loop = rings(*FIELDS[0])
+    rng = random.Random(200)
+
+    def poly(deg):
+        return tower.canon([[rng.randrange(2) for _ in range(8)]
+                            for _ in range(deg)] + [[1]])
+
+    a, b = poly(200), poly(199)
+    want = xgcd_payload(loop, a, b)
+    counts = {"_hgcd": 0, "QuotientRing.mul": 0}
+    real_hgcd, real_mul = ringkit.poly._hgcd, QuotientRing.mul
+
+    def hgcd(*args):
+        counts["_hgcd"] += 1
+        return real_hgcd(*args)
+
+    def mul(self, x, y):
+        counts["QuotientRing.mul"] += 1
+        return real_mul(self, x, y)
+
+    monkeypatch.setattr(ringkit.poly, "_hgcd", hgcd)
+    monkeypatch.setattr(QuotientRing, "mul", mul)
+    assert xgcd_payload(tower, a, b) == want
+    assert counts["QuotientRing.mul"] == 0
+    assert counts["_hgcd"] > 0
+
+
+@pytest.mark.parametrize("n", [12, 0])
+def test_sums_and_negatives_over_z_mod_n_and_z_match_the_loops(n):
+    dense, loop = dense_and_loop_bases(n)
+    rng = random.Random(n)
+
+    def coeff():
+        return rng.randrange(n) if n else rng.randint(-9, 9)
+
+    for la in (0, 1, 3, 17):
+        for lb in (0, 1, 4, 17):
+            a = [coeff() for _ in range(la)]
+            b = [coeff() for _ in range(lb)]
+            if la == lb and la:
+                b[-1] = -a[-1] % n if n else -a[-1]  # the sum drops degree
+            R, RL = PolyRing(dense), PolyRing(loop)
+            a, b = R.canon(a), R.canon(b)
+            assert R.add(a, b) == RL.add(a, b)
+            assert R.sub(a, b) == RL.sub(a, b)
+            assert R.neg(a) == RL.neg(a)
+            assert R.sub(a, a) == ()
+            for prec in (1, 4, 17):
+                S, SL = SeriesRing(dense, prec), SeriesRing(loop, prec)
+                f, g = S._fit(a), S._fit(b)
+                for got, want in ((S.add(f, g), SL.add(f, g)),
+                                  (S.sub(f, g), SL.sub(f, g)),
+                                  (S.neg(f), SL.neg(f)),
+                                  (S.sub(f, f), S.zero)):
+                    # the window stays full, zero coefficients included
+                    assert got == want and len(got) == prec
+
+
+@pytest.mark.parametrize("cut", [2, 5])
+def test_deep_half_gcd_recursion_over_gf_q_equals_the_classical_loop(
+        cut, monkeypatch):
+    # a tiny threshold runs the recursion many levels deep on small inputs
+    monkeypatch.setattr(ringkit.poly, "HGCD_MIN", cut)
+    monkeypatch.setattr(ringkit.poly, "GCD_HGCD_MIN", cut)
+    rng = random.Random(cut)
+    for p, m in GF:
+        tower, loop = rings(p, m)
+
+        def poly(deg):
+            return tower.canon([[rng.randrange(p) for _ in m[1:]]
+                                for _ in range(deg)] + [[1]])
+
+        for _ in range(4):
+            a, b = poly(rng.randrange(30)), poly(rng.randrange(30))
+            if rng.random() < 0.5:
+                c = poly(rng.randrange(1, 8))
+                a, b = tower.mul(a, c), tower.mul(b, c)
+            assert gcd_payload(tower, a, b) == gcd_payload(loop, a, b)
+            assert xgcd_payload(tower, a, b) == xgcd_payload(loop, a, b)
