@@ -22,11 +22,11 @@ base call per coefficient operation.  There are two records, both on
 lists of coefficients:
 
   * IntKernel(n) for Z/n and Z (n = 0), Quot(Z, n) among them: a
-    product is one dense_mul call, the schoolbook loop on short
-    operands, else Kronecker substitution: kron_mul packs each operand
-    into one int, in slots that struct fills and reads for a whole list
-    at once, lets CPython's Karatsuba multiply them and reads back the
-    coefficients, or only the low ones a caller keeps.
+    product is the schoolbook loop on short operands, else Kronecker
+    substitution: kron_mul packs each operand into one int, in slots
+    that struct fills and reads for a whole list at once, lets CPython's
+    Karatsuba multiply them and reads back the coefficients, or only the
+    low ones a caller keeps.
   * TowerKernel(p, m) for F_p[y]/(m): two-level Kronecker substitution,
     three products of ints in all, with every coefficient reduced mod m
     by one packed Barrett step; sums and negatives on the ints mod p.
@@ -146,30 +146,6 @@ def kron_mul(a, b, n, keep=None):
     return [x - h for x in _unpack(pa * pb + bias, w, m, keep)]
 
 
-def dense_mul(a, b, n, keep=None):
-    """Coefficients of a*b over Z/n (n > 0) or Z (n == 0): all of them,
-    or the low keep; [] when a or b is empty.  One pass when a factor
-    has one coefficient, the schoolbook loop on ints while the shorter
-    factor is below KRONECKER_MIN, else kron_mul."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        c, a = b[0], a[:keep]
-        return [c * x % n for x in a] if n else [c * x for x in a]
-    if len(b) >= KRONECKER_MIN:
-        return kron_mul(a, b, n, keep)
-    if not b:
-        return []
-    m = len(a) + len(b) - 1
-    keep = m if keep is None else min(keep, m)
-    out = [0] * keep
-    for i, c in enumerate(b[:keep]):
-        if c:
-            for j, x in enumerate(a[:keep - i], i):
-                out[j] += c * x
-    return [x % n for x in out] if n else out
-
-
 def loop_mul(base, a, b, keep):
     """The low keep coefficients of a*b over any base, by the schoolbook
     loop with one base call per coefficient operation."""
@@ -280,7 +256,27 @@ class IntKernel(Kernel):
         self.n, self.memo = n, [None, None]
 
     def mul(self, a, b, keep=None):
-        return dense_mul(a, b, self.n, keep)
+        """One pass when a factor has one coefficient, the schoolbook loop
+        on ints while the shorter factor is below KRONECKER_MIN, else
+        kron_mul."""
+        n = self.n
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            c, a = b[0], a[:keep]
+            return [c * x % n for x in a] if n else [c * x for x in a]
+        if len(b) >= KRONECKER_MIN:
+            return kron_mul(a, b, n, keep)
+        if not b:
+            return []
+        m = len(a) + len(b) - 1
+        keep = m if keep is None else min(keep, m)
+        out = [0] * keep
+        for i, c in enumerate(b[:keep]):
+            if c:
+                for j, x in enumerate(a[:keep - i], i):
+                    out[j] += c * x
+        return [x % n for x in out] if n else out
 
     def add(self, a, b):
         n = self.n
