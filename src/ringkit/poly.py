@@ -243,8 +243,11 @@ class Kernel:
         return self._monic(g, M[0], M[1])
 
     def _monic(self, g, *cofactors):
-        u = [self.invert(g[-1]) if g else self.one]
-        return tuple(tuple(self.mul(u, v)) for v in (g, *cofactors))
+        vs = (g, *cofactors)
+        if g and g[-1] != self.one:
+            u = [self.invert(g[-1])]
+            vs = [self.mul(u, v) for v in vs]
+        return tuple(map(tuple, vs))
 
 
 class IntKernel(Kernel):
