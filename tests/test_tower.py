@@ -71,6 +71,8 @@ def test_tower_products_sums_and_series_match_the_loops(case):
     assert S.sub(f, g) == SL.sub(f, g)
     assert S.sub(f, f) == S.zero
     assert S.neg(f) == SL.neg(f)
+    # None when the constant term is no unit: zero, or y over F_2[y]/(y^2)
+    assert S.try_inverse(f) == SL.try_inverse(f)
 
 
 @settings(max_examples=100, deadline=None)
