@@ -3,7 +3,10 @@
 argvs() rebuilds the same list of argvs from SEED every time: the verbs
 eval, gcd, xgcd, series-invert, factor-poly, irreducible, sqfree and
 classify over polynomial and series rings on F_2, F_101, Z/12, Z,
-Quot(Z,7), GF(8) = Quot(Fp:2,[1,1,0,1]) and GF(2^8).  DIGESTS holds, one
+Quot(Z,7), GF(8) = Quot(Fp:2,[1,1,0,1]) and GF(2^8); then the fixed
+argvs of GATED, INVERSES and HEADS, which pin the refusal message of
+every polynomial verb, negative powers and division in rings with few
+units, and the messages of malformed context heads.  DIGESTS holds, one
 line per argv, the argv as JSON, the exit code of main() and the sha256
 of its stdout and of its stderr, tab-separated.  test_corpus.py replays
 every argv in-process and compares.
@@ -129,7 +132,65 @@ def argvs():
             ["eval", "Quot(Poly(Quot(Z,5)),[2,0,1])", "[1,1]^-1"]]
     for i in range(0, len(out), 9):  # every ninth argv under --json too
         out.append(["--json", *out[i]])
+    for verb in ("content", "primassoc", "sqfree", "irreducible",
+                 "factor-poly"):
+        out += [[verb, ctx, f] for ctx, f in GATED]
+    out += [["irreducible", d, x] for d, xs in QUADS.items() for x in xs]
+    for ctx, (exprs, units) in INVERSES.items():
+        out += [["eval", ctx, e] for e in exprs]
+        out += [["inv", ctx, u] for u in units]
+    out += [["eval", head, "1"] for head in HEADS]
     return out
+
+
+# (ctx, polynomial) operands of the polynomial verbs: over Z and Q, and
+# over the bases each verb refuses
+GATED = [
+    ("Z", "[6,-4,2]"), ("Poly(Z)", "[0,3,0,9]"), ("Z", "[-2,0,1]^2*[1,1]"),
+    ("Poly(Z)", "0"), ("Z", "[5]"), ("Poly(Z)", "[1,-3,3,-1]"),
+    ("Z", "[2,0,0,0,0,1]"), ("Q", "[1/2,3/4,1]"), ("Poly(Q)", "[2/3,0,-4/9]"),
+    ("Q", "[-1/4,0,1]^2*[1,1]"), ("Poly(Q)", "0"), ("Q", "[3/5]"),
+    ("Q", "[2,1/3,0,7]"), ("Zn:12", "[2,4,6]"), ("Poly(Zn:12)", "[3,0,9]"),
+    ("Quad:-1", "3+i"), ("Poly(Quad:-1)", "[1,i]"), ("H", "[1,i]"),
+    ("Poly(H)", "[j,k]"),
+]
+QUADS = {
+    "Quad:-1": ["3", "1+i", "3+2*i", "2", "5", "0", "i", "7+i", "4+4*i"],
+    "Quad:-5": ["2", "3", "1+s", "6", "7", "0", "0-1", "1+2*s", "21", "3+s"],
+}
+# ctx -> (eval expressions with negative powers or division, inv operands)
+INVERSES = {
+    "Poly(Zn:4)": (["(1+2*x)^-1", "(1+2*x+2*x^3)^-3", "[3,2,0,2]^-1",
+                    "1/(3+2*x)", "(x+1)/(1+2*x^2)", "x^-1", "(2+x)^-1",
+                    "1/(2*x)"],
+                   ["1+2*x", "3+2*x+2*x^2", "x", "2", "[1,2,2,2,2]"]),
+    "Poly(Zn:8)": (["(1+2*x)^-1", "(3+4*x+2*x^2)^-2", "[5,6,4]^-1",
+                    "(1+x)/(1+4*x^3)", "(1+x)^-1", "[1,2,0,2]^-5"],
+                   ["1+2*x", "3+4*x^2+6*x", "1+x", "[5,4,4]"]),
+    "Poly(Poly(Zn:4))": (["(1+2*x)^-1", "[[1,2],[2]]^-1", "[[3],[0,2]]^-2",
+                          "1/[[1],[2,2]]", "[[0,1],[2]]^-1",
+                          "[[1,2],[0,1]]^-1"],
+                         ["[[1,2],[2]]", "[[3],[0,2]]", "[[0,1]]"]),
+    "Q": (["(2/3)^-2", "1/(5/7)", "3/4/5", "0^-1", "(0-1/2)^-3", "7/0"],
+          ["2/3", "0", "-5"]),
+    "Quad:-1": (["i^-1", "(1+i)^-1", "1/i", "(0-1)^-3", "3/(2+i)", "i^-3"],
+                ["i", "1+i", "0-1"]),
+    "H": (["i^-1", "(1+i+j+k)^-1", "(2*j)^-2", "1/k", "i/j", "0^-1"],
+          ["1+i+j+k", "2*j", "0"]),
+    "Frac(Z)": (["(2/3)^-1", "(4/6)^-2", "1/5", "(0-3)^-3", "(1/2)/(3/4)",
+                 "0^-1"],
+                ["2/3", "0", "5"]),
+    "Mat(Zn:4,2)": (["[[1,2],[0,1]]^-1", "[[1,1],[1,0]]^-3",
+                     "1/[[3,0],[0,1]]", "[[2,0],[0,1]]^-1",
+                     "[[1,2],[2,1]]^-2"],
+                    ["[[1,2],[0,1]]", "[[2,0],[0,1]]", "[[1,1],[1,0]]"]),
+    "Prod(Z,Zn:6)": (["(1,5)^-1", "(0-1,1)^-3", "1/(1,5)", "(2,1)^-1",
+                      "(1,2)^-1"],
+                     ["(1,5)", "(2,1)", "(0-1,1)"]),
+}
+HEADS = ["Poly(Z,Q)", "Frac()", "Series(Q)", "Series(Q,2,3)", "Mat(Z)",
+         "Mat(Z,x)", "Poly()", "Frac(Z,Q)", "Series(Q,x)", "Mat(Z,2,3)",
+         "Quot(Z)", "Prod(Z)"]
 
 
 def run(argv):

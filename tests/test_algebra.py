@@ -505,3 +505,33 @@ def test_nilpotence_in_log_log_squarings_matches_the_orbit_walk(literal, i):
     ctx, elements = _elements_of(literal)
     a = elements[i % len(elements)]
     assert ctx.is_nilpotent(a) == _nilpotent_by_orbit(ctx, a)
+
+
+def test_int_scale_by_zero_and_by_negatives():
+    P = parse_context("Poly(Zn:6)")
+    f = P.parse_element("[1,2,5]")
+    assert int_scale(0, f).val == ()
+    assert int_scale(-4, f) == -(f + f + f + f)
+    h = parse_context("H").parse_element("1+2*i-j")
+    assert int_scale(-3, h) == -(h + h + h)
+    assert int_scale(0, h) == 0
+
+
+def test_element_floor_division_and_remainder():
+    a = ZZ.element(-7)
+    assert divmod(a, 2) == (ZZ.element(-4), ZZ.element(1))
+    assert (a // ZZ.element(2), a % 2) == (-4, 1)
+    P = PolyRing(QQ)
+    f, g = P.parse_element("[1,2,3]"), P.parse_element("[1,1]")
+    q, r = divmod(f, g)
+    assert (q, r) == (P.parse_element("[-1,3]"), P.parse_element("[2]"))
+    assert f // g == q and f % g == r
+    with pytest.raises(TypeError):
+        a // "2"
+
+
+def test_an_int_divided_by_an_element():
+    assert 3 / ModRing(7).element(2) == ModRing(7).element(5)
+    assert 1 / QQ.element(3) == QQ.parse_element("1/3")
+    with pytest.raises(NotInvertible):
+        1 / ZZ.element(2)

@@ -27,6 +27,53 @@ def test_every_imported_name_is_used(path):
     assert unused == {}, f"{path.name}: imported but unused (name: line)"
 
 
+def _private_definitions(tree):
+    """name -> the top-level statement that defines it, for each private
+    (one leading underscore) function, class or constant; decorated
+    functions are registered by their decorator, so they are left out."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    out[t.id] = node
+    return {name: node for name, node in out.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_private_name_is_used():
+    # a gate or helper that a merge left behind is referenced only by
+    # its own definition
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in Path(ringkit.__file__).parent.glob("*.py")}
+    statements = [(name, node) for name, tree in trees.items()
+                  for node in tree.body]
+    refs = [(name, node, _references(node)) for name, node in statements]
+    unused = []
+    for module, tree in trees.items():
+        for name, defn in _private_definitions(tree).items():
+            if not any(name in r for m, node, r in refs
+                       if not (m == module and node is defn)):
+                unused.append(f"{module}: {name}")
+    assert unused == []
+
+
 CROSSOVERS = {"KRONECKER_MIN", "NEWTON_MIN", "HGCD_MIN", "GCD_HGCD_MIN"}
 
 

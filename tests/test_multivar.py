@@ -23,13 +23,14 @@ from ringkit import (
 )
 from ringkit.errors import (
     ContextMismatch,
+    InfiniteRing,
     InvalidParameters,
     MissingVariable,
     ParseError,
     VariableCollision,
     ZeroPolynomial,
 )
-from ringkit.poly import NEG_INF
+from ringkit.poly import NEG_INF, PolyRing
 
 R = mv_ring(ZZ)
 
@@ -189,3 +190,67 @@ def test_base_symbols_lift_to_constants():
     assert repr(M.parse_element("i*{1:x}+{2:y}")) == "{i:x,2:y}"
     assert M.symbols() == {"i": M.canon([((), (0, 1))]),
                            "s": M.canon([((), (0, 1))])}
+
+
+# ---------------------------------------------- units with nilpotent parts
+
+Z4, Z8 = mv_ring(ModRing(4)), mv_ring(ModRing(8))
+
+
+@pytest.mark.parametrize("ctx, text, inverse", [
+    (Z4, "{1:1, 2:x, 2:x*y^2}", "{1:1, 2:x, 2:x*y^2}"),  # its own inverse
+    (Z8, "{3:1, 2:y}", "{3:1, 6:y, 4:y^2}"),
+    (Z8, "{3:1}", "{3:1}"),
+])
+def test_a_unit_constant_plus_nilpotents_is_a_unit(ctx, text, inverse):
+    f = ctx.parse_element(text)
+    assert f.inverse() == ctx.parse_element(inverse)
+    assert f * f.inverse() == 1
+
+
+@pytest.mark.parametrize("text", ["{2:1, 2:x}", "{1:1, 1:x}", "{1:x}",
+                                  "{}"])
+def test_a_unit_needs_a_unit_constant_and_nilpotents(text):
+    assert Z4.try_inverse(Z4.parse(text)) is None
+
+
+def _units_agree(n, coeffs):
+    # f as a univariate PolyRing payload and as an MPoly in x
+    base = ModRing(n)
+    P, M = PolyRing(base), mv_ring(base)
+    f = P.canon(coeffs)
+    as_mpoly = lambda g: M.canon(  # noqa: E731
+        [(((("x", i),) if i else ()), c) for i, c in enumerate(g)])
+    inv = P.try_inverse(f)
+    got = M.try_inverse(as_mpoly(f))
+    assert got == (None if inv is None else as_mpoly(inv))
+
+
+@given(st.sampled_from([4, 8, 12]).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.one_of(st.integers(0, n - 1),
+                       st.sampled_from([0, n // 2, 6 % n, 2 * (6 % n) % n])),
+             min_size=0, max_size=5))))
+def test_mpoly_units_agree_with_poly_units(case):
+    _units_agree(*case)
+
+
+def test_mpoly_neg_and_hash():
+    f = R.parse_element("{3:x^2*y, -1:z, 2:1}")
+    assert (-f).val == tuple((m, -c) for m, c in f.val)
+    assert f + (-f) == R.element([])
+    g = R.parse_element("{2:1, -1:z, 3:y*x^2}")
+    assert g == f and hash(g) == hash(f)
+    Q = mv_ring(QQ)
+    assert hash(Q.parse_element("{1/2:x}")) == hash(
+        Q.element([((("x", 1),), Fraction(2, 4))]))
+
+
+def test_mpoly_cardinality_and_elements():
+    zero_ring = mv_ring(ModRing(1))
+    assert zero_ring.cardinality() == 1
+    assert list(zero_ring.elements()) == [()]
+    for base in (ZZ, ModRing(2)):
+        assert mv_ring(base).cardinality() is None
+        with pytest.raises(InfiniteRing):
+            mv_ring(base).elements()
