@@ -207,25 +207,18 @@ def _h_factor_int(args):
     return {"context": "Z", "result": str(factor_integer(ZZ.parse(args.n)))}
 
 
-@verb("factor-poly", "ctx", "poly")
-def _h_factor_poly(args):
-    ctx = _poly_ctx(args.ctx)
-    f = ctx.parse_element(args.poly)
-    return {"context": ctx.name(), "result": str(factor_poly_fp(f))}
+def _poly_verb(name, fn):
+    """Register name as fn of one polynomial operand, printed by str."""
+    def handler(args):
+        ctx = _poly_ctx(args.ctx)
+        return {"context": ctx.name(),
+                "result": str(fn(ctx.parse_element(args.poly)))}
+    verb(name, "ctx", "poly")(handler)
 
 
-@verb("content", "ctx", "poly")
-def _h_content(args):
-    ctx = _poly_ctx(args.ctx)
-    f = ctx.parse_element(args.poly)
-    return {"context": ctx.name(), "result": str(content(f))}
-
-
-@verb("primassoc", "ctx", "poly")
-def _h_primassoc(args):
-    ctx = _poly_ctx(args.ctx)
-    f = ctx.parse_element(args.poly)
-    return {"context": ctx.name(), "result": repr(primitive_associate(f))}
+_poly_verb("factor-poly", factor_poly_fp)
+_poly_verb("content", content)
+_poly_verb("primassoc", primitive_associate)
 
 
 @verb("sqfree", "ctx", "operand",

@@ -6,18 +6,19 @@ under intutil's work budget; polynomials over a prime field by
 distinct-degree factorization and Cantor-Zassenhaus splitting, in
 polynomial time, both on tuples of ints mod p through the kernel of
 F_p (poly.prime_kernel: powmod, divmod, gcd) rather than the ring
-contexts;
-elements of imaginary quadratic rings are tested by exhausting the
-divisors allowed by the norm.  For Z[x] and Q[x], where no complete
-factorization is attempted, irreducibility is reported as a verdict
-carrying a checkable certificate (Eisenstein after a shift, reduction
-mod p, a rational root, a trial divisor) or INCONCLUSIVE.  Their inner
-loops run on integer lists too: a shift x -> x + a is a Taylor shift
-by synthetic division, and a rational root candidate s/q is tested by
-the homogenised Horner sum q^n f(s/q) in integers.
+contexts; elements of imaginary quadratic rings are tested by
+exhausting the divisors allowed by the norm.  For Z[x] and Q[x], where
+no complete factorization is attempted, irreducibility is reported as
+a verdict carrying a checkable certificate (Eisenstein after a shift,
+reduction mod p, a rational root, a trial divisor) or INCONCLUSIVE.
+Their inner loops run on integer lists too: a shift x -> x + a is a
+Taylor shift by synthetic division, and a rational root candidate s/q
+is tested by the homogenised Horner sum q^n f(s/q) in integers.
 
-verify_certificate replays any certificate against the element it
-claims to describe, so a verdict never has to be taken on faith.
+Each function checks its input through one gate (_gate, or
+algebra.context_of) with a fixed message.  verify_certificate replays
+any certificate against the element it claims to describe, and answers
+True or False for every verdict, so none has to be taken on faith.
 """
 
 import itertools
@@ -26,7 +27,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .algebra import Element, ring_pow_payload
+from .algebra import Element, context_of, ring_pow_payload
 from .errors import (
     ConstantPolynomial,
     DegreeDrops,
@@ -34,6 +35,7 @@ from .errors import (
     InvalidParameters,
     NotAField,
     NotPrimitive,
+    ParseError,
     RingError,
     ZeroInput,
 )
@@ -48,7 +50,7 @@ from .number_rings import (
     RationalField,
 )
 from .parsing import atomic_or_parenthesized
-from .poly import PolyRing, derivative, horner, prime_kernel
+from .poly import PolyRing, derivative, divrem_scaled, horner, prime_kernel
 
 DEFAULT_PRIME_BOUND = 50
 DEFAULT_SHIFT_BOUND = 10
@@ -140,6 +142,21 @@ def over_z_or_q(ctx):
     """Is ctx a polynomial ring over Z or Q?"""
     return isinstance(ctx, PolyRing) and isinstance(
         ctx.base, (IntegerRing, RationalField))
+
+
+def _gate(test, message):
+    """The input check of the functions that take only elements whose
+    context passes test: it returns f.ctx, else raises RingError(message)."""
+    def check(f):
+        if isinstance(f, Element) and test(f.ctx):
+            return f.ctx
+        raise RingError(message)
+    return check
+
+
+_fp_poly_ctx = _gate(prime_kernel, "expected a polynomial over a prime field")
+_z_poly_ctx = _gate(over_z, "expected a polynomial with integer coefficients")
+_zq_poly = _gate(over_z_or_q, "expected a polynomial over Z or Q")
 
 
 # --------------------------------------------------------------- integers
@@ -250,12 +267,6 @@ def monic_irreducibles(p, maxdeg):
     return [m for m in monics if poly_is_irreducible_fp(m)]
 
 
-def _fp_poly_ctx(f):
-    if isinstance(f, Element) and prime_kernel(f.ctx):
-        return f.ctx
-    raise RingError("expected a polynomial over a prime field")
-
-
 def _fp_monic(f):
     ctx = _fp_poly_ctx(f)
     if len(f.val) < 2:
@@ -296,18 +307,6 @@ def factor_poly_fp(f):
 
 
 # ----------------------------------------------------- Z[x] and Q[x] tools
-
-def _z_poly_ctx(f):
-    if over_z(_ctx(f)):
-        return f.ctx
-    raise RingError("expected a polynomial with integer coefficients")
-
-
-def _zq_poly(f):
-    if over_z_or_q(_ctx(f)):
-        return f.ctx
-    raise RingError("expected a polynomial over Z or Q")
-
 
 def content(f):
     """Positive gcd of the integer coefficients; the zero poly is refused."""
@@ -381,9 +380,7 @@ def _is_root(coeffs, s, q):
 def low_degree_test(f):
     """Degree 2 and 3 over Z, Q or F_p: reducible over the field of
     fractions exactly when a root exists."""
-    if not isinstance(_ctx(f), PolyRing):
-        raise RingError("expected a polynomial element")
-    base = f.ctx.base
+    base = context_of(f, PolyRing, "expected a polynomial element").base
     deg = len(f.val) - 1
     if deg not in (2, 3):
         raise DegreeOutOfRange(
@@ -424,21 +421,21 @@ def _eisenstein_holds(coeffs, p):
 
 def eisenstein_check(f, p):
     """Eisenstein's criterion at p, no shift."""
-    _require_primitive(f)
-    if not is_prime(p):
-        raise InvalidParameters(f"{p} is not prime")
+    _require_primitive(f, p)
     if _eisenstein_holds(f.val, p):
         return _irr("eisenstein", p=p, shift=0)
     return INCONCLUSIVE
 
 
-def _require_primitive(f):
-    ctx = _z_poly_ctx(f)
+def _require_primitive(f, p=None):
+    """f primitive of degree >= 1 over Z, and p, when given, a prime."""
+    _z_poly_ctx(f)
     if len(f.val) < 2:
         raise ConstantPolynomial("need degree at least 1")
     if content(f) != 1:
         raise NotPrimitive("coefficients share a common factor")
-    return ctx
+    if p is not None and not is_prime(p):
+        raise InvalidParameters(f"{p} is not prime")
 
 
 def eisenstein_translate_search(f, prime_bound=DEFAULT_PRIME_BOUND,
@@ -466,9 +463,7 @@ def eisenstein_translate_search(f, prime_bound=DEFAULT_PRIME_BOUND,
 
 def reduction_mod_p_check(f, p):
     """Irreducibility transfer from F_p when the degree is preserved."""
-    _require_primitive(f)
-    if not is_prime(p):
-        raise InvalidParameters(f"{p} is not prime")
+    _require_primitive(f, p)
     if f.val[-1] % p == 0:
         raise DegreeDrops(f"{p} divides the leading coefficient")
     ctx = PolyRing(ModRing(p))
@@ -490,8 +485,7 @@ def squarefree_part(x):
     """
     if isinstance(x, int) or isinstance(_ctx(x), IntegerRing):
         return squarefree_part_int(x)
-    if not isinstance(_ctx(x), PolyRing):
-        raise RingError(f"no squarefree decomposition for {x!r}")
+    context_of(x, PolyRing, "no squarefree decomposition for {!r}")
     if prime_kernel(x.ctx):
         return _squarefree_part_fp(x)
     if over_z_or_q(x.ctx):
@@ -554,9 +548,7 @@ def _squarefree_part_q(f):
 
 def quad_irreducible_check(x):
     """Irreducibility in Z[sqrt(d)], d < 0, by norm-divisor exhaustion."""
-    if not isinstance(_ctx(x), QuadIntRing):
-        raise RingError("expected a quadratic integer")
-    ctx = x.ctx
+    ctx = context_of(x, QuadIntRing, "expected a quadratic integer")
     if ctx.d >= 0:
         raise InvalidParameters(
             "norm exhaustion needs an imaginary quadratic ring")
@@ -591,12 +583,20 @@ def quad_irreducible_check(x):
 # ------------------------------------------------------------ verification
 
 def verify_certificate(f, verdict):
-    """Replay a verdict's certificate against f."""
+    """Replay a verdict's certificate against f: True when it holds,
+    False when it does not, or when a field of it does not read or does
+    not apply to f."""
     if not isinstance(verdict, IrreducibilityVerdict):
         raise InvalidParameters("expected an IrreducibilityVerdict")
     if verdict.is_inconclusive:
         return True
-    data = dict(verdict.data)
+    try:
+        return _replay(f, verdict, dict(verdict.data))
+    except (ValueError, ParseError, RingError):
+        return False
+
+
+def _replay(f, verdict, data):
     kind = verdict.cert
     if kind == "eisenstein":
         g = primitive_associate(f)
@@ -608,12 +608,8 @@ def verify_certificate(f, verdict):
         return verdict.is_irreducible and _eisenstein_holds(coeffs, p)
     if kind == "reduction":
         g = primitive_associate(f)
-        p = int(data["p"])
-        if not is_prime(p) or g.val[-1] % p == 0:
-            return False
-        ctx = PolyRing(ModRing(p))
-        red = Element(ctx, ctx.canon(g.val))
-        return verdict.is_irreducible and poly_is_irreducible_fp(red)
+        return verdict.is_irreducible and reduction_mod_p_check(
+            g, int(data["p"])).is_irreducible
     if kind == "rational-root":
         if not verdict.is_reducible or len(f.val) - 1 < 2:
             return False
@@ -622,11 +618,8 @@ def verify_certificate(f, verdict):
             return horner(QQ, f.val, Fraction(data["root"])) == 0
         return base.is_zero(horner(base, f.val, base.parse(data["root"])))
     if kind == "low-degree-no-root":
-        try:
-            return verdict.is_irreducible and low_degree_test(
-                f).serialize() == verdict.serialize()
-        except DegreeOutOfRange:
-            return False
+        return verdict.is_irreducible and low_degree_test(
+            f).serialize() == verdict.serialize()
     if kind == "trial-divisor":
         if not verdict.is_reducible:
             return False
@@ -635,7 +628,8 @@ def verify_certificate(f, verdict):
         if isinstance(ctx, PolyRing):
             if not 1 <= len(g) - 1 < len(f.val) - 1:
                 return False
-            return not ctx.divmod_(f.val, g)[1]
+            # over Z too, where divmod_ needs field coefficients
+            return not divrem_scaled(f, Element(ctx, g))[2].val
         if isinstance(ctx, QuadIntRing):
             t = ctx.norm(g)
             n = ctx.norm(f.val)
@@ -674,8 +668,7 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     """
     if isinstance(_ctx(f), QuadIntRing):
         return quad_irreducible_check(f)
-    if not isinstance(_ctx(f), PolyRing):
-        raise RingError(f"no irreducibility test for {f!r}")
+    context_of(f, PolyRing, "no irreducibility test for {!r}")
     base = f.ctx.base
     if prime_kernel(f.ctx):
         deg = len(f.val) - 1

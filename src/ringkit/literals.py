@@ -28,6 +28,12 @@ from .series import SeriesRing
 from .algebra import ProductRing
 
 
+# heads of one context argument, and of a context and one int
+_UNARY = {"Poly": PolyRing, "Frac": FracField}
+_SIZED = {"Series": (SeriesRing, "precision"),
+          "Mat": (MatrixRing, "dimension")}
+
+
 def _int(text, what):
     try:
         return int(text.strip())
@@ -69,19 +75,15 @@ def _parse(text):
     if not sep or not text.endswith(")"):
         raise ParseError(f"unknown context literal {text!r}")
     args = split_top(rest[:-1], ",")
-    if head == "Poly":
+    if head in _UNARY:
         if len(args) != 1:
-            raise ParseError("Poly takes one context argument")
-        return PolyRing(_parse(args[0].strip()))
-    if head == "Series":
+            raise ParseError(f"{head} takes one context argument")
+        return _UNARY[head](_parse(args[0].strip()))
+    if head in _SIZED:
+        kind, what = _SIZED[head]
         if len(args) != 2:
-            raise ParseError("Series takes a context and a precision")
-        return SeriesRing(_parse(args[0].strip()),
-                          _int(args[1], "precision"))
-    if head == "Frac":
-        if len(args) != 1:
-            raise ParseError("Frac takes one context argument")
-        return FracField(_parse(args[0].strip()))
+            raise ParseError(f"{head} takes a context and a {what}")
+        return kind(_parse(args[0].strip()), _int(args[1], what))
     if head == "Quot":
         if len(args) != 2:
             raise ParseError("Quot takes a context and a modulus literal")
@@ -97,10 +99,6 @@ def _parse(text):
             base = PolyRing(base)
             m = base.parse(mod)
         return QuotientRing(base, m)
-    if head == "Mat":
-        if len(args) != 2:
-            raise ParseError("Mat takes a context and a dimension")
-        return MatrixRing(_parse(args[0].strip()), _int(args[1], "dimension"))
     if head == "Prod":
         if len(args) < 2:
             raise ParseError("Prod takes at least two context arguments")

@@ -83,6 +83,7 @@ class MatrixRing(OverBase):
         return tuple(tuple(self.base.neg(x) for x in row) for row in a)
 
     def mul(self, a, b):
+        # inline, not _dot per entry: that is 12-15 % slower (BENCH_17.json)
         base = self.base
         n = self.n
         out = []

@@ -21,11 +21,10 @@ from .algebra import (
     OverBase,
     context_of,
     payload_in,
+    polynomial_inverse,
     ring_pow_payload,
-    unit_plus_nilpotent_inverse,
 )
 from .errors import (
-    InfiniteRing,
     InvalidParameters,
     MissingVariable,
     ParseError,
@@ -33,7 +32,7 @@ from .errors import (
     VariableCollision,
     ZeroPolynomial,
 )
-from .poly import NEG_INF
+from .poly import NEG_INF, PolyRing
 
 
 def _mono_degree(mono):
@@ -181,31 +180,18 @@ class MultiPolyRing(OverBase):
         return hash(tuple((m, self.base.hash_payload(c)) for m, c in a))
 
     def try_inverse(self, a):
-        if not a:
-            return None
         table = dict(a)
         c0 = table.pop((), None)
         if c0 is None:
             return None
-        u = self.base.try_inverse(c0)
-        if u is None:
-            return None
-        if not table:
-            return self.lift(u)
-        if not all(self.base.is_nilpotent(c) for c in table.values()):
-            return None
-        return unit_plus_nilpotent_inverse(self, self.lift(u), a)
+        return polynomial_inverse(self, a, c0, list(table.values()))
 
     def is_nilpotent(self, a):
         return all(self.base.is_nilpotent(c) for _, c in a)
 
-    def cardinality(self):
-        return 1 if self.base.cardinality() == 1 else None
-
-    def elements(self):
-        if self.cardinality() == 1:
-            return iter([()])
-        raise InfiniteRing(f"{self.name()} is not finite")
+    # finite only over the zero ring, as in one variable
+    cardinality = PolyRing.cardinality
+    elements = PolyRing.elements
 
     def literal(self, text):
         """A literal {coeff:monomial,...}."""

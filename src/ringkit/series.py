@@ -39,7 +39,7 @@ from .errors import (
     RingError,
 )
 from .intutil import within_budget
-from .poly import loop_mul, x_power
+from .poly import PolyRing, loop_mul, x_power
 
 
 class SeriesRing(OverBase):
@@ -90,10 +90,9 @@ class SeriesRing(OverBase):
             return self._fit(self.base_kernel.add(a, b))
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
-    def neg(self, a):
-        if self.base_kernel is not None:
-            return tuple(self.base_kernel.neg(a))
-        return tuple(self.base.neg(x) for x in a)
+    # coefficientwise, as for the polynomial of the window
+    neg = PolyRing.neg
+    hash_payload = PolyRing.hash_payload
 
     def mul(self, a, b):
         if self.base_kernel is not None:
@@ -102,9 +101,6 @@ class SeriesRing(OverBase):
 
     def eq(self, a, b):
         return all(self.base.eq(x, y) for x, y in zip(a, b))
-
-    def hash_payload(self, a):
-        return hash(tuple(self.base.hash_payload(c) for c in a))
 
     def try_inverse(self, a):
         if self.base_kernel is not None:

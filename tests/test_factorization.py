@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringkit import GAUSSIAN, ModRing, QQ, ZZ, poly_ring, quotient_ring
+from ringkit import (
+    GAUSSIAN,
+    IrreducibilityVerdict,
+    ModRing,
+    QQ,
+    ZZ,
+    parse_context,
+    poly_ring,
+    quotient_ring,
+)
 from ringkit.poly import horner
 from ringkit.factor import (
     INCONCLUSIVE,
@@ -502,3 +511,51 @@ def test_certificates_fail_against_a_different_polynomial():
     v = eisenstein_check(PZ.element([-2, 0, 1]), 2)
     assert verify_certificate(PZ.element([-2, 0, 1]), v)
     assert not verify_certificate(PZ.element([-3, 0, 1]), v)
+
+
+# (ctx, element, status, cert, data): each certificate kind on a genuine
+# verdict, then with one field changed
+REPLAYS = [
+    ("Poly(Z)", "[1,1,2]", "irreducible", "reduction", {"p": "5"}, True),
+    ("Poly(Z)", "[1,1,2]", "irreducible", "reduction", {"p": "7"}, False),
+    ("Poly(Z)", "[1,1,2]", "irreducible", "reduction", {"p": "4"}, False),
+    ("Poly(Z)", "[1,1,2]", "irreducible", "reduction", {"p": "2"}, False),
+    ("Poly(Z)", "[1,1,2]", "irreducible", "reduction", {"p": "x"}, False),
+    ("Poly(Z)", "[-2,0,1]", "irreducible", "eisenstein",
+     {"p": "2", "shift": "0"}, True),
+    ("Poly(Z)", "[-2,0,1]", "irreducible", "eisenstein",
+     {"p": "3", "shift": "0"}, False),
+    ("Poly(Z)", "[-2,0,1]", "irreducible", "eisenstein",
+     {"p": "2", "shift": "1"}, False),
+    ("Poly(Z)", "[-2,0,1]", "irreducible", "eisenstein",
+     {"p": "2", "shift": "y"}, False),
+    ("Poly(Z)", "[-4,0,1]", "reducible", "rational-root", {"root": "2"}, True),
+    ("Poly(Z)", "[-4,0,1]", "reducible", "rational-root", {"root": "3"},
+     False),
+    ("Poly(Z)", "[-4,0,1]", "reducible", "rational-root", {"root": "x"},
+     False),
+    ("Poly(Z)", "[-4,0,1]", "reducible", "trial-divisor",
+     {"divisor": "x-2"}, True),
+    ("Poly(Z)", "[-4,0,1]", "reducible", "trial-divisor",
+     {"divisor": "x-3"}, False),
+    ("Poly(Fp:5)", "[1,0,0,0,1]", "reducible", "trial-divisor",
+     {"divisor": "x^2+2"}, True),
+    ("Poly(Fp:5)", "[1,0,0,0,1]", "reducible", "trial-divisor",
+     {"divisor": "x^2+1"}, False),
+    ("Poly(Fp:2)", "[1,1,1]", "irreducible", "exhaustive", {}, True),
+    ("Poly(Fp:2)", "[1,0,1]", "irreducible", "exhaustive", {}, False),
+    ("Poly(Z)", "[1,0,1]", "irreducible", "low-degree-no-root", {}, True),
+    ("Poly(Z)", "[-1,0,1]", "irreducible", "low-degree-no-root", {}, False),
+    ("Quad:-1", "1+i", "irreducible", "prime-norm", {"n": "2"}, True),
+    ("Quad:-1", "1+i", "irreducible", "prime-norm", {"n": "3"}, False),
+    ("Quad:-1", "3", "irreducible", "exhaustive", {}, True),
+    ("Quad:-1", "3+i", "irreducible", "exhaustive", {}, False),
+]
+
+
+@pytest.mark.parametrize("ctx, text, status, cert, data, holds", REPLAYS)
+def test_every_certificate_replays_true_or_false(ctx, text, status, cert,
+                                                 data, holds):
+    f = parse_context(ctx).parse_element(text)
+    verdict = IrreducibilityVerdict(status, cert, tuple(data.items()))
+    assert verify_certificate(f, verdict) is holds
