@@ -628,8 +628,10 @@ def _replay(f, verdict, data):
         if isinstance(ctx, PolyRing):
             if not 1 <= len(g) - 1 < len(f.val) - 1:
                 return False
-            # over Z too, where divmod_ needs field coefficients
-            return not divrem_scaled(f, Element(ctx, g))[2].val
+            # lc(g)^m f = q g + r, so r = 0 shows g | f over a domain's
+            # fractions, Z included, where divmod_ needs a field
+            return ctx.base.is_domain and not divrem_scaled(
+                f, Element(ctx, g))[2].val
         if isinstance(ctx, QuadIntRing):
             t = ctx.norm(g)
             n = ctx.norm(f.val)

@@ -540,6 +540,9 @@ REPLAYS = [
      {"divisor": "x-3"}, False),
     ("Poly(Fp:5)", "[1,0,0,0,1]", "reducible", "trial-divisor",
      {"divisor": "x^2+2"}, True),
+    # 6^2 = 0 in Z/12, so the scaled remainder of x^2 by 6x+6 is 0
+    ("Poly(Zn:12)", "[0,0,1]", "reducible", "trial-divisor",
+     {"divisor": "6*x+6"}, False),
     ("Poly(Fp:5)", "[1,0,0,0,1]", "reducible", "trial-divisor",
      {"divisor": "x^2+1"}, False),
     ("Poly(Fp:2)", "[1,1,1]", "irreducible", "exhaustive", {}, True),

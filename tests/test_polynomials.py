@@ -453,6 +453,25 @@ def test_monic_division_makes_no_inversion(monkeypatch):
     assert len(calls) == 1
 
 
+def test_positive_degree_over_a_domain_is_no_unit_before_any_inverse(
+        monkeypatch):
+    # classify over Quot(F_p[x], m) asks this of one gcd per element
+    calls = []
+    real = ModRing.try_inverse
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(ModRing, "try_inverse", counting)
+    R = PolyRing(ModRing(7))
+    assert R.try_inverse(R.canon([3, 1])) is None
+    assert R.try_inverse(R.canon([0, 0, 5])) is None
+    assert calls == []
+    assert R.try_inverse(R.canon([3])) == (5,)
+    assert calls == [3]
+
+
 def test_dense_division_makes_no_coefficient_call(monkeypatch):
     calls = []
     for name in ("add", "sub", "neg", "mul", "eq", "is_zero",
