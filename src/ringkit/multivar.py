@@ -184,7 +184,7 @@ class MultiPolyRing(OverBase):
         c0 = table.pop((), None)
         if c0 is None:
             return None
-        return polynomial_inverse(self, a, c0, list(table.values()))
+        return polynomial_inverse(self, a, c0, table.values())
 
     def is_nilpotent(self, a):
         return all(self.base.is_nilpotent(c) for _, c in a)
