@@ -189,7 +189,8 @@ class RingContext:
     def kernel(self):
         """The kernel record that works on this context's payloads
         directly, built once per context, else None: poly.IntKernel(n)
-        for the ints of Z/n (n = 0 for Z), poly.TowerKernel(p, m) for
+        for the ints of Z/n (n = 0 for Z), poly.F2Kernel in place of it
+        for n = 2 (poly.int_kernel picks), poly.TowerKernel(p, m) for
         the remainders mod m in F_p[y].  Polynomial and series contexts
         over such a base hand it their arithmetic, with no call into
         this context; every other base keeps the coefficient loops."""

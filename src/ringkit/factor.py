@@ -6,7 +6,8 @@ under intutil's work budget; polynomials over a prime field by
 distinct-degree factorization and Cantor-Zassenhaus splitting, in
 polynomial time, both on tuples of ints mod p through the kernel of
 F_p (poly.prime_kernel: powmod, divmod, gcd) rather than the ring
-contexts; elements of imaginary quadratic rings are tested by
+contexts, which over F_2 (poly.F2Kernel) runs them by shift-and-XOR on
+one int per polynomial; elements of imaginary quadratic rings are tested by
 exhausting the divisors allowed by the norm.  For Z[x] and Q[x], where
 no complete factorization is attempted, irreducibility is reported as
 a verdict carrying a checkable certificate (Eisenstein after a shift,

@@ -36,7 +36,7 @@ from .errors import (
     RingError,
 )
 from .intutil import factorize, is_prime, is_squarefree
-from .poly import IntKernel
+from .poly import int_kernel
 
 
 class IntegerRing(RingContext):
@@ -46,7 +46,7 @@ class IntegerRing(RingContext):
     signed = True
 
     def __init__(self):
-        self._kernel = IntKernel(0)
+        self._kernel = int_kernel(0)
 
     def _key(self):
         return ("Z",)
@@ -113,7 +113,7 @@ class IntegerRing(RingContext):
         return m
 
     def residue_kernel(self, m):
-        return IntKernel(m)
+        return int_kernel(m)
 
     def is_prime_element(self, m):
         return is_prime(m)
@@ -188,7 +188,7 @@ class ModRing(RingContext):
             raise InvalidParameters(f"modulus must be a positive integer, got {n!r}")
         self.n = n
         self.level = FIELD if is_prime(n) else RING
-        self._kernel = IntKernel(n)
+        self._kernel = int_kernel(n)
 
     def _key(self):
         return ("Mod", self.n)

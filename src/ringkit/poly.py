@@ -18,8 +18,8 @@ A base whose payloads the dense algorithms read directly returns a
 kernel record from its kernel() hook, and PolyRing and SeriesRing hand
 each sum, negative, product, division and series inverse to it in one
 call; every other base runs loop_mul and the loops in the methods, one
-base call per coefficient operation.  There are two records, both on
-lists of coefficients:
+base call per coefficient operation.  There are three records, all on
+lists of coefficients, and int_kernel(n) picks the first or second:
 
   * IntKernel(n) for Z/n and Z (n = 0), Quot(Z, n) among them: a
     product is the schoolbook loop on short operands, else Kronecker
@@ -27,25 +27,29 @@ lists of coefficients:
     that struct fills and reads for a whole list at once, lets CPython's
     Karatsuba multiply them and reads back the coefficients, or only the
     low ones a caller keeps.
+  * F2Kernel for Z/2: IntKernel(2), except that division, gcd, xgcd and
+    powmod pack each operand into one int, bit i the coefficient of
+    x^i, and run by shift-and-XOR.
   * TowerKernel(p, m) for F_p[y]/(m): two-level Kronecker substitution,
     three products of ints in all, with every coefficient reduced mod m
     by one packed Barrett step; sums and negatives on the ints mod p.
 
-The rest is one code for both (Kernel).  Series invert by Newton
-iteration, from the recurrence below NEWTON_MIN over Z/n.  Division
-multiplies by a Newton inverse of the reversed divisor, which the
-kernel keeps for its last divisor, so a chain of reductions mod one f
-computes it once; over F_p short division runs below NEWTON_MIN.  Over
-a field the Euclidean remainder sequence (gcd, xgcd, which euclid
-reaches through euclid_kernel()) runs from HGCD_MIN coefficients by the
-half-gcd of Thull and Yap (von zur Gathen and Gerhard, Modern Computer
-Algebra, 11.1): about half of the remaining steps at once, as a 2x2
-transition matrix from two recursive calls of half the size, in
-O(M(n) log n) instead of O(n^2) coefficient operations, with the
-quotients, remainders and cofactors of the classical loop.  factor.py's
-distinct- and equal-degree loops call the kernel of F_p (prime_kernel)
-directly.  This module alone chooses among the dense algorithms; the
-*_MIN constants are the measured crossovers.
+The rest is one code for all three (Kernel), F2Kernel's four methods
+aside.  Series invert by Newton iteration, from the recurrence below
+NEWTON_MIN over Z/n.  Division multiplies by a Newton inverse of the
+reversed divisor, which the kernel keeps for its last divisor, so a
+chain of reductions mod one f computes it once; over F_p short division
+runs below NEWTON_MIN.  Over a field other than F_2 the Euclidean
+remainder sequence (gcd, xgcd, which euclid reaches through
+euclid_kernel()) runs from HGCD_MIN coefficients by the half-gcd of
+Thull and Yap (von zur Gathen and Gerhard, Modern Computer Algebra,
+11.1): about half of the remaining steps at once, as a 2x2 transition
+matrix from two recursive calls of half the size, in O(M(n) log n)
+instead of O(n^2) coefficient operations, with the quotients,
+remainders and cofactors of the classical loop.  factor.py's distinct-
+and equal-degree loops call the kernel of F_p (prime_kernel) directly.
+This module alone chooses among the dense algorithms; the *_MIN
+constants are the measured crossovers.
 """
 
 import itertools
@@ -168,15 +172,19 @@ def _trim(c):
 #    ascending, which PolyRing, SeriesRing and euclid hand over
 
 class Kernel:
-    """What IntKernel and TowerKernel share.  A subclass gives zero, one,
-    mul(a, b, keep) (all coefficients of a*b, or the low keep; [] when a
-    or b is empty), add (trimmed), neg, invert (the inverse of one
-    coefficient, None for a non-unit) and memo, divmod's last divisor
-    and its inverse."""
+    """What the kernels share.  A subclass gives zero, one, mul(a, b,
+    keep) (all coefficients of a*b, or the low keep; [] when a or b is
+    empty), add (trimmed), neg, invert (the inverse of one coefficient,
+    None for a non-unit) and memo, divmod's last divisor and its
+    inverse."""
+
+    def sub(self, a, b):
+        """a - b, trimmed."""
+        return self.add(a, self.neg(b))
 
     def submul(self, u, q, v):
         """u - q v."""
-        return self.add(u, self.neg(self.mul(q, v)))
+        return self.sub(u, self.mul(q, v))
 
     def seed(self, f, prec, u):
         """The first coefficients of 1/f, for u = 1/f[0]."""
@@ -216,7 +224,7 @@ class Kernel:
                 self.memo[:] = b, inv
         q = self.mul(a[::-1][:m], inv, m)[::-1]
         db = len(b) - 1
-        return q, self.add(a[:db], self.neg(self.mul(q, b, db)))
+        return q, self.sub(a[:db], self.mul(q, b, db))
 
     def powmod(self, a, e, f):
         """a^e mod f, e >= 1: left-to-right square and multiply, each
@@ -287,6 +295,12 @@ class IntKernel(Kernel):
         return _trim([(x + y) % n for x, y in s] if n
                      else [x + y for x, y in s])
 
+    def sub(self, a, b):
+        n = self.n
+        s = itertools.zip_longest(a, b, fillvalue=0)
+        return _trim([(x - y) % n for x, y in s] if n
+                     else [x - y for x, y in s])
+
     def neg(self, a):
         n = self.n
         return [-x % n for x in a] if n else [-x for x in a]
@@ -342,6 +356,100 @@ class IntKernel(Kernel):
         return _trim([x % self.n for x in out])
 
 
+# -- F_2[x] on ints: bit i of an int is the coefficient of x^i
+
+_ASCII = bytes.maketrans(b"\0\1", b"01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _to_int(a):
+    """A list of 0/1, ascending, as an int."""
+    return int(bytes(a[::-1]).translate(_ASCII) or b"0", 2)
+
+
+def _to_list(x):
+    return list(bin(x)[:1:-1].encode().translate(_BITS)) if x else []
+
+
+def _clmul(a, b):
+    """The carry-less product: shift-and-XOR over the shorter's bits."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    out = 0
+    for i, c in enumerate(bin(a)[:1:-1]):
+        if c == "1":
+            out ^= b << i
+    return out
+
+
+def _rem(a, b):
+    """a mod b, b != 0, by a ^= b << s."""
+    db = b.bit_length()
+    s = a.bit_length() - db
+    while s >= 0:
+        a ^= b << s
+        s = a.bit_length() - db
+    return a
+
+
+def _divmod2(a, b):
+    """(q, r) of a by b != 0: _rem's loop, with q the sum of the x^s
+    (gcd and powmod keep to _rem, which takes a third less time)."""
+    q, db = 0, b.bit_length()
+    s = a.bit_length() - db
+    while s >= 0:
+        q |= 1 << s
+        a ^= b << s
+        s = a.bit_length() - db
+    return q, a
+
+
+class F2Kernel(IntKernel):
+    """Z/2 with IntKernel's list interface, mul, add, neg and series
+    inverse: divmod, gcd, xgcd and powmod convert each operand once to
+    an int and run by shift-and-XOR (von zur Gathen and Gerhard, ch. 14),
+    which beats the Newton division at every degree, so there is no
+    memo; a square is a bit spread."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def divmod(self, a, b, memo=True):
+        q, r = _divmod2(_to_int(a), _to_int(b))
+        return _to_list(q), _to_list(r)
+
+    def powmod(self, a, e, f):
+        f = _to_int(f)
+        a = out = _rem(_to_int(a), f)
+        for bit in bin(e)[3:]:
+            out = _rem(int("0".join(bin(out)[2:]), 2), f)
+            if bit == "1":
+                out = _rem(_clmul(out, a), f)
+        return _to_list(out)
+
+    def gcd(self, a, b):
+        a, b = _to_int(a), _to_int(b)
+        while b:
+            a, b = b, _rem(a, b)
+        return tuple(_to_list(a))
+
+    def xgcd(self, a, b):
+        """The classical loop: its cofactors are the ones Kernel.xgcd
+        gives."""
+        a, b = _to_int(a), _to_int(b)
+        s0, t0, s1, t1 = 1, 0, 0, 1
+        while b:
+            q, r = _divmod2(a, b)
+            a, b = b, r
+            s0, t0, s1, t1 = s1, t1, s0 ^ _clmul(q, s1), t0 ^ _clmul(q, t1)
+        return tuple(tuple(_to_list(v)) for v in (a, s0, t0))
+
+
+def int_kernel(n):
+    """The kernel of Z/n, or of Z for n = 0: F2Kernel for n = 2."""
+    return F2Kernel() if n == 2 else IntKernel(n)
+
+
 class TowerKernel(Kernel):
     """F_p[y]/(m), m monic of degree k >= 1 over the prime p: remainders
     mod m as tuples of ints in range(p), no trailing zeros, which add
@@ -353,7 +461,7 @@ class TowerKernel(Kernel):
     def __init__(self, p, m):
         k = len(m) - 1
         self.p, self.m, self.k, self.memo = p, m, k, [None, None]
-        self.fp = IntKernel(p)
+        self.fp = int_kernel(p)
         self.rinv = self.fp.inverse(m[::-1], k - 1) if k > 1 else []
         self.rneg = [-c % p for c in reversed(m)]
 

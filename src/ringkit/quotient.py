@@ -24,10 +24,11 @@ hooks:
     squaring.  A quotient asks once and keeps the answer;
   * residue_kernel(m): the kernel record that works on the remainders
     directly, which the quotient's kernel() hook returns to polynomial
-    and series rings over it: IntKernel(m) over Z, where they are the
-    ints of range(m) as in Z/m, and TowerKernel(p, m) over F_p[y],
-    where they are tuples of ints mod p; None over any other base, a
-    tower included, so there is no tower of towers.
+    and series rings over it: poly.int_kernel(m) over Z, where they are
+    the ints of range(m) as in Z/m (F2Kernel for m = 2, IntKernel(m)
+    otherwise), and TowerKernel(p, m) over F_p[y], where they are
+    tuples of ints mod p; None over any other base, a tower included,
+    so there is no tower of towers.
 
 Z, the polynomial rings over a field and the Gaussian integers
 implement them.  They are the only bases a quotient can be built on: a

@@ -10,7 +10,7 @@ import ringkit.poly
 from ringkit import QQ, ZZ
 from ringkit.euclid import gcd_payload, xgcd_payload
 from ringkit.poly import (
-    HGCD_MIN, IntKernel, PolyRing, TowerKernel, prime_kernel)
+    HGCD_MIN, F2Kernel, IntKernel, PolyRing, TowerKernel, prime_kernel)
 from ringkit.quotient import QuotientRing
 from ringkit.series import SeriesRing
 
@@ -157,7 +157,8 @@ def test_tower_rings_make_no_quotient_calls(monkeypatch):
 def test_quotients_of_z_run_the_dense_kernels(n):
     zn = QuotientRing(ZZ, n)
     K = zn.kernel()
-    assert type(K) is IntKernel and K.n == n and zn.kernel() is K
+    assert type(K) is (F2Kernel if n == 2 else IntKernel)
+    assert K.n == n and zn.kernel() is K
     dense, loop = PolyRing(zn), PolyRing(dense_and_loop_bases(n)[1])
     assert dense.base_kernel is K
     assert dense.euclid_kernel() is (K if n != 12 else None)
