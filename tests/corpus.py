@@ -6,12 +6,21 @@ classify over polynomial and series rings on F_2, F_101, Z/12, Z,
 Quot(Z,7), GF(8) = Quot(Fp:2,[1,1,0,1]) and GF(2^8); then the fixed
 argvs of GATED, INVERSES and HEADS, which pin the refusal message of
 every polynomial verb, negative powers and division in rings with few
-units, and the messages of malformed context heads.  DIGESTS holds, one
-line per argv, the argv as JSON, the exit code of main() and the sha256
-of its stdout and of its stderr, tab-separated.  test_corpus.py replays
-every argv in-process and compares.
+units, and the messages of malformed context heads; then loop_argvs(),
+eval, series-invert, gcd and xgcd over the bases of LOOP_BASES, which
+have no kernel() record.  DIGESTS holds, one line per argv, the argv as
+JSON, the exit code of main() and the sha256 of its stdout and of its
+stderr, tab-separated.  test_corpus.py replays every argv in-process and
+compares.
 
-To re-freeze the file after a change that is meant to alter output:
+To see what a change alters, print each argv whose line differs from
+DIGESTS, with its exit code, stdout and stderr:
+
+    PYTHONPATH=src python tests/corpus.py --changed
+
+Run in a checkout of the code before the change, with the same two
+corpus files, the same command prints the old text.  To re-freeze the
+file after a change that is meant to alter output:
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -140,6 +149,69 @@ def argvs():
         out += [["eval", ctx, e] for e in exprs]
         out += [["inv", ctx, u] for u in units]
     out += [["eval", head, "1"] for head in HEADS]
+    return out + loop_argvs()
+
+
+def _signed(rng, units):
+    """a + b u + ... with small ints, as the Quad and H contexts print."""
+    c = [rng.randint(-3, 3) for _ in range(len(units) + 1)]
+    return str(c[0]) + "".join(f"{x:+d}*{u}" for x, u in zip(c[1:], units))
+
+
+def _frac(rng):
+    num = _signed(rng, "s")
+    den = _signed(rng, "s")
+    return num if den.startswith("0+0") else f"({num})/({den})"
+
+
+# base literal -> a random coefficient text, for the bases with no
+# kernel() record, whose polynomial and series rings run the loops
+LOOP_BASES = {
+    "Q": lambda rng: f"{rng.randint(-9, 9)}/{rng.randint(1, 5)}",
+    "Quad:-1": lambda rng: _signed(rng, "i"),
+    "H": lambda rng: _signed(rng, "ijk"),
+    "Mat(Zn:4,2)": lambda rng: "[[{},{}],[{},{}]]".format(
+        *(rng.randrange(4) for _ in range(4))),
+    "Frac(Quad:-5)": _frac,
+    "Quot(Poly(Q),[-2,0,1])": lambda rng: "[{}/{},{}]".format(
+        rng.randint(-4, 4), rng.randint(1, 3), rng.randint(-2, 2)),
+}
+
+
+def loop_argvs():
+    """eval, series-invert, gcd and xgcd over LOOP_BASES, from a generator
+    of their own, so the argvs above keep their order."""
+    rng = random.Random(SEED + 1)
+
+    def coeffs(base, n):
+        return "[" + ",".join(LOOP_BASES[base](rng) for _ in range(n)) + "]"
+
+    out = [["eval", "Series(Frac(Quad:-5),2)", "[1,2/(1+s)]-[0,2/(1+s)]"]]
+    for base in LOOP_BASES:
+        for _ in range(6):
+            a, b, c = (coeffs(base, rng.randint(1, 5)) for _ in range(3))
+            expr = rng.choice([f"{a}*{b}+{c}", f"{a}^2-{b}", f"{a}-{a}",
+                               f"0-{a}+{b}"])
+            out.append(["eval", f"Poly({base})", expr])
+        for _ in range(5):
+            prec = rng.randint(1, 12)
+            a, b = (coeffs(base, rng.randint(1, prec)) for _ in range(2))
+            expr = rng.choice([f"{a}*{b}", f"{a}+{b}", f"{a}-{b}", f"0-{a}",
+                               f"{a}^2*{b}"])
+            out.append(["eval", f"Series({base},{prec})", expr])
+        for _ in range(4):
+            prec = rng.randint(1, 12)
+            f = coeffs(base, rng.randint(1, prec))
+            if rng.random() < 0.5:
+                out.append(["series-invert", base, f"{f[:-1]};{prec}]"])
+            else:
+                out.append(["series-invert", f"Series({base},{prec})", f])
+        for _ in range(5):
+            a, b = (coeffs(base, rng.randint(1, 5)) for _ in range(2))
+            if rng.random() < 0.5:
+                c = coeffs(base, rng.randint(2, 4))
+                a, b = f"{a}*{c}", f"{b}*{c}"
+            out.append([rng.choice(["gcd", "xgcd"]), f"Poly({base})", a, b])
     return out
 
 
@@ -203,13 +275,30 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def digest_line(argv):
-    code, out, err = run(argv)
+def _line(argv, code, out, err):
     sha = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
     return "\t".join([json.dumps(argv), str(code), *sha])
 
 
+def digest_line(argv):
+    return _line(argv, *run(argv))
+
+
+def print_changed():
+    """Print each argv whose line is not in DIGESTS, with its exit code,
+    stdout and stderr."""
+    frozen = set(DIGESTS.read_text().splitlines())
+    for argv in argvs():
+        code, out, err = run(argv)
+        if _line(argv, code, out, err) not in frozen:
+            print(json.dumps(argv), f"exit {code}", sep="\n")
+            for name, text in (("stdout", out), ("stderr", err)):
+                print(f"{name}: " + text.rstrip("\n").replace("\n", "\n  "))
+
+
 def main():
+    if sys.argv[1:] == ["--changed"]:
+        return print_changed()
     lines = [digest_line(argv) for argv in argvs()]
     DIGESTS.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} argvs frozen in {DIGESTS}", file=sys.stderr)
