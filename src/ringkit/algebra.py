@@ -193,7 +193,7 @@ class RingContext:
         for n = 2 (poly.int_kernel picks), poly.TowerKernel(p, m) for
         the remainders mod m in F_p[y].  Polynomial and series contexts
         over such a base hand it their arithmetic, with no call into
-        this context; every other base keeps the coefficient loops."""
+        this context; over any other base, to a poly.LoopKernel."""
         return None
 
     def residue_kernel(self, m):

@@ -14,12 +14,12 @@ divrem_scaled over any commutative base, which scales f by the leading
 coefficient of g just often enough to keep every division step exact
 and reports the scaling exponent.
 
-A base whose payloads the dense algorithms read directly returns a
-kernel record from its kernel() hook, and PolyRing and SeriesRing hand
-each sum, negative, product, division and series inverse to it in one
-call; every other base runs loop_mul and the loops in the methods, one
-base call per coefficient operation.  There are three records, all on
-lists of coefficients, and int_kernel(n) picks the first or second:
+PolyRing and SeriesRing hand each sum, negative, product, division and
+series inverse to the kernel record of their base in one call
+(base_kernel).  There are four records, all on lists of coefficients.
+A base whose payloads the dense algorithms read directly returns one of
+the first three from its kernel() hook, and int_kernel(n) picks the
+first or second:
 
   * IntKernel(n) for Z/n and Z (n = 0), Quot(Z, n) among them: a
     product is the schoolbook loop on short operands, else Kronecker
@@ -33,9 +33,11 @@ lists of coefficients, and int_kernel(n) picks the first or second:
   * TowerKernel(p, m) for F_p[y]/(m): two-level Kronecker substitution,
     three products of ints in all, with every coefficient reduced mod m
     by one packed Barrett step; sums and negatives on the ints mod p.
+  * LoopKernel(base) for every other base: the schoolbook loops and the
+    series recurrence, one base call per coefficient operation.
 
-The rest is one code for all three (Kernel), F2Kernel's four methods
-aside.  Series invert by Newton iteration, from the recurrence below
+The rest is one code for the three dense records (Kernel), F2Kernel's
+four methods aside.  Series invert by Newton iteration, from the recurrence below
 NEWTON_MIN over Z/n.  Division multiplies by a Newton inverse of the
 reversed divisor, which the kernel keeps for its last divisor, so a
 chain of reductions mod one f computes it once; over F_p short division
@@ -150,18 +152,6 @@ def kron_mul(a, b, n, keep=None):
     return [x - h for x in _unpack(pa * pb + bias, w, m, keep)]
 
 
-def loop_mul(base, a, b, keep):
-    """The low keep coefficients of a*b over any base, by the schoolbook
-    loop with one base call per coefficient operation."""
-    out = [base.zero] * keep
-    for i, x in enumerate(a[:keep]):
-        if base.is_zero(x):
-            continue
-        for j, y in enumerate(b[:keep - i]):
-            out[i + j] = base.add(out[i + j], base.mul(x, y))
-    return out
-
-
 def _trim(c):
     while c and not c[-1]:
         c.pop()
@@ -176,7 +166,9 @@ class Kernel:
     keep) (all coefficients of a*b, or the low keep; [] when a or b is
     empty), add (trimmed), neg, invert (the inverse of one coefficient,
     None for a non-unit) and memo, divmod's last divisor and its
-    inverse."""
+    inverse.  trim drops the trailing zeros of a list in place."""
+
+    trim = staticmethod(_trim)
 
     def sub(self, a, b):
         """a - b, trimmed."""
@@ -533,6 +525,73 @@ def _tower_pack(a, k, w):
     return _pack(flat, w)
 
 
+class LoopKernel(Kernel):
+    """Any other base, one base call per coefficient operation: schoolbook
+    product and division, untrimmed sums and negatives, and the series
+    inverse whole by its recurrence, so Kernel.inverse takes no Newton
+    step.  euclid_kernel() never returns it: no gcd, xgcd or powmod."""
+
+    def __init__(self, base):
+        self.base, self.invert = base, base.try_inverse
+
+    def trim(self, c):
+        while c and self.base.is_zero(c[-1]):
+            c.pop()
+        return c
+
+    def mul(self, a, b, keep=None):
+        base = self.base
+        m = len(a) + len(b) - 1 if a and b else 0
+        keep = m if keep is None else min(keep, m)
+        out = [base.zero] * keep
+        for i, x in enumerate(a[:keep]):
+            if base.is_zero(x):
+                continue
+            for j, y in enumerate(b[:keep - i]):
+                out[i + j] = base.add(out[i + j], base.mul(x, y))
+        return out
+
+    def add(self, a, b):
+        base = self.base
+        return [base.add(x, y)
+                for x, y in itertools.zip_longest(a, b, fillvalue=base.zero)]
+
+    def neg(self, a):
+        return [self.base.neg(c) for c in a]
+
+    def seed(self, f, prec, u):
+        """All prec coefficients, g_n = -u (f_1 g_(n-1) + ... + f_n g_0)."""
+        base = self.base
+        g = [u]
+        for n in range(1, prec):
+            s = base.zero
+            for x, y in zip(f[1:n + 1], g[::-1]):
+                s = base.add(s, base.mul(x, y))
+            g.append(base.neg(base.mul(u, s)))
+        return g
+
+    def divmod(self, a, b, memo=True):
+        """The schoolbook loop, b's leading coefficient a unit."""
+        base = self.base
+        lead = base.one if base.eq(b[-1], base.one) else base.inverse(b[-1])
+        db = len(b) - 1
+        q = [base.zero] * max(len(a) - db, 0)
+        r = list(a)
+        while len(r) > db:
+            k = len(r) - 1 - db
+            q[k] = c = base.mul(r[-1], lead)
+            for i, bc in enumerate(b):
+                r[k + i] = base.sub(r[k + i], base.mul(c, bc))
+            self.trim(r)
+        return self.trim(q), r
+
+
+def base_kernel(base):
+    """The kernel PolyRing and SeriesRing over base hand their arithmetic
+    to: base.kernel(), else a LoopKernel."""
+    return base.kernel() or LoopKernel(base)
+
+
 def prime_kernel(ctx):
     """ctx's Euclid kernel when it is F_p itself (over Fp:p or Quot(Z,
     p)), else None: the DDF, which computes x^p, not x^q, and the towers
@@ -625,7 +684,7 @@ class PolyRing(OverBase):
 
     def __init__(self, base):
         super().__init__(base)
-        self.base_kernel = base.kernel()
+        self.base_kernel = base_kernel(base)
 
     def _key(self):
         return ("Poly", self.base)
@@ -641,10 +700,7 @@ class PolyRing(OverBase):
         return EUCLIDEAN if level >= FIELD else min(level, DOMAIN)
 
     def _strip(self, coeffs):
-        n = len(coeffs)
-        while n and self.base.is_zero(coeffs[n - 1]):
-            n -= 1
-        return tuple(coeffs[:n])
+        return tuple(self.base_kernel.trim(list(coeffs)))
 
     def lift(self, c):
         return self._strip((c,))
@@ -667,24 +723,15 @@ class PolyRing(OverBase):
         return self._strip([self.base.canon(c) for c in coeffs])
 
     def add(self, a, b):
-        if self.base_kernel is not None:
-            return tuple(self.base_kernel.add(a, b))
-        z = self.base.zero
-        out = [self.base.add(x, y)
-               for x, y in itertools.zip_longest(a, b, fillvalue=z)]
-        return self._strip(out)
+        K = self.base_kernel
+        return tuple(K.trim(K.add(a, b)))
 
     def neg(self, a):
-        if self.base_kernel is not None:
-            return tuple(self.base_kernel.neg(a))
-        return tuple(self.base.neg(c) for c in a)
+        return tuple(self.base_kernel.neg(a))
 
     def mul(self, a, b):
-        if not a or not b:
-            return ()
-        if self.base_kernel is not None:
-            return tuple(_trim(self.base_kernel.mul(a, b)))
-        return self._strip(loop_mul(self.base, a, b, len(a) + len(b) - 1))
+        K = self.base_kernel
+        return tuple(K.trim(K.mul(a, b)))
 
     def eq(self, a, b):
         return len(a) == len(b) and all(
@@ -714,35 +761,16 @@ class PolyRing(OverBase):
                 "coefficients")
         if not b:
             raise DivisionByZero("division by zero polynomial")
-        if len(a) < len(b):
-            return (), a
-        if self.base_kernel is not None:
-            return tuple(map(tuple, self.base_kernel.divmod(a, b)))
-        one = self.base.one
-        lead = one if self.base.eq(b[-1], one) else self.base.inverse(b[-1])
-        db = len(b) - 1
-        q = [self.base.zero] * max(len(a) - db, 0)
-        r = list(a)
-        while len(r) > db:
-            c = self.base.mul(r[-1], lead)
-            k = len(r) - 1 - db
-            q[k] = c
-            for i, bc in enumerate(b):
-                r[k + i] = self.base.sub(r[k + i], self.base.mul(c, bc))
-            while r and self.base.is_zero(r[-1]):
-                r.pop()
-        return self._strip(q), self._strip(r)
+        return tuple(map(tuple, self.base_kernel.divmod(a, b)))
 
     def euclid_kernel(self):
-        return self.base_kernel if self.base.is_field else None
+        return self.base.kernel() if self.base.is_field else None
 
     def canon_unit(self, a):
         if not self.base.is_field:
             raise ContextNotEuclidean(
                 f"no canonical associate in {self.name()}")
-        if not a:
-            return self.one
-        return self.lift(self.base.inverse(a[-1]))
+        return self.lift(self.base.inverse(a[-1])) if a else self.one
 
     # -- residue hooks for Quot(base[x], m), m monic of degree >= 1
 
@@ -881,12 +909,9 @@ def divrem_scaled(f, g):
     base = ctx.base
     b = ctx.lift(g.val[-1])
     dg = len(g.val) - 1
-    q = ()
-    r = f.val
-    m = 0
+    q, r, m = (), f.val, 0
     while r and len(r) - 1 >= dg:
-        t = ctx._strip(
-            [base.zero] * (len(r) - 1 - dg) + [r[-1]])
+        t = ctx._strip([base.zero] * (len(r) - 1 - dg) + [r[-1]])
         q = ctx.add(ctx.mul(b, q), t)
         r = ctx.sub(ctx.mul(b, r), ctx.mul(t, g.val))
         m += 1
@@ -944,8 +969,7 @@ def lagrange_interpolate(base, points):
     if not base.is_field:
         raise NotAField(f"{base.name()} is not a field")
     ctx = PolyRing(base)
-    nodes = []
-    values = []
+    nodes, values = [], []
     for x, y in points:
         xv, yv = payload_in(base, x), payload_in(base, y)
         for seen in nodes:
@@ -953,12 +977,9 @@ def lagrange_interpolate(base, points):
                 raise DuplicateNode(f"repeated node {base.show(xv)}")
         nodes.append(xv)
         values.append(yv)
-    if not nodes:
-        return Element(ctx, ())
     total = ()
     for i, (xi, yi) in enumerate(zip(nodes, values)):
-        num = ctx.one
-        den = base.one
+        num, den = ctx.one, base.one
         for j, xj in enumerate(nodes):
             if j == i:
                 continue

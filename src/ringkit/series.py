@@ -7,13 +7,13 @@ different precisions over the same base meet at the minimum precision
 (ts_add/ts_mul below); the context's own operators require equal
 contexts like everywhere else.
 
-Over a base with a kernel record (kernel() not None: Z, Z/n and
-Quot(Z, n) on ints, F_p[y]/(m) on tuples of ints mod p) every sum,
-negative, product and inverse is one call into it, and the kernel picks
-its algorithm by size (packed products and Newton iteration on long
-windows: O(M(prec)) instead of O(prec^2) coefficient operations; see
-poly.py).  Other bases run poly.loop_mul and the inverse recurrence
-below, one base call per coefficient operation.
+Every sum, negative, product and inverse is one call into the kernel
+record of the base (poly.base_kernel).  A dense record (Z, Z/n and
+Quot(Z, n) on ints, F_p[y]/(m) on tuples of ints mod p) picks its
+algorithm by size: packed products and Newton iteration on long
+windows, O(M(prec)) instead of O(prec^2) coefficient operations.  Over
+any other base poly.LoopKernel runs the schoolbook product and the
+inverse recurrence, one base call per coefficient operation.
 
 Orders of vanishing are only known up to the window, so ts_ord returns
 either a known order (index of the first nonzero coefficient) or the
@@ -39,7 +39,7 @@ from .errors import (
     RingError,
 )
 from .intutil import within_budget
-from .poly import PolyRing, loop_mul, x_power
+from .poly import PolyRing, base_kernel, x_power
 
 
 class SeriesRing(OverBase):
@@ -51,7 +51,7 @@ class SeriesRing(OverBase):
             raise InvalidParameters(f"precision must be >= 1, got {prec!r}")
         self.width = within_budget(prec * base.width, "series coefficients")
         self.prec = prec
-        self.base_kernel = base.kernel()
+        self.base_kernel = base_kernel(base)
 
     def _key(self):
         return ("Series", self.base, self.prec)
@@ -65,10 +65,8 @@ class SeriesRing(OverBase):
         return self.base.level if self.prec == 1 else RING
 
     def _fit(self, coeffs):
-        z = self.base.zero
-        out = list(coeffs[:self.prec])
-        out.extend([z] * (self.prec - len(out)))
-        return tuple(out)
+        return (tuple(coeffs[:self.prec])
+                + (self.base.zero,) * (self.prec - len(coeffs)))
 
     def lift(self, c):
         return self._fit((c,))
@@ -85,38 +83,22 @@ class SeriesRing(OverBase):
         return self._fit([self.base.canon(c) for c in coeffs])
 
     def add(self, a, b):
-        if self.base_kernel is not None:
-            # the kernel trims the sum, which _fit pads back to the window
-            return self._fit(self.base_kernel.add(a, b))
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        # a dense kernel trims the sum, which _fit pads back to the window
+        return self._fit(self.base_kernel.add(a, b))
 
     # coefficientwise, as for the polynomial of the window
     neg = PolyRing.neg
     hash_payload = PolyRing.hash_payload
 
     def mul(self, a, b):
-        if self.base_kernel is not None:
-            return tuple(self.base_kernel.mul(a, b, self.prec))
-        return tuple(loop_mul(self.base, a, b, self.prec))
+        return tuple(self.base_kernel.mul(a, b, self.prec))
 
     def eq(self, a, b):
         return all(self.base.eq(x, y) for x, y in zip(a, b))
 
     def try_inverse(self, a):
-        if self.base_kernel is not None:
-            inv = self.base_kernel.inverse(a, self.prec)
-            return None if inv is None else tuple(inv)
-        u = self.base.try_inverse(a[0])
-        if u is None:
-            return None
-        base = self.base
-        out = [u] + [base.zero] * (self.prec - 1)
-        for n in range(1, self.prec):
-            s = base.zero
-            for i in range(1, n + 1):
-                s = base.add(s, base.mul(a[i], out[n - i]))
-            out[n] = base.neg(base.mul(u, s))
-        return tuple(out)
+        inv = self.base_kernel.inverse(a, self.prec)
+        return None if inv is None else tuple(inv)
 
     def is_nilpotent(self, a):
         # the ideal (x) is nilpotent here, so the constant term decides

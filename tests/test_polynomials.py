@@ -1,5 +1,6 @@
 """Dense univariate polynomials: division flavors, roots, interpolation."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -39,13 +40,16 @@ from ringkit.poly import (
     NEG_INF,
     NEWTON_MIN,
     IntKernel,
+    Kernel,
+    LoopKernel,
     PolyRing,
     kron_mul,
 )
 
+from ringkit.euclid import xgcd_payload
 from ringkit.number_rings import RationalField
 from ringkit.series import SeriesRing
-from loop_bases import dense_and_loop_bases
+from loop_bases import LoopMod, dense_and_loop_bases
 
 PZ = poly_ring(ZZ)
 P7 = poly_ring(ModRing(7))
@@ -272,6 +276,35 @@ def test_dense_products_match_the_coefficient_loops(case):
     assert dense.mul(a, b) == want
     if a and b:
         assert dense._strip(kron_mul(a, b, n)) == want
+
+
+def test_loop_bases_reach_no_dense_kernel(monkeypatch):
+    # above NEWTON_MIN, where the dense kernels divide and invert by Newton
+    P, S = PolyRing(LoopMod(101)), SeriesRing(LoopMod(101), 2 * NEWTON_MIN)
+    dense = PolyRing(ModRing(101))
+    assert type(P.base_kernel) is type(S.base_kernel) is LoopKernel
+    calls = []
+    for cls, name, real in [(Kernel, "divmod", Kernel.divmod)] + [
+            (IntKernel, name, real) for name, real in vars(IntKernel).items()
+            if inspect.isfunction(real)]:
+        def counting(*args, name=name, real=real, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+        monkeypatch.setattr(cls, name, counting)
+    rng = random.Random(101)
+    a, b, c = (P.canon([rng.randrange(101) for _ in range(n)] + [1])
+               for n in (90, 40, 3))
+    P.sub(P.add(a, b), P.neg(b))
+    q, r = P.divmod_(P.mul(a, b), c)
+    xgcd_payload(P, a, b)
+    f, g = S._fit(a), S._fit(b)
+    S.sub(S.add(S.mul(f, g), f), S.neg(g))
+    inv = S.try_inverse(f)
+    assert calls == []
+    assert (q, r, inv) == (*dense.divmod_(dense.mul(a, b), c),
+                           SeriesRing(ModRing(101), 2 * NEWTON_MIN)
+                           .try_inverse(f))
+    assert calls
 
 
 def test_kron_mul_over_z_with_a_zero_operand():
