@@ -126,13 +126,18 @@ class MultiPolyRing(OverBase):
     def level(self):
         return min(self.base.level, DOMAIN)
 
-    def _seal(self, table):
+    def _seal(self, terms, start=()):
+        """The payload of start plus the (monomial, coefficient) terms:
+        like terms added in order, zeros dropped, monomials descending."""
+        table = dict(start)
+        for m, c in terms:
+            table[m] = self.base.add(table[m], c) if m in table else c
         items = [(m, c) for m, c in table.items() if not self.base.is_zero(c)]
         items.sort(key=lambda mc: _MONO_KEY(mc[0]), reverse=True)
         return tuple(items)
 
     def lift(self, c):
-        return self._seal({(): c})
+        return self._seal([((), c)])
 
     @property
     def zero(self):
@@ -146,30 +151,18 @@ class MultiPolyRing(OverBase):
                 pairs = list(raw)
             except TypeError:
                 raise RingError(f"expected term pairs or a dict, got {raw!r}")
-        table = {}
-        for mono, coeff in pairs:
-            m = _mono_canon(mono)
-            c = self.base.canon(coeff)
-            table[m] = self.base.add(table[m], c) if m in table else c
-        return self._seal(table)
+        return self._seal((_mono_canon(mono), self.base.canon(coeff))
+                          for mono, coeff in pairs)
 
     def add(self, a, b):
-        table = dict(a)
-        for m, c in b:
-            table[m] = self.base.add(table[m], c) if m in table else c
-        return self._seal(table)
+        return self._seal(b, a)
 
     def neg(self, a):
         return tuple((m, self.base.neg(c)) for m, c in a)
 
     def mul(self, a, b):
-        table = {}
-        for m1, c1 in a:
-            for m2, c2 in b:
-                m = _mono_mul(m1, m2)
-                c = self.base.mul(c1, c2)
-                table[m] = self.base.add(table[m], c) if m in table else c
-        return self._seal(table)
+        return self._seal((_mono_mul(m1, m2), self.base.mul(c1, c2))
+                          for m1, c1 in a for m2, c2 in b)
 
     def eq(self, a, b):
         return len(a) == len(b) and all(
@@ -200,15 +193,14 @@ class MultiPolyRing(OverBase):
         items = group_items(text, "{}")
         if items is None:
             return None
-        table = {}
+        terms = []
         for item in items:
             coeff_part, sep, mono_part = item.partition(":")
             if not sep:
                 raise ParseError(f"missing ':' in term {item!r}")
-            m = _mono_parse(mono_part)
-            c = self.base.parse(coeff_part.strip())
-            table[m] = self.base.add(table[m], c) if m in table else c
-        return self._seal(table)
+            terms.append((_mono_parse(mono_part),
+                          self.base.parse(coeff_part.strip())))
+        return self._seal(terms)
 
     def show(self, a):
         if not a:
@@ -290,11 +282,8 @@ def scaling_check(f, lam):
     if not f.val:
         return True
     d = total_degree(f)
-    scaled = {}
-    for m, c in f.val:
-        factor = ring_pow_payload(base, lv, _mono_degree(m))
-        scaled[m] = base.mul(factor, c)
-    lhs = ctx._seal(scaled)
+    lhs = ctx._seal((m, base.mul(ring_pow_payload(
+        base, lv, _mono_degree(m)), c)) for m, c in f.val)
     lam_d = ring_pow_payload(base, lv, d)
     rhs = ctx.mul(ctx.lift(lam_d), f.val)
     return ctx.eq(lhs, rhs)
