@@ -178,12 +178,7 @@ def factor_integer(n):
 
 def squarefree_part_int(n):
     """Product of the primes dividing n to an odd power, positive."""
-    fac = factor_integer(n)
-    out = 1
-    for p, e in fac.factors:
-        if e % 2:
-            out *= p
-    return out
+    return math.prod(p for p, e in factor_integer(n).factors if e % 2)
 
 
 # ------------------------------------------------- prime-field polynomials
@@ -337,8 +332,7 @@ def primitive_associate(f):
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
-    zctx = PolyRing(ZZ)
-    return Element(zctx, tuple(ints))
+    return Element(PolyRing(ZZ), tuple(ints))
 
 
 def rational_roots(f):
@@ -599,6 +593,8 @@ def verify_certificate(f, verdict):
 
 def _replay(f, verdict, data):
     kind = verdict.cert
+    if verdict.is_irreducible and over_z(f.ctx) and content(f) > 1:
+        return False  # the content is a non-unit factor in Z[x]
     if kind == "eisenstein":
         g = primitive_associate(f)
         p = int(data["p"])
@@ -627,11 +623,16 @@ def _replay(f, verdict, data):
         ctx = f.ctx
         g = ctx.parse(data["divisor"])
         if isinstance(ctx, PolyRing):
+            base = ctx.base
+            if len(g) == 1 < len(f.val):
+                # a non-unit constant that divides every coefficient
+                return base.is_domain and not base.is_unit(g[0]) and all(
+                    base.is_zero(base.divmod_(c, g[0])[1]) for c in f.val)
             if not 1 <= len(g) - 1 < len(f.val) - 1:
                 return False
             # lc(g)^m f = q g + r, so r = 0 shows g | f over a domain's
             # fractions, Z included, where divmod_ needs a field
-            return ctx.base.is_domain and not divrem_scaled(
+            return base.is_domain and not divrem_scaled(
                 f, Element(ctx, g))[2].val
         if isinstance(ctx, QuadIntRing):
             t = ctx.norm(g)
@@ -664,9 +665,10 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
                             shift_bound=DEFAULT_SHIFT_BOUND):
     """Best-effort verdict for Q[x]/Z[x], F_p[x], or quadratic integers.
 
-    Over Q the stages are: primitive associate, degree screen, rational
-    roots, Eisenstein with shifts, reduction mod small primes; anything
-    that survives is INCONCLUSIVE.  Over F_p Rabin's test and over
+    Over Q the stages are: primitive associate, rational roots, degree
+    screen, Eisenstein with shifts, reduction mod small primes; anything
+    that survives is INCONCLUSIVE.  Over Z a content c > 1 decides after
+    the roots, as a trial divisor.  Over F_p Rabin's test and over
     imaginary quadratic rings norm exhaustion decide outright.
     """
     if isinstance(_ctx(f), QuadIntRing):
@@ -687,13 +689,15 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     deg = len(prim.val) - 1
     if deg < 1:
         raise ConstantPolynomial("constants are not tested")
-    if deg == 1:
-        return _irr("exhaustive")
-    if deg in (2, 3):
-        return low_degree_test(prim)
-    roots = rational_roots(prim)
+    roots = rational_roots(prim) if deg > 1 else []
     if roots:
         return _red("rational-root", root=roots[0])
+    if over_z(f.ctx) and content(f) > 1:
+        return _red("trial-divisor", divisor=str(content(f)))
+    if deg == 1:
+        return _irr("exhaustive")
+    if deg in (2, 3):  # as low_degree_test(prim), whose roots are above
+        return _irr("low-degree-no-root")
     verdict = eisenstein_translate_search(prim, prime_bound, shift_bound)
     if not verdict.is_inconclusive:
         return verdict

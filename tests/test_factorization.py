@@ -492,6 +492,27 @@ def test_quadratic_integer_irreducibility_certificates():
 
 # ------------------------------------------------------------ the pipeline
 
+def test_pipeline_splits_off_the_content_of_an_integer_polynomial():
+    # 2x^4 + 6 = 2 (x^4 + 3): 2 is no unit of Z[x], though it is of Q[x]
+    for coeffs, c in (([6, 0, 0, 0, 2], 2), ([6, -4, 2], 2), ([4, 6], 2),
+                      ([-10, 0, -5], 5), ([3, 0, 0, 0, 0, 0, 0, 0, 6], 3)):
+        f = PZ.element(coeffs)
+        v = irreducibility_pipeline(f)
+        assert v.serialize() == f"REDUCIBLE cert=trial-divisor divisor={c}"
+        assert verify_certificate(f, v)
+        # no irreducibility certificate replays on f
+        prim = primitive_associate(f)
+        assert verify_certificate(prim, irreducibility_pipeline(prim))
+        assert not verify_certificate(f, irreducibility_pipeline(prim))
+    # a rational root still decides first: 9x^3 + 3x = 3x (3x^2 + 1)
+    v = irreducibility_pipeline(PZ.element([0, 3, 0, 9]))
+    assert v.serialize() == "REDUCIBLE cert=rational-root root=0"
+    f = PQ.element([Fraction(6), 0, 0, 0, Fraction(2)])
+    v = irreducibility_pipeline(f)
+    assert v.serialize() == "IRREDUCIBLE cert=eisenstein p=3 shift=0"
+    assert verify_certificate(f, v)
+
+
 def test_pipeline_certifies_a_quartic_by_shifted_eisenstein():
     f = PQ.element([Fraction(-9), Fraction(26), Fraction(16), Fraction(6), Fraction(1)])
     v = irreducibility_pipeline(f)
@@ -553,6 +574,36 @@ REPLAYS = [
     ("Quad:-1", "1+i", "irreducible", "prime-norm", {"n": "3"}, False),
     ("Quad:-1", "3", "irreducible", "exhaustive", {}, True),
     ("Quad:-1", "3+i", "irreducible", "exhaustive", {}, False),
+    # a norm divisor over Quad:-5, where 6 = 2 * 3 = (1+s)(1-s)
+    ("Quad:-5", "6", "reducible", "trial-divisor", {"divisor": "2"}, True),
+    ("Quad:-5", "6", "reducible", "trial-divisor", {"divisor": "1+s"},
+     True),
+    ("Quad:-5", "6", "reducible", "trial-divisor", {"divisor": "5"}, False),
+    ("Quad:-5", "6", "reducible", "trial-divisor", {"divisor": "1"}, False),
+    # over Q a linear polynomial is its own certificate
+    ("Poly(Q)", "[1/2,3]", "irreducible", "exhaustive", {}, True),
+    ("Poly(Q)", "[1,0,1]", "irreducible", "exhaustive", {}, False),
+    # a root over a base other than Z and Q reads in that base
+    ("Poly(Fp:7)", "[6,0,1]", "reducible", "rational-root", {"root": "1"},
+     True),
+    ("Poly(Fp:7)", "[6,0,1]", "reducible", "rational-root", {"root": "2"},
+     False),
+    # a constant divisor: a non-unit of the base dividing every coefficient
+    ("Poly(Z)", "[6,0,0,0,2]", "reducible", "trial-divisor",
+     {"divisor": "2"}, True),
+    ("Poly(Z)", "[6,0,0,0,2]", "reducible", "trial-divisor",
+     {"divisor": "-2"}, True),
+    ("Poly(Z)", "[6,0,0,0,2]", "reducible", "trial-divisor",
+     {"divisor": "4"}, False),
+    ("Poly(Z)", "[6,0,0,0,2]", "reducible", "trial-divisor",
+     {"divisor": "3"}, False),
+    ("Poly(Z)", "[6,0,0,0,2]", "reducible", "trial-divisor",
+     {"divisor": "-1"}, False),
+    ("Poly(Z)", "[2]", "reducible", "trial-divisor", {"divisor": "2"}, False),
+    ("Poly(Q)", "[6,0,0,0,2]", "reducible", "trial-divisor",
+     {"divisor": "2"}, False),
+    ("Poly(Zn:12)", "[2,4]", "reducible", "trial-divisor",
+     {"divisor": "2"}, False),
 ]
 
 
