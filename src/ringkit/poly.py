@@ -36,8 +36,8 @@ first or second:
   * LoopKernel(base) for every other base: the schoolbook loops and the
     series recurrence, one base call per coefficient operation.
 
-The rest is one code for the three dense records (Kernel), F2Kernel's
-four methods aside.  Series invert by Newton iteration, from the recurrence below
+The dense records share the rest (Kernel), F2Kernel's four methods
+aside.  Series invert by Newton iteration, from the recurrence below
 NEWTON_MIN over Z/n.  Division multiplies by a Newton inverse of the
 reversed divisor, which the kernel keeps for its last divisor, so a
 chain of reductions mod one f computes it once; over F_p short division

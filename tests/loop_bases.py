@@ -2,8 +2,8 @@
 
 LoopMod and LoopZ are ModRing and IntegerRing, and LoopQuot is
 QuotientRing, with the kernel() hook off, so polynomial and series rings
-over them run the coefficient loops at every size; the kernel tests
-compare against them.
+over them run poly.LoopKernel, the coefficient loops, at every size; the
+kernel tests compare against them.
 """
 
 from ringkit import ModRing, ZZ
