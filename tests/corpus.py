@@ -8,7 +8,9 @@ argvs of GATED, INVERSES and HEADS, which pin the refusal message of
 every polynomial verb, negative powers and division in rings with few
 units, and the messages of malformed context heads; then loop_argvs(),
 eval, series-invert, gcd and xgcd over the bases of LOOP_BASES, which
-have no kernel() record.  DIGESTS holds, one line per argv, the argv as
+have no kernel() record; then crt_argvs(), crt and interpolate over Z,
+Z[i], F_7[x], Q[x] and five fields, and the quotients of Q[x] by a few
+moduli of degree 2, 4 and 5.  DIGESTS holds, one line per argv, the argv as
 JSON, the exit code of main() and the sha256 of its stdout and of its
 stderr, tab-separated.  test_corpus.py replays every argv in-process and
 compares.
@@ -149,7 +151,7 @@ def argvs():
         out += [["eval", ctx, e] for e in exprs]
         out += [["inv", ctx, u] for u in units]
     out += [["eval", head, "1"] for head in HEADS]
-    return out + loop_argvs()
+    return out + loop_argvs() + crt_argvs()
 
 
 def _signed(rng, units):
@@ -214,6 +216,104 @@ def loop_argvs():
             out.append([rng.choice(["gcd", "xgcd"]), f"Poly({base})", a, b])
     return out
 
+
+
+def _word(text):
+    """text as an argv word: one that starts with "-" reads as an option,
+    so it is written as 0 minus the rest."""
+    return f"0{text}" if text.startswith("-") else text
+
+
+def _z_modulus(rng):
+    """Mostly prime powers, so that a system is often but not always
+    comaximal; sometimes 0, a unit, a negative or a large modulus."""
+    r = rng.random()
+    if r < 0.06:
+        return 0
+    if r < 0.11:
+        return rng.choice([1, -1])
+    if r < 0.16:
+        return rng.randint(10**5, 10**6)
+    m = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 31]) \
+        if r < 0.7 else rng.randint(2, 60)
+    return -m if rng.random() < 0.1 else m
+
+
+def _dense(rng, coeff, lo, hi):
+    """A coefficient list of degree lo..hi with a lead of 1."""
+    return "[" + ",".join([coeff(rng) for _ in range(rng.randint(lo, hi))]
+                          + ["1"]) + "]"
+
+
+def _q(rng):
+    return f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
+
+
+# base literal -> (a residue text, a modulus text) of crt over that base
+CRT_BASES = {
+    "Quad:-1": (lambda rng: _signed(rng, "i"),
+                lambda rng: _signed(rng, "i")),
+    "Poly(Fp:7)": (lambda rng: _dense(rng, lambda r: str(r.randrange(7)),
+                                      0, 3),
+                   lambda rng: _dense(rng, lambda r: str(r.randrange(7)),
+                                      1, 3)),
+    "Poly(Q)": (lambda rng: _dense(rng, _q, 0, 3),
+                lambda rng: _dense(rng, _q, 1, 3)),
+}
+# field literal -> a random element text, for interpolate
+INTERPOLATE_BASES = {
+    "Fp:7": lambda rng: str(rng.randrange(7)),
+    "Fp:101": lambda rng: str(rng.randrange(101)),
+    "Q": _q,
+    "QuadF:2": lambda rng: f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"
+                           f"{rng.randint(-3, 3):+d}*s",
+    "Quot(Fp:2,[1,1,1])": lambda rng: _bits(rng, 2),
+}
+# moduli of Quot(Q, m): x^4 + 1, x^4 + 2, x^4 + 4, x^5 + 3 and x^2 + 1
+Q_MODULI = ["[1,0,0,0,1]", "[2,0,0,0,1]", "[4,0,0,0,1]", "[3,0,0,0,0,1]",
+            "[1,0,1]"]
+
+
+def crt_argvs():
+    """crt, interpolate and the quotients of Q[x], from a generator of
+    their own, so the argvs above keep their order.  Every argv names
+    its pairs: crt with none reads them from stdin."""
+    rng = random.Random(SEED + 2)
+    out = []
+    for _ in range(40):
+        pairs = [f"{_word(str(rng.randint(-50, 50)))}:"
+                 f"{_word(str(_z_modulus(rng)))}"
+                 for _ in range(rng.randint(2, 6))]
+        out.append(["crt", "Z", *pairs])
+    for _ in range(10):  # pairwise coprime: powers of distinct primes
+        primes = rng.sample([2, 3, 5, 7, 11, 13, 17, 19], rng.randint(2, 6))
+        out.append(["crt", "Z", *(f"{rng.randint(0, 10**4)}:"
+                                  f"{p ** rng.randint(1, 4)}" for p in primes)])
+    for base, (residue, modulus) in CRT_BASES.items():
+        for _ in range(10):
+            moduli = [modulus(rng) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.2:  # a planted shared factor
+                moduli[-1] = f"({moduli[-1]})*({moduli[0]})"
+            out.append(["crt", base, *(f"{_word(residue(rng))}:{m}"
+                                       for m in moduli)])
+    for base, elem in INTERPOLATE_BASES.items():
+        for _ in range(5):
+            nodes = [_word(elem(rng)) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.2:
+                nodes.append(rng.choice(nodes))
+            out.append(["interpolate", base,
+                        *(f"{x}:{_word(elem(rng))}" for x in nodes)])
+    for base in ("Z", "Zn:12", "Quad:-1"):
+        out.append(["interpolate", base, "1:2", "3:4"])
+    for m in Q_MODULI:
+        out.append(["eval", f"Frac(Quot(Q,{m}))", "1/x"])
+        out.append(["eval", f"Frac(Quot(Q,{m}))", "(x+1)/(x^2+2)"])
+        for _ in range(2):
+            c = _dense(rng, lambda r: r.choice(["x", "1/2", "x^2-1"]), 1, 2)
+            a, b = (_dense(rng, lambda r: r.choice(["x", "1", "2/3", "x^3+x"]),
+                           1, 2) for _ in range(2))
+            out.append(["gcd", f"Poly(Quot(Q,{m}))", f"{a}*{c}", f"{b}*{c}"])
+    return out
 
 # (ctx, polynomial) operands of the polynomial verbs: over Z and Q, and
 # over the bases each verb refuses
