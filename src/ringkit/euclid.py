@@ -13,13 +13,16 @@ kernel's gcd / xgcd instead: the same remainder sequence on coefficient
 lists, by half-gcd on long operands (poly.py), with the same g, x and y.
 
 The CRT solver follows the idempotent recipe: for pairwise comaximal
-moduli m_1..m_r, each Bezout relation 1 = x*m_k + y*m_j yields
-t_j = y*m_j congruent to 1 mod m_k and 0 mod m_j; the product over
-j != k is an idempotent e_k picking out the k-th congruence, and
-x = sum b_k e_k solves the whole system modulo the product.
+moduli m_1..m_r with canonical product M, one Bezout relation
+x*m_k + y*r = g per modulus, with r = (M/m_k) mod m_k, gives
+e_k = y*(M/m_k)/g mod M, which is 1 mod m_k and 0 mod every other m_j,
+and x = sum b_k e_k solves the whole system modulo M.  A g that is not
+a unit sends the moduli to the pairwise gcd scan of are_comaximal,
+which names the first pair that shares a factor.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from .algebra import Element
 from .errors import (
@@ -58,6 +61,8 @@ def xgcd_payload(ctx, a, b):
 
 
 def _shared_euclidean_ctx(*elems):
+    if not elems:  # only the CRT passes no element
+        raise EmptySystem("no congruences given")
     ctx = elems[0].ctx
     for e in elems[1:]:
         if e.ctx != ctx:
@@ -110,77 +115,65 @@ def lcm(a, b):
     return Element(ctx, ctx.mul(ctx.canon_unit(m), m))
 
 
+def _shared_factor(ctx, vals):
+    """The first pair i < j of the payloads whose gcd is not a unit, with
+    that gcd; None when they are pairwise comaximal."""
+    for i, j in combinations(range(len(vals)), 2):
+        g = gcd_payload(ctx, vals[i], vals[j])
+        if not ctx.is_unit(g):
+            return i, j, g
+    return None
+
+
 def are_comaximal(elems):
     """Pairwise: do each two of these generate the unit ideal?"""
     elems = list(elems)
-    if len(elems) > 1:
-        _shared_euclidean_ctx(*elems)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            g = euclid_gcd(elems[i], elems[j])
-            if not g.is_unit():
-                return False
-    return True
+    if len(elems) < 2:
+        return True
+    ctx = _shared_euclidean_ctx(*elems)
+    return _shared_factor(ctx, [e.val for e in elems]) is None
 
 
-def _validated_moduli(moduli):
-    if not moduli:
-        raise EmptySystem("no congruences given")
+def _crt_basis(moduli):
+    """The context, the canonical product M of the moduli and their
+    idempotents reduced mod M, from one Bezout relation per modulus."""
     ctx = _shared_euclidean_ctx(*moduli)
+    vals = [m.val for m in moduli]
+    big = ctx.one
     for m in moduli:
         if ctx.is_zero(m.val) or ctx.is_unit(m.val):
             raise InvalidParameters(
                 f"modulus {m!r} must be a nonzero non-unit")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            g = gcd_payload(ctx, moduli[i].val, moduli[j].val)
-            if ctx.try_inverse(g) is None:
-                raise NotComaximal(
-                    f"moduli {moduli[i]!r} and {moduli[j]!r} share the "
-                    f"factor {ctx.show(g)}", i=i, j=j,
-                    gcd=Element(ctx, g))
-    return ctx
-
-
-def _modulus_product(ctx, moduli):
-    """The canonical associate of the product of the moduli."""
-    big = ctx.one
-    for m in moduli:
         big = ctx.mul(big, m.val)
-    return ctx.mul(ctx.canon_unit(big), big)
+    big = ctx.mul(ctx.canon_unit(big), big)
+    idems = []
+    for m in vals:
+        cof = ctx.divmod_(big, m)[0]
+        g, _, y = xgcd_payload(ctx, m, ctx.divmod_(cof, m)[1])
+        u = ctx.try_inverse(g)
+        if u is None:
+            i, j, g = _shared_factor(ctx, vals)
+            raise NotComaximal(
+                f"moduli {moduli[i]!r} and {moduli[j]!r} share the "
+                f"factor {ctx.show(g)}", i=i, j=j, gcd=Element(ctx, g))
+        idems.append(ctx.divmod_(ctx.mul(ctx.mul(y, cof), u), big)[1])
+    return ctx, big, idems
 
 
 def crt_idempotents(moduli):
     """Elements e_k = 1 mod m_k and = 0 mod m_j (j != k), reduced mod prod."""
-    moduli = list(moduli)
-    ctx = _validated_moduli(moduli)
-    big = _modulus_product(ctx, moduli)
-    out = []
-    for k, mk in enumerate(moduli):
-        e = ctx.one
-        for j, mj in enumerate(moduli):
-            if j == k:
-                continue
-            g, _, y = xgcd_payload(ctx, mk.val, mj.val)
-            u = ctx.inverse(g)
-            t = ctx.mul(ctx.mul(y, mj.val), u)
-            e = ctx.divmod_(ctx.mul(e, t), big)[1]
-        out.append(Element(ctx, e))
-    return out
+    ctx, _, idems = _crt_basis(list(moduli))
+    return [Element(ctx, e) for e in idems]
 
 
 def crt_solve(congruences):
     """Solve x = b_k mod m_k for comaximal moduli; returns (x, modulus)."""
     congruences = list(congruences)
-    if not congruences:
-        raise EmptySystem("no congruences given")
     residues = [b for b, _ in congruences]
     moduli = [m for _, m in congruences]
     ctx = _shared_euclidean_ctx(*residues, *moduli)
-    idems = crt_idempotents(moduli)
-    big = _modulus_product(ctx, moduli)
+    _, big, idems = _crt_basis(moduli)
     x = ctx.zero
     for b, e in zip(residues, idems):
-        x = ctx.add(x, ctx.mul(b.val, e.val))
-    x = ctx.divmod_(x, big)[1]
-    return Element(ctx, x), Element(ctx, big)
+        x = ctx.add(x, ctx.mul(b.val, e))
+    return Element(ctx, ctx.divmod_(x, big)[1]), Element(ctx, big)

@@ -145,6 +145,11 @@ def over_z_or_q(ctx):
         ctx.base, (IntegerRing, RationalField))
 
 
+def has_irreducibility_test(ctx):
+    """Is ctx, for irreducibility_pipeline, F_p[x], Z[x] or Q[x]?"""
+    return prime_kernel(ctx) is not None or over_z_or_q(ctx)
+
+
 def _gate(test, message):
     """The input check of the functions that take only elements whose
     context passes test: it returns f.ctx, else raises RingError(message)."""
@@ -213,6 +218,8 @@ def _equal_degree_split(ctx, g, d):
     monic irreducibles of degree d, split off by gcd(g, t) for random a,
     t = a^((p^d - 1)/2) - 1 for odd p and the trace a + a^2 + ... +
     a^(2^(d-1)) for p = 2.  Its random source is seeded from g."""
+    if len(g) - 1 == d:
+        return [g]
     K = prime_kernel(ctx)
     p = K.n
     rng = random.Random(repr(g))
@@ -674,7 +681,8 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     if isinstance(_ctx(f), QuadIntRing):
         return quad_irreducible_check(f)
     context_of(f, PolyRing, "no irreducibility test for {!r}")
-    base = f.ctx.base
+    if not has_irreducibility_test(f.ctx):
+        raise RingError(f"no irreducibility test over {f.ctx.base.name()}")
     if prime_kernel(f.ctx):
         deg = len(f.val) - 1
         if deg < 1:
@@ -683,8 +691,6 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
         if g is None:
             return _irr("exhaustive")
         return _red("trial-divisor", divisor=f.ctx.show(g))
-    if not over_z_or_q(f.ctx):
-        raise RingError(f"no irreducibility test over {base.name()}")
     prim = primitive_associate(f)
     deg = len(prim.val) - 1
     if deg < 1:

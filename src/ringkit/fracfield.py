@@ -4,9 +4,9 @@ Payload: a pair (num, den) of base payloads with den != 0.  When the
 base carries a Euclidean division (Z, polynomials over a field, the
 Gaussian integers, or any field) fractions are kept reduced with a
 canonical denominator, so payload equality is field equality.  Over
-other domains (multivariate polynomials, real quadratic rings) no
-canonical form is attempted: equality is decided by cross-multiplying,
-and such elements refuse to hash.
+other domains (multivariate polynomials, real quadratic rings) only 0
+and 1 have a canonical form, 0/1 and 1/1: equality is decided by
+cross-multiplying, and such elements refuse to hash.
 """
 
 from .algebra import FIELD, Element, OverBase
@@ -45,7 +45,11 @@ class FracField(OverBase):
         if base.is_field:
             # already the reduced form, with no gcd in the base
             return (base.mul(num, base.inverse(den)), base.one)
-        if not self.reduced or base.eq(den, base.one):
+        if not self.reduced:  # no gcd: only 0 and 1 get a canonical form
+            if base.is_zero(num):
+                return self.zero
+            return self.one if base.eq(num, den) else (num, den)
+        if base.eq(den, base.one):
             return (num, den)
         g = gcd_payload(base, num, den)
         if not base.is_zero(num):

@@ -791,19 +791,14 @@ class PolyRing(OverBase):
         return None if K is None else TowerKernel(K.n, m)
 
     def is_prime_element(self, m):
-        """Decided in degree 1, over F_p by Rabin's test and over Q in
-        degree 2 and 3 by the absence of a rational root; any other
-        modulus counts as not prime."""
-        from .factor import poly_is_irreducible_fp, rational_roots
-        from .number_rings import RationalField
-
+        """Degree 1 is prime, any other m when factor's irreducibility
+        pipeline, asked only where it has a test, proves it irreducible."""
         if len(m) == 2:
             return True
-        if prime_kernel(self):
-            return poly_is_irreducible_fp(Element(self, m))
-        if isinstance(self.base, RationalField) and len(m) in (3, 4):
-            return not rational_roots(Element(self, m))
-        return False
+        from . import factor
+
+        return factor.has_irreducibility_test(self) and \
+            factor.irreducibility_pipeline(Element(self, m)).is_irreducible
 
     def radical(self, m):
         """The product of the distinct prime factors of m, found without

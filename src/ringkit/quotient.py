@@ -16,7 +16,8 @@ hooks:
   * residues(m): one canonical payload per class, in a fixed order;
   * residue_characteristic(m): the additive order of 1 modulo m;
   * is_prime_element(m): whether (m) is prime, hence maximal, which
-    makes the quotient a field (and otherwise leaves it at level RING);
+    makes the quotient a field, else a RING; for F_p[x] and Q[x] the
+    verdict of factor.irreducibility_pipeline, INCONCLUSIVE counting no;
   * radical(m): a generator of the radical of (m) where the base finds
     one without factoring m (polynomials over F_p from their
     distinct-degree groups, in characteristic 0 from the gcd with the

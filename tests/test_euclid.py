@@ -181,3 +181,61 @@ def _prod(xs):
     for x in xs:
         out *= x
     return out
+
+
+# ------------------------------------------- one Bezout identity per modulus
+
+IDEMPOTENT_SYSTEMS = [
+    (ZZ, [4, 9, 25, 7, 11]),
+    (ZZ, [-8, 3]),
+    (GAUSSIAN, [(1, 1), (3, 0), (2, 1), (2, -1), (0, 7)]),
+    (P7, [(0, 1), (1, 1), (1, 0, 1), (3, 0, 0, 1)]),
+]
+
+
+@pytest.mark.parametrize("ctx, moduli", IDEMPOTENT_SYSTEMS)
+def test_crt_idempotents_pick_out_one_congruence_each(ctx, moduli):
+    ms = [ctx.element(m) for m in moduli]
+    _, big = crt_solve([(ctx.element(ctx.zero), m) for m in ms])
+    es = crt_idempotents(ms)
+    for k, e in enumerate(es):
+        assert ctx.divmod_(e.val, big.val)[1] == e.val
+        for j, m in enumerate(ms):
+            want = ctx.one if j == k else ctx.zero
+            assert ctx.divmod_(ctx.sub(e.val, want), m.val)[1] == ctx.zero
+
+
+@pytest.mark.parametrize("ctx, moduli", IDEMPOTENT_SYSTEMS)
+def test_crt_solve_takes_one_bezout_identity_per_modulus(
+        ctx, moduli, monkeypatch):
+    import ringkit.euclid
+
+    calls = []
+    real = ringkit.euclid.xgcd_payload
+
+    def counting(c, a, b):
+        calls.append(a)
+        return real(c, a, b)
+
+    monkeypatch.setattr(ringkit.euclid, "xgcd_payload", counting)
+    crt_solve([(ctx.element(ctx.one), ctx.element(m)) for m in moduli])
+    assert len(calls) == len(moduli)
+
+
+@given(st.lists(st.integers(2, 40), min_size=2, max_size=6))
+def test_crt_refusal_names_the_first_pair_that_shares_a_factor(moduli):
+    import math
+
+    shared = [(i, j) for i in range(len(moduli))
+              for j in range(i + 1, len(moduli))
+              if math.gcd(moduli[i], moduli[j]) > 1]
+    congs = [(ZZ.element(1), ZZ.element(m)) for m in moduli]
+    assert are_comaximal([m for _, m in congs]) == (not shared)
+    if not shared:
+        assert crt_solve(congs)[1].val == _prod(moduli)
+        return
+    with pytest.raises(NotComaximal) as exc:
+        crt_solve(congs)
+    i, j = shared[0]
+    assert (exc.value.i, exc.value.j) == (i, j)
+    assert exc.value.gcd.val == math.gcd(moduli[i], moduli[j])

@@ -25,7 +25,11 @@ from ringkit import (
     quotient_ring,
     units_of,
 )
-from ringkit.factor import poly_is_irreducible_fp, rational_roots
+from ringkit.factor import (
+    irreducibility_pipeline,
+    poly_is_irreducible_fp,
+    rational_roots,
+)
 from ringkit.intutil import is_prime
 from ringkit.number_rings import IntegerRing, RationalField
 from ringkit.poly import PolyRing
@@ -170,13 +174,13 @@ def test_modulus_primality_is_decided_once_per_context(monkeypatch):
     import ringkit.factor
 
     calls = []
-    real = ringkit.factor.poly_is_irreducible_fp
+    real = ringkit.factor.irreducibility_pipeline
 
     def counting(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(ringkit.factor, "poly_is_irreducible_fp", counting)
+    monkeypatch.setattr(ringkit.factor, "irreducibility_pipeline", counting)
     gf256 = quotient_ring(P2, P2.element([1, 1, 0, 1, 1, 0, 0, 0, 1]))
     R = poly_ring(gf256)
     a = R.element([[1, 1], [], [], [], [1], [0, 0, 1]])
@@ -281,6 +285,8 @@ def _ladder(Q):
             prime = poly_is_irreducible_fp(Element(base, m))
         elif isinstance(coeff, RationalField) and deg in (2, 3):
             prime = not rational_roots(Element(base, m))
+        elif isinstance(coeff, RationalField):
+            prime = irreducibility_pipeline(Element(base, m)).is_irreducible
         else:
             prime = False
         q = coeff.cardinality()
@@ -351,3 +357,42 @@ def test_gf25_over_a_quotient_of_z_is_a_field():
     assert gf25.is_field and gf25.is_euclidean
     assert len(units_of(gf25)) == 24
     assert not parse_context("Quot(Poly(Quot(Z,5)),[1,0,1])").is_field
+
+
+# ---------------------------- a quotient is a field when the pipeline says so
+
+def _has_monic_divisor(P, m):
+    """Brute force: a monic divisor of degree 1..deg(m)/2 over F_p."""
+    p = P.base.cardinality()
+    for d in range(1, (len(m) - 1) // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not P.divmod_(m, tail + (1,))[1]:
+                return True
+    return False
+
+
+@given(st.sampled_from([2, 3, 7]), st.integers(2, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fp_quotient_is_a_field_exactly_when_the_modulus_is_irreducible(
+        p, deg, data):
+    P = poly_ring(ModRing(p))
+    m = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=deg,
+                                 max_size=deg))) + (1,)
+    verdict = irreducibility_pipeline(P.element(m))
+    assert quotient_ring(P, m).is_field == verdict.is_irreducible
+    if deg <= 4:
+        assert verdict.is_irreducible == (not _has_monic_divisor(P, m))
+
+
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_q_quotient_is_a_field_exactly_when_the_pipeline_proves_it(tail):
+    sympy = pytest.importorskip("sympy")
+    PQ = poly_ring(QQ)
+    m = PQ.canon([Fraction(c) for c in tail] + [Fraction(1)])
+    verdict = irreducibility_pipeline(PQ.element(m))
+    assert quotient_ring(PQ, m).is_field == verdict.is_irreducible
+    if not verdict.is_inconclusive:
+        x = sympy.Symbol("x")
+        exact = sympy.Poly(list(reversed(m)), x, domain="QQ").is_irreducible
+        assert exact == verdict.is_irreducible
