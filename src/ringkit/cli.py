@@ -11,6 +11,11 @@ expression eval reads there: inv Zn:40 10+3 inverts 13.  Operands
 beginning with '-' that are not plain numbers should be
 preceded by '--' (the usual argparse convention) or rewritten, e.g.
 "0-x" for "-x".
+
+Each handler imports the payload modules it runs (factor, poly, euclid,
+matrix, series, quotient) when it runs, and parse_context imports the
+module of each head it reads, so a process compiles only what its verb
+and its context literal use: phi 16 never loads poly.
 """
 
 import argparse
@@ -19,20 +24,8 @@ import sys
 
 from .algebra import classify
 from .errors import ParseError, TooLarge
-from .euclid import crt_solve, euclid_gcd, extended_gcd, lcm
-from .factor import (
-    content,
-    factor_integer,
-    factor_poly_fp,
-    irreducibility_pipeline,
-    primitive_associate,
-    squarefree_part,
-    DEFAULT_PRIME_BOUND,
-    DEFAULT_SHIFT_BOUND,
-)
-from .intutil import MAX_DIGITS
+from .intutil import DEFAULT_PRIME_BOUND, DEFAULT_SHIFT_BOUND, MAX_DIGITS
 from .literals import parse_context
-from .matrix import MatrixRing, cramer_solve, mat_inverse
 from .number_rings import (
     HH,
     ZZ,
@@ -42,15 +35,6 @@ from .number_rings import (
     quad_norm,
 )
 from .parsing import group_items, split_top
-from .poly import PolyRing, lagrange_interpolate
-from .quotient import QuotientRing, ideal_divisor_lattice
-from .series import (
-    SeriesRing,
-    laurent_from_fraction,
-    laurent_show,
-    series_literal,
-    ts_invert,
-)
 
 
 # verb name -> (operand names, add_parser keywords, int options, handler)
@@ -98,6 +82,8 @@ def _ctx_elem(ctx_text, elem_text):
 def _poly_ctx(ctx_text):
     """The ctx operand of poly verbs names either the poly ring or its
     coefficients."""
+    from .poly import PolyRing
+
     ctx = parse_context(ctx_text)
     if isinstance(ctx, (PolyRing, QuadIntRing)):
         return ctx
@@ -107,6 +93,8 @@ def _poly_ctx(ctx_text):
 def _series_elem(ctx, text, flag_precision):
     """Resolve precision: literal ';N', then --precision, then the
     context's own."""
+    from .series import SeriesRing, series_literal
+
     literal = series_literal(text)
     prec = literal[1] if literal else None
     if prec is None:
@@ -126,13 +114,18 @@ def _series_elem(ctx, text, flag_precision):
 @verb("eval", "ctx", "expr", help="evaluate an expression in a context")
 def _h_eval(args):
     ctx = parse_context(args.ctx)
-    if args.verb == "quot-eval" and not isinstance(ctx, QuotientRing):
-        raise ParseError("quot-eval needs a Quot(...) context")
+    if args.verb == "quot-eval":
+        from .quotient import QuotientRing
+
+        if not isinstance(ctx, QuotientRing):
+            raise ParseError("quot-eval needs a Quot(...) context")
     return {"context": ctx.name(), "result": ctx.show(ctx.parse(args.expr))}
 
 
 @verb("gcd", "ctx", "a", "b")
 def _h_gcd(args):
+    from .euclid import euclid_gcd
+
     ctx = parse_context(args.ctx)
     a, b = ctx.parse_element(args.a), ctx.parse_element(args.b)
     return {"context": ctx.name(), "result": repr(euclid_gcd(a, b))}
@@ -140,6 +133,8 @@ def _h_gcd(args):
 
 @verb("xgcd", "ctx", "a", "b")
 def _h_xgcd(args):
+    from .euclid import extended_gcd
+
     ctx = parse_context(args.ctx)
     a, b = ctx.parse_element(args.a), ctx.parse_element(args.b)
     cert = extended_gcd(a, b)
@@ -154,6 +149,8 @@ def _h_xgcd(args):
 
 @verb("lcm", "ctx", "a", "b")
 def _h_lcm(args):
+    from .euclid import lcm
+
     ctx = parse_context(args.ctx)
     a, b = ctx.parse_element(args.a), ctx.parse_element(args.b)
     return {"context": ctx.name(), "result": repr(lcm(a, b))}
@@ -168,6 +165,8 @@ def _h_inv(args):
 @verb("crt", "ctx", "pairs...",
       help="residue:modulus pairs, or 'b mod m' lines on stdin")
 def _h_crt(args):
+    from .euclid import crt_solve
+
     ctx = parse_context(args.ctx)
     raw_pairs = list(args.pairs)
     congs = []
@@ -204,26 +203,33 @@ def _h_phi(args):
 
 @verb("factor-int", "n")
 def _h_factor_int(args):
+    from .factor import factor_integer
+
     return {"context": "Z", "result": str(factor_integer(ZZ.parse(args.n)))}
 
 
 def _poly_verb(name, fn):
-    """Register name as fn of one polynomial operand, printed by str."""
+    """Register name as factor.fn of one polynomial operand, printed by
+    str."""
     def handler(args):
+        from . import factor
+
         ctx = _poly_ctx(args.ctx)
-        return {"context": ctx.name(),
-                "result": str(fn(ctx.parse_element(args.poly)))}
+        return {"context": ctx.name(), "result": str(
+            getattr(factor, fn)(ctx.parse_element(args.poly)))}
     verb(name, "ctx", "poly")(handler)
 
 
-_poly_verb("factor-poly", factor_poly_fp)
-_poly_verb("content", content)
-_poly_verb("primassoc", primitive_associate)
+_poly_verb("factor-poly", "factor_poly_fp")
+_poly_verb("content", "content")
+_poly_verb("primassoc", "primitive_associate")
 
 
 @verb("sqfree", "ctx", "operand",
       help="squarefree part of an integer or polynomial")
 def _h_sqfree(args):
+    from .factor import squarefree_part
+
     ctx = parse_context(args.ctx)
     text = args.operand.strip()
     if not text.startswith("[") and ctx == ZZ:
@@ -236,6 +242,8 @@ def _h_sqfree(args):
 @verb("irreducible", "ctx", "poly", prime_bound=DEFAULT_PRIME_BOUND,
       shift_bound=DEFAULT_SHIFT_BOUND)
 def _h_irreducible(args):
+    from .factor import irreducibility_pipeline
+
     ctx = _poly_ctx(args.ctx)
     f = ctx.parse_element(args.poly)
     verdict = irreducibility_pipeline(
@@ -246,6 +254,8 @@ def _h_irreducible(args):
 @verb("interpolate", "ctx", "points...",
       help="node:value pairs over a field")
 def _h_interpolate(args):
+    from .poly import lagrange_interpolate
+
     ctx = parse_context(args.ctx)
     points = []
     for item in args.points:
@@ -260,6 +270,8 @@ def _h_interpolate(args):
 
 @verb("series-invert", "ctx", "series", precision=None)
 def _h_series_invert(args):
+    from .series import ts_invert
+
     ctx = parse_context(args.ctx)
     f = _series_elem(ctx, args.series, args.precision)
     return {"context": f.ctx.name(), "result": repr(ts_invert(f))}
@@ -267,6 +279,8 @@ def _h_series_invert(args):
 
 @verb("laurent", "ctx", "num", "den", precision=None)
 def _h_laurent(args):
+    from .series import laurent_from_fraction, laurent_show
+
     ctx = parse_context(args.ctx)
     num = _series_elem(ctx, args.num, args.precision)
     den = _series_elem(ctx, args.den, args.precision)
@@ -311,6 +325,8 @@ def _h_classify(args):
 
 
 def _matrix_in(ctx_text, matrix_text):
+    from .matrix import MatrixRing
+
     ctx = parse_context(ctx_text)
     if isinstance(ctx, MatrixRing):
         return ctx.parse_element(matrix_text)
@@ -322,12 +338,16 @@ def _matrix_in(ctx_text, matrix_text):
 
 @verb("mat-inv", "ctx", "matrix")
 def _h_mat_inv(args):
+    from .matrix import mat_inverse
+
     m = _matrix_in(args.ctx, args.matrix)
     return {"context": m.ctx.name(), "result": repr(mat_inverse(m))}
 
 
 @verb("cramer", "ctx", "matrix", "column")
 def _h_cramer(args):
+    from .matrix import cramer_solve
+
     m = _matrix_in(args.ctx, args.matrix)
     base = m.ctx.base
     items = group_items(args.column)
@@ -349,6 +369,8 @@ verb("quot-eval", "ctx", "expr")(_h_eval)
 
 @verb("ideal-lattice", "n")
 def _h_ideal_lattice(args):
+    from .quotient import ideal_divisor_lattice
+
     n = ZZ.parse(args.n)
     lattice = ideal_divisor_lattice(n)
     divisors = [d for d, _, _ in lattice]

@@ -41,7 +41,15 @@ from .errors import (
     ZeroInput,
 )
 from .euclid import gcd_payload
-from .intutil import divisors, factorize, is_prime, primes_up_to, within_budget
+from .intutil import (
+    DEFAULT_PRIME_BOUND,
+    DEFAULT_SHIFT_BOUND,
+    divisors,
+    factorize,
+    is_prime,
+    primes_up_to,
+    within_budget,
+)
 from .number_rings import (
     QQ,
     ZZ,
@@ -53,8 +61,6 @@ from .number_rings import (
 from .parsing import atomic_or_parenthesized
 from .poly import PolyRing, derivative, divrem_scaled, horner, prime_kernel
 
-DEFAULT_PRIME_BOUND = 50
-DEFAULT_SHIFT_BOUND = 10
 REDUCTION_PRIME_COUNT = 10
 
 

@@ -18,6 +18,9 @@ from .errors import TooLarge
 BUDGET = 10**6
 # decimal digits of an int read or printed: 10^5 print in about 0.15 s
 MAX_DIGITS = BUDGET // 10
+# the irreducibility pipeline's Eisenstein search: primes and shifts up to
+DEFAULT_PRIME_BOUND = 50
+DEFAULT_SHIFT_BOUND = 10
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # steps of Pollard's rho between two gcds

@@ -8,12 +8,14 @@ Fp: insists on a prime modulus where Zn: takes any n >= 1, so a context
 literal documents whether field structure is being relied on.  Any
 mathematically invalid parameter inside a literal (composite Fp, a
 non-squarefree d, a unit modulus) is reported as a parse error: the
-literal, not the arithmetic, is what is wrong.
+literal, not the arithmetic, is what is wrong.  A literal over the work
+budget (a context too wide, a modulus too costly to test) raises
+TooLarge, as the same work does anywhere else.
 """
 
-from .errors import ParseError, RingError
-from .fracfield import FracField
-from .matrix import MatrixRing
+import importlib
+
+from .errors import ParseError, RingError, TooLarge
 from .number_rings import (
     HH,
     QQ,
@@ -22,16 +24,17 @@ from .number_rings import (
     QuadFieldRing,
     QuadIntRing,
 )
-from .poly import PolyRing
-from .quotient import QuotientRing
-from .series import SeriesRing
-from .algebra import ProductRing
 
 
-# heads of one context argument, and of a context and one int
-_UNARY = {"Poly": PolyRing, "Frac": FracField}
-_SIZED = {"Series": (SeriesRing, "precision"),
-          "Mat": (MatrixRing, "dimension")}
+# heads of one context argument, and of a context and one int: the
+# module and class each names, imported when a literal uses the head
+_UNARY = {"Poly": ("poly", "PolyRing"), "Frac": ("fracfield", "FracField")}
+_SIZED = {"Series": ("series", "SeriesRing", "precision"),
+          "Mat": ("matrix", "MatrixRing", "dimension")}
+
+
+def _head(module, name):
+    return getattr(importlib.import_module("." + module, __package__), name)
 
 
 def _int(text, what):
@@ -45,7 +48,7 @@ def parse_context(text):
     """Parse a ring-context literal into a RingContext."""
     try:
         return _parse(text.strip())
-    except ParseError:
+    except (ParseError, TooLarge):
         raise
     except RingError as e:
         raise ParseError(str(e))
@@ -78,13 +81,16 @@ def _parse(text):
     if head in _UNARY:
         if len(args) != 1:
             raise ParseError(f"{head} takes one context argument")
-        return _UNARY[head](_parse(args[0].strip()))
+        return _head(*_UNARY[head])(_parse(args[0].strip()))
     if head in _SIZED:
-        kind, what = _SIZED[head]
+        module, name, what = _SIZED[head]
         if len(args) != 2:
             raise ParseError(f"{head} takes a context and a {what}")
-        return kind(_parse(args[0].strip()), _int(args[1], what))
+        inner = _parse(args[0].strip())
+        return _head(module, name)(inner, _int(args[1], what))
     if head == "Quot":
+        from .quotient import QuotientRing
+
         if len(args) != 2:
             raise ParseError("Quot takes a context and a modulus literal")
         base = _parse(args[0].strip())
@@ -96,10 +102,14 @@ def _parse(text):
         except ParseError:
             if not mod.startswith("["):
                 raise
+            from .poly import PolyRing
+
             base = PolyRing(base)
             m = base.parse(mod)
         return QuotientRing(base, m)
     if head == "Prod":
+        from .algebra import ProductRing
+
         if len(args) < 2:
             raise ParseError("Prod takes at least two context arguments")
         return ProductRing(_parse(a.strip()) for a in args)

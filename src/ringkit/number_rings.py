@@ -16,6 +16,7 @@ Euclidean hooks; its canonical gcd representative is the associate in
 the first quadrant (positive real part, nonnegative imaginary part).
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -36,7 +37,16 @@ from .errors import (
     RingError,
 )
 from .intutil import factorize, is_prime, is_squarefree
-from .poly import int_kernel
+
+
+@functools.cache
+def _poly():
+    """ringkit.poly, imported on first use: a process that builds no
+    polynomial ring never compiles it.  Cached, because an import
+    statement costs more than building a kernel."""
+    from . import poly
+
+    return poly
 
 
 class IntegerRing(RingContext):
@@ -46,7 +56,7 @@ class IntegerRing(RingContext):
     signed = True
 
     def __init__(self):
-        self._kernel = int_kernel(0)
+        self._kernel = None
 
     def _key(self):
         return ("Z",)
@@ -86,6 +96,11 @@ class IntegerRing(RingContext):
         return 0
 
     def kernel(self):
+        # built on first use, and kept in a plain attribute: a
+        # cached_property's write through __dict__ would slow every
+        # later attribute read on the context
+        if self._kernel is None:
+            self._kernel = _poly().int_kernel(0)
         return self._kernel
 
     def divmod_(self, a, b):
@@ -113,7 +128,7 @@ class IntegerRing(RingContext):
         return m
 
     def residue_kernel(self, m):
-        return int_kernel(m)
+        return _poly().int_kernel(m)
 
     def is_prime_element(self, m):
         return is_prime(m)
@@ -188,7 +203,7 @@ class ModRing(RingContext):
             raise InvalidParameters(f"modulus must be a positive integer, got {n!r}")
         self.n = n
         self.level = FIELD if is_prime(n) else RING
-        self._kernel = int_kernel(n)
+        self._kernel = None
 
     def _key(self):
         return ("Mod", self.n)
@@ -244,6 +259,9 @@ class ModRing(RingContext):
         return self.n
 
     def kernel(self):
+        # built on first use, as IntegerRing's
+        if self._kernel is None:
+            self._kernel = _poly().int_kernel(self.n)
         return self._kernel
 
     def cardinality(self):

@@ -396,17 +396,65 @@ def test_ring_pow_squares_only_while_bits_remain(n, muls):
     assert ctx.muls == muls
 
 
+PUBLIC_NAMES = [
+    "BezoutCert", "Classification", "ConstantPolynomial",
+    "ConstantTermNotUnit", "ContextMismatch", "ContextNotEuclidean",
+    "DegreeDrops", "DegreeOutOfRange",
+    "DenominatorIndistinguishableFromZero", "DeterminantNotUnit",
+    "DivisionByZero", "DuplicateNode", "Element", "EmptySystem",
+    "Factorization", "FactorsMismatch", "FracField", "GAUSSIAN", "HH",
+    "InfiniteRing", "IntegerRing", "InvalidParameters",
+    "IrreducibilityVerdict", "LaurentSeries", "MatrixRing",
+    "MissingVariable", "ModRing", "MultiPolyRing", "NotADomain",
+    "NotAField", "NotARoot", "NotComaximal", "NotInvertible",
+    "NotPrimeCharacteristic", "NotPrimitive", "OrderVal", "ParseError",
+    "PolyRing", "ProductRing", "QQ", "QuadFieldRing", "QuadIntRing",
+    "QuaternionAlgebra", "QuotientRing", "RingContext", "RingError",
+    "SeriesRing", "ShapeMismatch", "TooLarge", "VariableCollision", "ZZ",
+    "ZeroDenominator", "ZeroInput", "ZeroPolynomial", "adjugate",
+    "are_comaximal", "characteristic", "classify", "content",
+    "cramer_solve", "crt_idempotents", "crt_solve", "degree", "degree_in",
+    "dehomogenize", "derivative", "det", "divrem_field", "divrem_scaled",
+    "eisenstein_check", "eisenstein_translate_search",
+    "enumerate_elements", "euclid_gcd", "euler_phi", "extended_gcd",
+    "factor_integer", "factor_poly_fp", "factor_theorem_split", "frac_den",
+    "frac_embed", "frac_field", "frac_make", "frac_num", "frobenius",
+    "fundamental_unit_search", "gaussian_divmod", "gcd_many",
+    "homogeneous_components", "homogenize", "ideal_divisor_lattice",
+    "idempotents_of", "imaginary_unit_group", "int_scale",
+    "irreducibility_pipeline", "is_homogeneous", "iso_check_crt",
+    "lagrange_interpolate", "laurent_from_fraction", "laurent_show", "lcm",
+    "leading_coefficient", "low_degree_test", "mat_inverse", "matrix_ring",
+    "monic_irreducibles", "mv_eval", "mv_ring", "nilpotents_of",
+    "parse_context", "poly_eval", "poly_is_irreducible_fp", "poly_ring",
+    "primitive_associate", "primitive_part", "pythagorean_triple",
+    "q_cardinality", "q_inverse", "q_is_unit", "q_lift", "q_reduce",
+    "quad_conj", "quad_inverse", "quad_irreducible_check", "quad_is_unit",
+    "quad_norm", "quat_conj", "quat_from_pair", "quat_inverse",
+    "quat_norm_sq", "quotient_ring", "rational_roots",
+    "reduction_mod_p_check", "ring_pow", "roots_over_finite",
+    "scaling_check", "series_ring", "squarefree_part",
+    "sum_of_two_squares", "total_degree", "trace", "transpose", "ts_add",
+    "ts_invert", "ts_mul", "ts_ord", "ts_truncate", "units_of",
+    "variables_of", "verify_certificate", "zero_divisors_of"
+]
+
+
 def test_all_is_the_public_names_of_the_package():
     import types
 
     import ringkit
 
-    for name in ringkit.__all__:
+    assert ringkit.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
         assert not isinstance(getattr(ringkit, name), types.ModuleType)
+    assert set(PUBLIC_NAMES) <= set(dir(ringkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ringkit.no_such_name
     namespace = {}
     exec("from ringkit import *", namespace)
     namespace.pop("__builtins__")
-    assert sorted(namespace) == sorted(ringkit.__all__)
+    assert sorted(namespace) == PUBLIC_NAMES
 
 
 # -- result records ---------------------------------------------------------
@@ -453,7 +501,10 @@ def test_result_records_are_immutable():
             rec.extra = 1
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
+def _modules_after(script):
+    """The ringkit submodules, and any of dataclasses and inspect, that a
+    fresh interpreter holds once script has run."""
+    import json
     import os
     import subprocess
     import sys
@@ -462,12 +513,55 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ringkit.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ringkit.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-c", script + "\nimport json, sys\nprint(json.dumps("
+         "sorted(m.removeprefix('ringkit.') for m in sys.modules "
+         "if m.startswith('ringkit.') or m in ('dataclasses', 'inspect'))))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+# what a verb loads beside its own payload modules: the front end, the
+# context-literal grammar, and the numeric contexts with what they import
+CLI_CORE = {"algebra", "cli", "errors", "intutil", "literals",
+            "number_rings", "parsing"}
+VERB_MODULES = [
+    (["phi", "16"], CLI_CORE),
+    (["quat-mul", "i", "j"], CLI_CORE),
+    (["inv", "Zn:40", "13"], CLI_CORE),
+    (["classify", "Zn:6"], CLI_CORE),
+    (["gcd", "Z", "252", "198"], CLI_CORE | {"euclid"}),
+    (["crt", "Z", "3:4", "8:13"], CLI_CORE | {"euclid"}),
+    (["mat-inv", "Zn:9", "[[2,5],[8,6]]"], CLI_CORE | {"matrix"}),
+    (["series-invert", "Fp:5", "[1,2,3;6]"], CLI_CORE | {"poly", "series"}),
+    (["irreducible", "Q", "[-9,26,16,6,1]"],
+     CLI_CORE | {"euclid", "factor", "poly"}),
+]
+
+
+def test_importing_ringkit_loads_no_submodule():
+    assert _modules_after("import ringkit") == set()
+
+
+@pytest.mark.parametrize("argv, modules", VERB_MODULES,
+                         ids=[" ".join(argv) for argv, _ in VERB_MODULES])
+def test_each_verb_loads_only_the_modules_it_runs(argv, modules):
+    assert _modules_after(
+        f"import ringkit.cli\nringkit.cli.main({argv!r})") == modules
+
+
+def test_no_verb_loads_multivar():
+    # the golden transcripts run every verb; multivar is the library's
+    # alone, and the CLI never pays for it
+    from ringkit.cli import _VERBS
+    from test_cli import GOLDEN
+
+    argvs = [argv for argv, _ in GOLDEN]
+    assert {argv[0] for argv in argvs} == set(_VERBS)
+    loaded = _modules_after(
+        f"import ringkit.cli\nfor a in {argvs!r}: ringkit.cli.main(a)")
+    assert "multivar" not in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def _nilpotent_by_orbit(ctx, a):

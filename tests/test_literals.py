@@ -4,7 +4,7 @@ import pytest
 
 from ringkit import RingError, parse_context
 from ringkit.algebra import OverBase
-from ringkit.errors import ParseError
+from ringkit.errors import ParseError, TooLarge
 from ringkit.poly import PolyRing
 
 from test_algebra import FLAG_TABLE, _build
@@ -82,12 +82,23 @@ def test_rejected_constructor_literals():
         "Quot(Z,0)",
         "Quot(Z,1)",
         "Mat(Z,0)",
-        "Mat(Z,32)",
         "Frac(Zn:6)",
         "",
     ):
         with pytest.raises(ParseError):
             parse_context(text)
+
+
+@pytest.mark.parametrize("text, what", [
+    ("Mat(Z,32)", "Berkowitz steps for 32 x 32 matrices: 1048576"),
+    ("Series(Z,99999999)", "series coefficients: 99999999"),
+    ("Poly(" * 100 + "Z" + ")" * 100, "brackets nested deeper than 64"),
+], ids=["matrices", "series", "nesting"])
+def test_literals_over_the_budget_raise_too_large(text, what):
+    # the literal is well formed; the work it asks for is refused
+    with pytest.raises(TooLarge) as exc:
+        parse_context(text)
+    assert str(exc.value).startswith(what)
 
 
 def test_parse_errors_are_distinct_from_ring_errors():
