@@ -7,10 +7,12 @@ unique representatives: nonnegative in Z, monic for polynomials, in the
 first quadrant for Gaussian integers, with gcd(0, 0) = 0.
 
 gcd_payload and xgcd_payload run the remainder loop through the context's
-divmod_.  A context whose euclid_kernel() is not None (a polynomial ring
-over F_p, Quot(Z, p) or F_p[y]/(m) a field) hands its payloads to that
-kernel's gcd / xgcd instead: the same remainder sequence on coefficient
-lists, by half-gcd on long operands (poly.py), with the same g, x and y.
+divmod_.  A context whose euclid_kernel() is not None hands its payloads
+to that kernel's gcd / xgcd instead, with the same g, x and y: Z runs
+the loop below on plain ints; a polynomial ring over F_p, Quot(Z, p) or
+F_p[y]/(m) a field runs the same remainder sequence on coefficient
+lists, by half-gcd on long operands, and Q[x] the primitive
+pseudo-remainder sequence on integer numerators (poly.py).
 
 The CRT solver follows the idempotent recipe: for pairwise comaximal
 moduli m_1..m_r with canonical product M, one Bezout relation

@@ -49,6 +49,27 @@ def _poly():
     return poly
 
 
+class _IntEuclid:
+    """Euclid over Z on the ints themselves: xgcd_payload's loop with
+    IntegerRing's remainders and sign, so g, x and y are the ones that
+    loop gives through the context."""
+
+    gcd = staticmethod(math.gcd)
+
+    @staticmethod
+    def xgcd(a, b):
+        s0, s1, t0, t1 = 1, 0, 0, 1
+        while b:
+            q, r = divmod(a, b)
+            if r < 0:  # IntegerRing.divmod_'s remainder, 0 <= r < |b|
+                q += 1
+                r -= b
+            a, b = b, r
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        return (-a, -s0, -t0) if a < 0 else (a, s0, t0)
+
+
 class IntegerRing(RingContext):
     """The rational integers with ordinary division-with-remainder."""
 
@@ -113,6 +134,9 @@ class IntegerRing(RingContext):
             r -= b
         return q, r
 
+    def euclid_kernel(self):
+        return _IntEuclid
+
     def canon_unit(self, a):
         return -1 if a < 0 else 1
 
@@ -142,6 +166,9 @@ class RationalField(RingContext):
 
     level = FIELD
     signed = True
+
+    def __init__(self):
+        self._kernel = None
 
     def _key(self):
         return ("Q",)
@@ -183,6 +210,12 @@ class RationalField(RingContext):
 
     def characteristic(self):
         return 0
+
+    def kernel(self):
+        # as IntegerRing.kernel
+        if self._kernel is None:
+            self._kernel = _poly().RatKernel()
+        return self._kernel
 
     def literal(self, text):
         """A rational number as Fraction reads it: 2/3, -4, 1.5."""

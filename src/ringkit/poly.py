@@ -16,9 +16,9 @@ and reports the scaling exponent.
 
 PolyRing and SeriesRing hand each sum, negative, product, division and
 series inverse to the kernel record of their base in one call
-(base_kernel).  There are four records, all on lists of coefficients.
+(base_kernel).  There are five records, all on lists of coefficients.
 A base whose payloads the dense algorithms read directly returns one of
-the first three from its kernel() hook, and int_kernel(n) picks the
+the first four from its kernel() hook, and int_kernel(n) picks the
 first or second:
 
   * IntKernel(n) for Z/n and Z (n = 0), Quot(Z, n) among them: a
@@ -33,23 +33,31 @@ first or second:
   * TowerKernel(p, m) for F_p[y]/(m): two-level Kronecker substitution,
     three products of ints in all, with every coefficient reduced mod m
     by one packed Barrett step; sums and negatives on the ints mod p.
+  * RatKernel for Q, its payloads Fractions: a product, division, gcd
+    or xgcd takes its operands once to integer numerators over a common
+    denominator, computes on those ints and builds one Fraction per
+    coefficient it returns.  Products are IntKernel(0)'s; division is a
+    scaled pseudo-division, and gcd and xgcd the primitive
+    pseudo-remainder sequence (Collins 1967, Brown and Traub 1971) on
+    the same step.
   * LoopKernel(base) for every other base: the schoolbook loops and the
     series recurrence, one base call per coefficient operation.
 
-The dense records share the rest (Kernel), F2Kernel's four methods
-aside.  Series invert by Newton iteration, from the recurrence below
-NEWTON_MIN over Z/n.  Division multiplies by a Newton inverse of the
-reversed divisor, which the kernel keeps for its last divisor, so a
-chain of reductions mod one f computes it once; over F_p short division
-runs below NEWTON_MIN.  Over a field other than F_2 the Euclidean
-remainder sequence (gcd, xgcd, which euclid reaches through
-euclid_kernel()) runs from HGCD_MIN coefficients by the half-gcd of
-Thull and Yap (von zur Gathen and Gerhard, Modern Computer Algebra,
-11.1): about half of the remaining steps at once, as a 2x2 transition
-matrix from two recursive calls of half the size, in O(M(n) log n)
-instead of O(n^2) coefficient operations, with the quotients,
-remainders and cofactors of the classical loop.  factor.py's distinct-
-and equal-degree loops call the kernel of F_p (prime_kernel) directly.
+The dense records share the rest (Kernel), the methods F2Kernel and
+RatKernel give themselves aside.  Series invert by Newton iteration,
+from the recurrence below NEWTON_MIN over Z/n.  Division multiplies by
+a Newton inverse of the reversed divisor, which the kernel keeps for
+its last divisor, so a chain of reductions mod one f computes it once;
+over F_p short division runs below NEWTON_MIN.  Over a field other
+than F_2 and Q the Euclidean remainder sequence (gcd, xgcd, which
+euclid reaches through euclid_kernel()) runs from HGCD_MIN coefficients
+by the half-gcd of Thull and Yap (von zur Gathen and Gerhard, Modern
+Computer Algebra, 11.1): about half of the remaining steps at once, as
+a 2x2 transition matrix from two recursive calls of half the size, in
+O(M(n) log n) instead of O(n^2) coefficient operations, with the
+quotients, remainders and cofactors of the classical loop.  factor.py's
+distinct- and equal-degree loops call the kernel of F_p (prime_kernel)
+directly.
 This module alone chooses among the dense algorithms; the *_MIN
 constants are the measured crossovers.
 """
@@ -58,6 +66,7 @@ import itertools
 import math
 import operator
 import struct
+from fractions import Fraction
 
 from .algebra import (
     DOMAIN,
@@ -523,6 +532,116 @@ def _tower_pack(a, k, w):
     del flat[len(flat) - k + 1:]
     flat.reverse()
     return _pack(flat, w)
+
+
+# -- Q[x] on integer numerators: rows of int lists, a remainder first and
+#    its cofactors after it
+
+def _pseudo_reduce(u, v):
+    """(S, r, cofactors) of the row S u - Q v, where Q takes the top term of
+    the remainder of u by v's first entry b, one term c x^k at a time, and
+    before each step u is scaled by lc(b) / gcd(c, lc(b)), which keeps the
+    step exact on ints; S is the product of those scales, and r the
+    remainder, below the degree of b."""
+    r, *cof = map(list, u)
+    b, *vcof = v
+    lc, db = b[-1], len(b) - 1
+    low = b[:db]
+    S = 1
+    for k in range(len(r) - len(b), -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = math.gcd(c, lc)
+        if g != lc:
+            s = lc // g
+            S *= s
+            r = [s * x for x in r]
+            cof = [[s * x for x in w] for w in cof]
+        c //= g
+        r[k:] = [x - c * y for x, y in zip(r[k:], low)]
+        for w, z in zip(cof, vcof):
+            w += [0] * (k + len(z) - len(w))
+            w[k:k + len(z)] = [x - c * y for x, y in zip(w[k:], z)]
+    return S, _trim(r), [_trim(w) for w in cof]
+
+
+def _primitive_prs(u, v):
+    """The last row with a nonzero remainder of the sequence u, v,
+    (S u - Q v) / content, ...: the primitive pseudo-remainder sequence of
+    Collins (1967) and Brown-Traub (1971), each row divided by the gcd of
+    all its entries, so it is the least integer multiple of the row of the
+    classical remainder sequence over Q, cofactors included."""
+    while v[0]:
+        _, r, cof = _pseudo_reduce(u, v)
+        row = [r, *cof]
+        c = math.gcd(*itertools.chain(*row))
+        u, v = v, row if c == 1 else [[x // c for x in w] for w in row]
+    return u
+
+
+def _numerators(a):
+    """(ints, d): the coefficients of a times their least common
+    denominator d."""
+    d = math.lcm(*[c.denominator for c in a])
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
+class RatKernel(Kernel):
+    """Q, payloads Fractions: a product, division, gcd or xgcd takes its
+    operands to ints over a common denominator once, computes on the ints
+    and builds one Fraction per coefficient it returns.  Products are
+    IntKernel(0)'s; division is the scaled pseudo-division of
+    _pseudo_reduce, and gcd and xgcd the primitive remainder sequence on
+    the same step, with the classical loop's monic gcd and least-degree
+    cofactors."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def __init__(self):
+        self.ints = IntKernel(0)
+
+    def mul(self, a, b, keep=None):
+        (A, da), (B, db) = _numerators(a), _numerators(b)
+        d = da * db
+        return [Fraction(c, d) for c in self.ints.mul(A, B, keep)]
+
+    def add(self, a, b):
+        # one Fraction sum per coefficient: as fast as the ints over a
+        # common denominator, which grows with every distinct denominator
+        return _trim([x + y for x, y in
+                      itertools.zip_longest(a, b, fillvalue=0)])
+
+    def neg(self, a):
+        return [-c for c in a]
+
+    def invert(self, c):
+        return Fraction(c.denominator, c.numerator) if c else None
+
+    def divmod(self, a, b, memo=True):
+        """S A = Q B + R on the numerators A = da a, B = db b: the row
+        (A, 0) less Q times (B, -1) is (R, Q)."""
+        if len(a) < len(b):
+            return [], list(a)
+        (A, da), (B, db) = _numerators(a), _numerators(b)
+        S, r, (q,) = _pseudo_reduce([A, []], [B, [-1]])
+        d = S * da
+        return [Fraction(x * db, d) for x in q], [Fraction(x, d) for x in r]
+
+    def gcd(self, a, b):
+        r, = _primitive_prs([_numerators(a)[0]], [_numerators(b)[0]])
+        return tuple(Fraction(x, r[-1]) for x in r)
+
+    def xgcd(self, a, b):
+        """The rows (A, 1, 0) and (B, 0, 1) on the numerators A = da a and
+        B = db b: the last (r, s, t) gives g = r / lc(r), x = da s / lc(r)
+        and y = db t / lc(r), and (0, 1, 0) for a = b = 0."""
+        (A, da), (B, db) = _numerators(a), _numerators(b)
+        r, s, t = _primitive_prs([A, [1], []], [B, [], [1]])
+        lc = r[-1] if r else 1
+        return (tuple(Fraction(x, lc) for x in r),
+                tuple(Fraction(x * da, lc) for x in s),
+                tuple(Fraction(x * db, lc) for x in t))
 
 
 class LoopKernel(Kernel):

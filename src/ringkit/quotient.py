@@ -42,8 +42,6 @@ force, within the work budget: the factors must multiply to n, and the
 residue map is checked for bijectivity on all of Z/n.
 """
 
-import functools
-
 from .algebra import FIELD, RING, Element, OverBase, payload_in
 from .errors import (
     ContextNotEuclidean,
@@ -54,6 +52,9 @@ from .errors import (
 )
 from .euclid import gcd_payload, xgcd_payload
 from .intutil import divisors, factorize, within_budget
+
+
+_UNSET = object()
 
 
 class QuotientRing(OverBase):
@@ -70,6 +71,11 @@ class QuotientRing(OverBase):
         if base.is_unit(m):
             raise InvalidParameters("modulus must not be a unit")
         self.modulus = base.mul(base.canon_unit(m), m)
+        # filled when first asked (a tower inverts m, primality may run the
+        # irreducibility pipeline), into plain attributes: a
+        # functools.cached_property's write through __dict__ would slow
+        # every later attribute read and method call on the ring
+        self._level = self._radical = self._kernel = _UNSET
 
     def _key(self):
         return ("Quot", self.base, self.modulus)
@@ -82,10 +88,13 @@ class QuotientRing(OverBase):
 
     lift = _reduce
 
-    @functools.cached_property
+    @property
     def level(self):
         # in these principal ideal contexts nonzero primes are maximal
-        return FIELD if self.base.is_prime_element(self.modulus) else RING
+        if self._level is _UNSET:
+            self._level = FIELD if self.base.is_prime_element(
+                self.modulus) else RING
+        return self._level
 
     @property
     def zero(self):
@@ -124,12 +133,9 @@ class QuotientRing(OverBase):
             return None
         return self._reduce(self.base.mul(x, u))
 
-    @functools.cached_property
-    def _radical(self):
-        # base.radical(m), asked once per ring
-        return self.base.radical(self.modulus)
-
     def is_nilpotent(self, a):
+        if self._radical is _UNSET:
+            self._radical = self.base.radical(self.modulus)
         if self._radical is None:
             return super().is_nilpotent(a)
         return self.base.is_zero(self.base.divmod_(a, self._radical)[1])
@@ -145,13 +151,9 @@ class QuotientRing(OverBase):
             raise InfiniteRing(f"{self.name()} is not finite")
         return self.base.residues(self.modulus)
 
-    @functools.cached_property
-    def _kernel(self):
-        # when first asked: a tower inverts m, which a quotient that no
-        # polynomial or series ring is built on never needs
-        return self.base.residue_kernel(self.modulus)
-
     def kernel(self):
+        if self._kernel is _UNSET:
+            self._kernel = self.base.residue_kernel(self.modulus)
         return self._kernel
 
     def show(self, a):

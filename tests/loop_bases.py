@@ -1,13 +1,15 @@
-"""Oracle bases for the kernels over Z, Z/n and F_p[y]/(m).
+"""Oracle bases for the kernels over Z, Q, Z/n and F_p[y]/(m).
 
-LoopMod and LoopZ are ModRing and IntegerRing, and LoopQuot is
-QuotientRing, with the kernel() hook off, so polynomial and series rings
-over them run poly.LoopKernel, the coefficient loops, at every size; the
-kernel tests compare against them.
+LoopMod, LoopZ and LoopQ are ModRing, IntegerRing and RationalField, and
+LoopQuot is QuotientRing, with the kernel() hook off, so polynomial and
+series rings over them run poly.LoopKernel, the coefficient loops, at
+every size, and gcd and xgcd over Q[x] the loop of euclid.xgcd_payload;
+LoopZ has no euclid_kernel() either, so Euclid over it runs that loop
+through the context.  The kernel tests compare against them.
 """
 
 from ringkit import ModRing, ZZ
-from ringkit.number_rings import IntegerRing
+from ringkit.number_rings import IntegerRing, RationalField
 from ringkit.poly import PolyRing
 from ringkit.quotient import QuotientRing
 
@@ -20,6 +22,14 @@ class LoopMod(ModRing):
 
 
 class LoopZ(IntegerRing):
+    def kernel(self):
+        return None
+
+    def euclid_kernel(self):
+        return None
+
+
+class LoopQ(RationalField):
     def kernel(self):
         return None
 

@@ -192,9 +192,11 @@ def test_only_dense_prime_field_polynomials_take_the_int_lists():
     assert R.euclid_kernel() is R.base_kernel is R.base.kernel()
     assert R.euclid_kernel().n == 101
     for ctx in (poly_ring(LoopMod(101)), poly_ring(ModRing(12)),
-                poly_ring(ZZ), poly_ring(QQ), series_ring(ModRing(7), 1),
-                ModRing(7)):
+                poly_ring(ZZ), series_ring(ModRing(7), 1), ModRing(7)):
         assert ctx.euclid_kernel() is None
+    # Q[x] has a kernel of its own, which is no F_p kernel
+    assert type(poly_ring(QQ).euclid_kernel()) is ringkit.poly.RatKernel
+    assert ringkit.poly.prime_kernel(poly_ring(QQ)) is None
     # a one-term series window over F_7 is a field whose payloads are
     # never stripped: its gcds stay on the generic loop
     S = series_ring(ModRing(7), 1)

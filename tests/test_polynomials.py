@@ -43,13 +43,14 @@ from ringkit.poly import (
     Kernel,
     LoopKernel,
     PolyRing,
+    RatKernel,
     kron_mul,
 )
 
 from ringkit.euclid import xgcd_payload
 from ringkit.number_rings import RationalField
 from ringkit.series import SeriesRing
-from loop_bases import LoopMod, dense_and_loop_bases
+from loop_bases import LoopMod, LoopQ, dense_and_loop_bases
 
 PZ = poly_ring(ZZ)
 P7 = poly_ring(ModRing(7))
@@ -278,22 +279,26 @@ def test_dense_products_match_the_coefficient_loops(case):
         assert dense._strip(kron_mul(a, b, n)) == want
 
 
-def test_loop_bases_reach_no_dense_kernel(monkeypatch):
+@pytest.mark.parametrize("loop_base, dense_base, top", [
+    (LoopMod(101), ModRing(101), 90), (LoopQ(), QQ, 40)], ids=["Fp", "Q"])
+def test_loop_bases_reach_no_dense_kernel(loop_base, dense_base, top,
+                                          monkeypatch):
     # above NEWTON_MIN, where the dense kernels divide and invert by Newton
-    P, S = PolyRing(LoopMod(101)), SeriesRing(LoopMod(101), 2 * NEWTON_MIN)
-    dense = PolyRing(ModRing(101))
+    prec = 2 * NEWTON_MIN
+    P, S = PolyRing(loop_base), SeriesRing(loop_base, prec)
+    dense = PolyRing(dense_base)
     assert type(P.base_kernel) is type(S.base_kernel) is LoopKernel
     calls = []
     for cls, name, real in [(Kernel, "divmod", Kernel.divmod)] + [
-            (IntKernel, name, real) for name, real in vars(IntKernel).items()
-            if inspect.isfunction(real)]:
+            (K, name, real) for K in (IntKernel, RatKernel)
+            for name, real in vars(K).items() if inspect.isfunction(real)]:
         def counting(*args, name=name, real=real, **kw):
             calls.append(name)
             return real(*args, **kw)
         monkeypatch.setattr(cls, name, counting)
     rng = random.Random(101)
     a, b, c = (P.canon([rng.randrange(101) for _ in range(n)] + [1])
-               for n in (90, 40, 3))
+               for n in (top, 40, 3))
     P.sub(P.add(a, b), P.neg(b))
     q, r = P.divmod_(P.mul(a, b), c)
     xgcd_payload(P, a, b)
@@ -302,8 +307,7 @@ def test_loop_bases_reach_no_dense_kernel(monkeypatch):
     inv = S.try_inverse(f)
     assert calls == []
     assert (q, r, inv) == (*dense.divmod_(dense.mul(a, b), c),
-                           SeriesRing(ModRing(101), 2 * NEWTON_MIN)
-                           .try_inverse(f))
+                           SeriesRing(dense_base, prec).try_inverse(f))
     assert calls
 
 

@@ -341,6 +341,29 @@ def test_nilpotence_in_characteristic_zero_uses_the_radical():
     assert not N.is_nilpotent(N.canon([Fraction(0), Fraction(1)]))
 
 
+def test_a_quotient_decides_its_facts_when_first_asked(monkeypatch):
+    # building one neither inverts m (the tower kernel does) nor asks
+    # whether m is prime; each fact is asked of the base once
+    import ringkit.poly
+
+    calls = []
+    for cls, name in ((ringkit.poly.Kernel, "inverse"),
+                      (PolyRing, "is_prime_element"),
+                      (PolyRing, "radical"), (PolyRing, "residue_kernel")):
+        def counting(*args, name=name, real=getattr(cls, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cls, name, counting)
+    R = quotient_ring(P3, P3.element([1, 0, 1]))
+    assert calls == []
+    for _ in range(2):
+        assert R.is_field
+        assert R.kernel() is R.kernel()
+        assert not R.is_nilpotent(R.canon([1, 1]))
+    assert calls == ["is_prime_element", "residue_kernel", "inverse",
+                     "radical"]
+
+
 def test_moduli_and_reduced_elements_must_live_in_the_base():
     with pytest.raises(ContextMismatch):
         quotient_ring(ZZ, QQ.element(6))
