@@ -10,7 +10,9 @@ units, and the messages of malformed context heads; then loop_argvs(),
 eval, series-invert, gcd and xgcd over the bases of LOOP_BASES, which
 have no kernel() record; then crt_argvs(), crt and interpolate over Z,
 Z[i], F_7[x], Q[x] and five fields, and the quotients of Q[x] by a few
-moduli of degree 2, 4 and 5.  DIGESTS holds, one line per argv, the argv as
+moduli of degree 2, 4 and 5; then irreducibility_argvs(), irreducible,
+sqfree, content and primassoc over Z and Q, and irreducible over three
+imaginary quadratic rings.  DIGESTS holds, one line per argv, the argv as
 JSON, the exit code of main() and the sha256 of its stdout and of its
 stderr, tab-separated.  test_corpus.py replays every argv in-process and
 compares.
@@ -35,6 +37,7 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 SEED = 16
@@ -151,7 +154,7 @@ def argvs():
         out += [["eval", ctx, e] for e in exprs]
         out += [["inv", ctx, u] for u in units]
     out += [["eval", head, "1"] for head in HEADS]
-    return out + loop_argvs() + crt_argvs()
+    return out + loop_argvs() + crt_argvs() + irreducibility_argvs()
 
 
 def _signed(rng, units):
@@ -314,6 +317,95 @@ def crt_argvs():
                            1, 2) for _ in range(2))
             out.append(["gcd", f"Poly(Quot(Q,{m}))", f"{a}*{c}", f"{b}*{c}"])
     return out
+
+
+def _times(a, b):
+    """The product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _shifted(coeffs, a):
+    """The coefficients of f(x + a), by Horner in x + a."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        out = _times(out, [a, 1])
+        out[0] += c
+    return out
+
+
+def _list(coeffs):
+    return "[" + ",".join(str(c) for c in coeffs) + "]"
+
+
+# (p, a monic quartic irreducible mod p): a lift of one to Z is
+# irreducible over Q, which the reduction stage can prove
+QUARTICS_MOD_P = [(2, [1, 1, 0, 0, 1]), (2, [1, 1, 1, 1, 1]),
+                  (3, [2, 1, 0, 0, 1]), (3, [2, 2, 0, 0, 1]),
+                  (5, [2, 0, 0, 0, 1]), (5, [3, 0, 0, 0, 1])]
+# each rational-root candidate costs a Horner pass: N/M + x^4 with
+# N = 2^20 3^12 5^8, M = 7^10 11^8 13^8 has too many to try, and so
+# has 160030080000 + 7016830618369 x^4
+COSTLY_ROOT_SEARCHES = [
+    "[217678233600000000/49393374747432745372392049,0,0,0,1]",
+    "[160030080000,0,0,0,7016830618369]",
+]
+
+
+def irreducibility_argvs():
+    """irreducible, sqfree, content and primassoc over Z and Q, and
+    irreducible over Quad:-1, Quad:-5 and Quad:-7, from a generator of
+    their own, so the argvs above keep their order.  The integer
+    polynomials carry a planted rational root, a content above 1, an
+    Eisenstein polynomial shifted by x -> x - a, or a lift of a quartic
+    irreducible mod a small prime; x^4 - 10x^2 + 1 is irreducible and
+    reducible mod every prime, so no stage decides it.  Each one is
+    also given over Q, times a random rational."""
+    rng = random.Random(SEED + 3)
+
+    def ints(n):
+        return [rng.randint(-9, 9) for _ in range(n)] + [1]
+
+    polys = []
+    for _ in range(8):  # the root s/q times a cofactor
+        s, q = rng.randint(-9, 9), rng.randint(1, 4)
+        polys.append(_times([-s, q], ints(rng.randint(1, 3))))
+    for _ in range(6):  # a content c > 1
+        c = rng.choice([2, 3, 4, 6, 10])
+        polys.append([c * x for x in ints(rng.randint(1, 5))])
+    for _ in range(6):  # Eisenstein at p, then x -> x - a
+        p = rng.choice([2, 3, 5, 7])
+        g = [p * rng.randint(-3, 3) for _ in range(rng.randint(2, 6))] + [1]
+        g[0] = p * rng.choice([1, -1, p + 1])
+        polys.append(_shifted(g, -rng.randint(1, 4)))
+    for _ in range(6):  # a lift of a quartic irreducible mod p
+        p, m = rng.choice(QUARTICS_MOD_P)
+        polys.append([c + p * rng.randint(-3, 3) for c in m[:-1]] + [1])
+    polys.append([1, 0, -10, 0, 1])
+    out = []
+    for f in polys:
+        z = rng.choice(["Z", "Poly(Z)"])
+        scale = Fraction(rng.choice([1, -1]) * rng.randint(1, 6),
+                         rng.randint(1, 6))
+        fq = _list(Fraction(c) * scale for c in f)
+        out += [["irreducible", z, _list(f)], ["irreducible", "Q", fq],
+                ["content", z, _list(f)], ["primassoc", z, _list(f)],
+                ["primassoc", rng.choice(["Q", "Poly(Q)"]), fq]]
+    for _ in range(10):  # square factors over Z and Q
+        a, b = (_list(ints(rng.randint(1, 2))) for _ in range(2))
+        ctx = rng.choice(["Z", "Poly(Z)", "Q"])
+        c = rng.choice(["", f"*{rng.randint(2, 6)}", "/2"][:2 + (ctx == "Q")])
+        out.append(["sqfree", ctx, f"{a}^{rng.randint(2, 3)}*{b}{c}"])
+    for d, sym in (("-1", "i"), ("-5", "s"), ("-7", "s")):
+        for _ in range(8):
+            a, b = rng.randint(-12, 12), rng.randint(-6, 6)
+            out.append(["irreducible", f"Quad:{d}", _word(f"{a}{b:+d}*{sym}")])
+    out += [["irreducible", "Q", f] for f in COSTLY_ROOT_SEARCHES]
+    return out
+
 
 # (ctx, polynomial) operands of the polynomial verbs: over Z and Q, and
 # over the bases each verb refuses
