@@ -50,14 +50,7 @@ from .intutil import (
     primes_up_to,
     within_budget,
 )
-from .number_rings import (
-    QQ,
-    ZZ,
-    IntegerRing,
-    ModRing,
-    QuadIntRing,
-    RationalField,
-)
+from .number_rings import QQ, ZZ, ModRing, QuadIntRing
 from .parsing import atomic_or_parenthesized
 from .poly import PolyRing, derivative, divrem_scaled, horner, prime_kernel
 
@@ -133,42 +126,40 @@ def _red(cert, **kv):
 INCONCLUSIVE = IrreducibilityVerdict("inconclusive")
 
 
-# ------------------------------------------------------- context tests
+# ---------------------------------------------------------- ring families
+#
+# F_p[x] is the polynomial ring whose Euclid kernel is F_p's own record
+# (poly.prime_kernel).  Z[x] and Q[x] are the polynomial rings of
+# characteristic 0 whose base has a kernel() record, Z's IntKernel(0) or
+# Q's RatKernel; base.is_field tells Q from Z.
 
-def _ctx(x):
-    """The context of an element; None for anything else."""
-    return x.ctx if isinstance(x, Element) else None
-
-
-def over_z(ctx):
-    """Is ctx a polynomial ring over Z?"""
-    return isinstance(ctx, PolyRing) and isinstance(ctx.base, IntegerRing)
-
-
-def over_z_or_q(ctx):
-    """Is ctx a polynomial ring over Z or Q?"""
-    return isinstance(ctx, PolyRing) and isinstance(
-        ctx.base, (IntegerRing, RationalField))
+def _zq(ctx):
+    """Is ctx, a polynomial ring, Z[x] or Q[x]?"""
+    return ctx.characteristic() == 0 and ctx.base.kernel() is not None
 
 
 def has_irreducibility_test(ctx):
-    """Is ctx, for irreducibility_pipeline, F_p[x], Z[x] or Q[x]?"""
-    return prime_kernel(ctx) is not None or over_z_or_q(ctx)
+    """Is ctx, a polynomial ring, F_p[x], Z[x] or Q[x]?"""
+    return prime_kernel(ctx) is not None or _zq(ctx)
 
 
-def _gate(test, message):
-    """The input check of the functions that take only elements whose
-    context passes test: it returns f.ctx, else raises RingError(message)."""
-    def check(f):
-        if isinstance(f, Element) and test(f.ctx):
-            return f.ctx
+def _fp_kernel(f):
+    """F_p's kernel record when f is in F_p[x], else RingError."""
+    K = prime_kernel(f.ctx) if isinstance(f, Element) else None
+    if K is None:
+        raise RingError("expected a polynomial over a prime field")
+    return K
+
+
+def _zq_poly(f, z_only=False):
+    """f's ring when it is Z[x] or Q[x] (Z[x] alone when z_only), else
+    RingError."""
+    message = "expected a polynomial " + (
+        "with integer coefficients" if z_only else "over Z or Q")
+    ctx = context_of(f, PolyRing, message)
+    if not _zq(ctx) or z_only and ctx.base.is_field:
         raise RingError(message)
-    return check
-
-
-_fp_poly_ctx = _gate(prime_kernel, "expected a polynomial over a prime field")
-_z_poly_ctx = _gate(over_z, "expected a polynomial with integer coefficients")
-_zq_poly = _gate(over_z_or_q, "expected a polynomial over Z or Q")
+    return ctx
 
 
 # --------------------------------------------------------------- integers
@@ -176,7 +167,7 @@ _zq_poly = _gate(over_z_or_q, "expected a polynomial over Z or Q")
 def factor_integer(n):
     """The factorization of a nonzero integer: sign unit, ascending primes."""
     if isinstance(n, Element):
-        if not isinstance(n.ctx, IntegerRing):
+        if n.ctx != ZZ:
             raise RingError("factor_integer needs an integer")
         n = n.val
     if not isinstance(n, int):
@@ -194,8 +185,9 @@ def squarefree_part_int(n):
 
 # ------------------------------------------------- prime-field polynomials
 
-def _distinct_degree(ctx, f):
-    """Distinct-degree factorization of a monic f over F_p.
+def _distinct_degree(K, f):
+    """Distinct-degree factorization of a monic f over F_p, on F_p's
+    kernel record K.
 
     For d = 1, 2, ... yields (g, d) with g = gcd(rest, x^(p^d) - x), the
     product of the distinct irreducible factors of degree d, and divides
@@ -204,7 +196,6 @@ def _distinct_degree(ctx, f):
     small for two factors of degree above d, is irreducible.  f and the
     g are tuples of ints mod p; divisions use the kernel's Newton memo.
     """
-    K = prime_kernel(ctx)
     p = K.n
     rest, h, d = f, (0, 1), 0
     while len(rest) - 1 >= 2 * (d + 1):
@@ -219,14 +210,14 @@ def _distinct_degree(ctx, f):
         yield rest, len(rest) - 1
 
 
-def _equal_degree_split(ctx, g, d):
-    """Cantor-Zassenhaus (1981): the factors of g, a product of distinct
-    monic irreducibles of degree d, split off by gcd(g, t) for random a,
-    t = a^((p^d - 1)/2) - 1 for odd p and the trace a + a^2 + ... +
-    a^(2^(d-1)) for p = 2.  Its random source is seeded from g."""
+def _equal_degree_split(K, g, d):
+    """Cantor-Zassenhaus (1981), on F_p's kernel record K: the factors of
+    g, a product of distinct monic irreducibles of degree d, split off by
+    gcd(g, t) for random a, t = a^((p^d - 1)/2) - 1 for odd p and the
+    trace a + a^2 + ... + a^(2^(d-1)) for p = 2.  Its random source is
+    seeded from g."""
     if len(g) - 1 == d:
         return [g]
-    K = prime_kernel(ctx)
     p = K.n
     rng = random.Random(repr(g))
     todo, out = [g], []
@@ -256,7 +247,7 @@ def radical_fp(ctx, m):
     F_p: the first distinct-degree group of each degree, so no group is
     split."""
     out, last = ctx.one, None
-    for g, d in _distinct_degree(ctx, m):
+    for g, d in _distinct_degree(prime_kernel(ctx), m):
         if d != last:
             out = ctx.mul(out, g)
         last = d
@@ -277,40 +268,41 @@ def monic_irreducibles(p, maxdeg):
 
 
 def _fp_monic(f):
-    ctx = _fp_poly_ctx(f)
+    """(F_p's kernel record, f made monic) for a nonconstant f in F_p[x]."""
+    K = _fp_kernel(f)
     if len(f.val) < 2:
         raise ConstantPolynomial("constants are not tested for divisors")
-    return ctx, ctx.mul(ctx.canon_unit(f.val), f.val)
+    return K, f.ctx.mul(f.ctx.canon_unit(f.val), f.val)
 
 
 def _fp_divisor(f):
     """The least irreducible proper divisor, or None when f is irreducible."""
-    ctx, monic = _fp_monic(f)
-    g, d = next(_distinct_degree(ctx, monic))
+    K, monic = _fp_monic(f)
+    g, d = next(_distinct_degree(K, monic))
     if d == len(monic) - 1:
         return None
-    return min(_equal_degree_split(ctx, g, d))
+    return min(_equal_degree_split(K, g, d))
 
 
 def poly_is_irreducible_fp(f):
     """Rabin (1980): f is irreducible exactly when its first
     distinct-degree group is f itself."""
-    ctx, monic = _fp_monic(f)
-    return next(_distinct_degree(ctx, monic))[1] == len(monic) - 1
+    K, monic = _fp_monic(f)
+    return next(_distinct_degree(K, monic))[1] == len(monic) - 1
 
 
 def factor_poly_fp(f):
     """Complete factorization over a prime field: monic factors ordered
     by degree, then by ascending coefficient tuple.  A factor's
     multiplicity is the number of distinct-degree groups it lies in."""
-    ctx = _fp_poly_ctx(f)
+    K, ctx = _fp_kernel(f), f.ctx
     if not f.val:
         raise ZeroInput("0 has no factorization")
     unit = ctx.lift(f.val[-1])
     monic = ctx.mul(ctx.canon_unit(f.val), f.val)
     counts = Counter()
-    for g, d in _distinct_degree(ctx, monic):
-        counts.update(_equal_degree_split(ctx, g, d))
+    for g, d in _distinct_degree(K, monic):
+        counts.update(_equal_degree_split(K, g, d))
     factors = sorted(counts.items(), key=lambda he: (len(he[0]), he[0]))
     return Factorization(ctx, unit, tuple(factors))
 
@@ -319,33 +311,29 @@ def factor_poly_fp(f):
 
 def content(f):
     """Positive gcd of the integer coefficients; the zero poly is refused."""
-    _z_poly_ctx(f)
+    _zq_poly(f, z_only=True)
     if not f.val:
         raise ZeroInput("the zero polynomial has no content")
     return math.gcd(*f.val)
 
 
 def primitive_part(f):
-    ctx = _z_poly_ctx(f)
     c = content(f)
-    return Element(ctx, tuple(x // c for x in f.val))
+    return Element(f.ctx, tuple(x // c for x in f.val))
 
 
 def primitive_associate(f):
     """The primitive integer polynomial with positive lead, from Z or Q."""
-    ctx = _zq_poly(f)
+    _zq_poly(f)
     if not f.val:
         raise ZeroInput("the zero polynomial has no primitive associate")
-    if over_z(ctx):
-        ints = list(f.val)
-    else:
-        scale = math.lcm(*(c.denominator for c in f.val))
-        ints = [int(c * scale) for c in f.val]
+    # an int is its own numerator over the denominator 1
+    scale = math.lcm(*(c.denominator for c in f.val))
+    ints = [c.numerator * (scale // c.denominator) for c in f.val]
     g = math.gcd(*ints)
-    ints = [c // g for c in ints]
     if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return Element(PolyRing(ZZ), tuple(ints))
+        g = -g
+    return Element(PolyRing(ZZ), tuple(c // g for c in ints))
 
 
 def rational_roots(f):
@@ -388,20 +376,20 @@ def _is_root(coeffs, s, q):
 def low_degree_test(f):
     """Degree 2 and 3 over Z, Q or F_p: reducible over the field of
     fractions exactly when a root exists."""
-    base = context_of(f, PolyRing, "expected a polynomial element").base
+    ctx = context_of(f, PolyRing, "expected a polynomial element")
     deg = len(f.val) - 1
     if deg not in (2, 3):
         raise DegreeOutOfRange(
             f"root existence decides irreducibility only in degree 2 and 3, "
             f"got degree {deg}")
-    if over_z_or_q(f.ctx):
-        found = rational_roots(f)
-    elif prime_kernel(f.ctx):
+    if prime_kernel(ctx):
         from .poly import roots_over_finite
 
         found = roots_over_finite(f)
+    elif _zq(ctx):
+        found = rational_roots(f)
     else:
-        raise NotAField(f"no root search implemented over {base.name()}")
+        raise NotAField(f"no root search implemented over {ctx.base.name()}")
     if found:
         return _red("rational-root", root=found[0])
     return _irr("low-degree-no-root")
@@ -437,7 +425,7 @@ def eisenstein_check(f, p):
 
 def _require_primitive(f, p=None):
     """f primitive of degree >= 1 over Z, and p, when given, a prime."""
-    _z_poly_ctx(f)
+    _zq_poly(f, z_only=True)
     if len(f.val) < 2:
         raise ConstantPolynomial("need degree at least 1")
     if content(f) != 1:
@@ -491,17 +479,18 @@ def squarefree_part(x):
     Z, mapped through Q) the decomposition comes from the gcd chain of f
     and f'.  Neither polynomial case splits a group into irreducibles.
     """
-    if isinstance(x, int) or isinstance(_ctx(x), IntegerRing):
+    if isinstance(x, int) or isinstance(x, Element) and x.ctx == ZZ:
         return squarefree_part_int(x)
-    context_of(x, PolyRing, "no squarefree decomposition for {!r}")
-    if prime_kernel(x.ctx):
-        return _squarefree_part_fp(x)
-    if over_z_or_q(x.ctx):
+    ctx = context_of(x, PolyRing, "no squarefree decomposition for {!r}")
+    K = prime_kernel(ctx)
+    if K:
+        return _squarefree_part_fp(K, x)
+    if _zq(ctx):
         return _squarefree_part_q(x)
-    raise RingError(f"no squarefree decomposition over {x.ctx.base.name()}")
+    raise RingError(f"no squarefree decomposition over {ctx.base.name()}")
 
 
-def _squarefree_part_fp(f):
+def _squarefree_part_fp(K, f):
     """The j-th distinct-degree group of a degree holds the factors of
     multiplicity >= j, so the alternating product g1 / g2 * g3 / g4 ...
     over each degree keeps exactly the factors of odd multiplicity, and
@@ -510,7 +499,7 @@ def _squarefree_part_fp(f):
     if not f.val:
         raise ZeroInput("0 has no factorization")
     out, last, j = ctx.one, None, 0
-    for g, d in _distinct_degree(ctx, ctx.mul(ctx.canon_unit(f.val), f.val)):
+    for g, d in _distinct_degree(K, ctx.mul(ctx.canon_unit(f.val), f.val)):
         j = j + 1 if d == last else 1
         last = d
         out = ctx.mul(out, g) if j % 2 else ctx.divmod_(out, g)[0]
@@ -547,9 +536,9 @@ def _squarefree_part_q(f):
         if i % 2:
             out = qctx.mul(out, a)
     result = Element(qctx, out)
-    if over_z(f.ctx):
-        return primitive_associate(result)
-    return result
+    if f.ctx.base.is_field:
+        return result
+    return primitive_associate(result)
 
 
 # ------------------------------------------------- imaginary quadratic
@@ -578,8 +567,6 @@ def quad_irreducible_check(x):
             a = math.isqrt(rest)
             if a * a == rest:
                 for cand in ((a, b), (a, -b)) if b else ((a, b),):
-                    if cand == (0, 0):
-                        continue
                     num = ctx.mul(x.val, ctx.conj(cand))
                     if num[0] % t == 0 and num[1] % t == 0:
                         return _red(
@@ -605,17 +592,22 @@ def verify_certificate(f, verdict):
 
 
 def _replay(f, verdict, data):
-    kind = verdict.cert
-    if verdict.is_irreducible and over_z(f.ctx) and content(f) > 1:
+    # a polynomial ring has a base ring; Z[sqrt d] has none
+    if hasattr(f.ctx, "base"):
+        return _replay_polynomial(f, verdict, data)
+    return _replay_quadratic(f, verdict, data)
+
+
+def _replay_polynomial(f, verdict, data):
+    ctx = context_of(f, PolyRing, "expected a polynomial")
+    base, kind, zq = ctx.base, verdict.cert, _zq(ctx)
+    if verdict.is_irreducible and zq and not base.is_field and content(f) > 1:
         return False  # the content is a non-unit factor in Z[x]
     if kind == "eisenstein":
-        g = primitive_associate(f)
-        p = int(data["p"])
-        a = int(data["shift"])
-        if not is_prime(p):
-            return False
-        coeffs = _shift_payload(g.val, a) if a else g.val
-        return verdict.is_irreducible and _eisenstein_holds(coeffs, p)
+        p, a = int(data["p"]), int(data["shift"])
+        g = _shift_payload(primitive_associate(f).val, a)
+        return verdict.is_irreducible and is_prime(p) and \
+            _eisenstein_holds(g, p)
     if kind == "reduction":
         g = primitive_associate(f)
         return verdict.is_irreducible and reduction_mod_p_check(
@@ -623,8 +615,7 @@ def _replay(f, verdict, data):
     if kind == "rational-root":
         if not verdict.is_reducible or len(f.val) - 1 < 2:
             return False
-        base = f.ctx.base
-        if over_z_or_q(f.ctx):
+        if zq:
             return horner(QQ, f.val, Fraction(data["root"])) == 0
         return base.is_zero(horner(base, f.val, base.parse(data["root"])))
     if kind == "low-degree-no-root":
@@ -633,43 +624,42 @@ def _replay(f, verdict, data):
     if kind == "trial-divisor":
         if not verdict.is_reducible:
             return False
-        ctx = f.ctx
         g = ctx.parse(data["divisor"])
-        if isinstance(ctx, PolyRing):
-            base = ctx.base
-            if len(g) == 1 < len(f.val):
-                # a non-unit constant that divides every coefficient
-                return base.is_domain and not base.is_unit(g[0]) and all(
-                    base.is_zero(base.divmod_(c, g[0])[1]) for c in f.val)
-            if not 1 <= len(g) - 1 < len(f.val) - 1:
-                return False
-            # lc(g)^m f = q g + r, so r = 0 shows g | f over a domain's
-            # fractions, Z included, where divmod_ needs a field
-            return base.is_domain and not divrem_scaled(
-                f, Element(ctx, g))[2].val
-        if isinstance(ctx, QuadIntRing):
-            t = ctx.norm(g)
-            n = ctx.norm(f.val)
-            if not 1 < abs(t) < abs(n):
-                return False
-            num = ctx.mul(f.val, ctx.conj(g))
-            return num[0] % t == 0 and num[1] % t == 0
-        return False
-    if kind == "prime-norm":
-        if not isinstance(f.ctx, QuadIntRing):
+        if len(g) == 1 < len(f.val):
+            # a non-unit constant that divides every coefficient
+            return base.is_domain and not base.is_unit(g[0]) and all(
+                base.is_zero(base.divmod_(c, g[0])[1]) for c in f.val)
+        if not 1 <= len(g) - 1 < len(f.val) - 1:
             return False
-        return verdict.is_irreducible and is_prime(
-            f.ctx.norm(f.val)) and str(f.ctx.norm(f.val)) == data["n"]
+        # lc(g)^m f = q g + r, so r = 0 shows g | f over a domain's
+        # fractions, Z included, where divmod_ needs a field
+        return base.is_domain and not divrem_scaled(
+            f, Element(ctx, g))[2].val
     if kind == "exhaustive":
-        if isinstance(f.ctx, QuadIntRing):
-            return quad_irreducible_check(f).serialize() == \
-                verdict.serialize()
-        if isinstance(f.ctx, PolyRing):
-            if prime_kernel(f.ctx):
-                return verdict.is_irreducible and poly_is_irreducible_fp(f)
-            return verdict.is_irreducible and len(f.val) - 1 == 1
-        return False
-    raise InvalidParameters(f"unknown certificate kind {kind!r}")
+        if prime_kernel(ctx):
+            return verdict.is_irreducible and poly_is_irreducible_fp(f)
+        return verdict.is_irreducible and len(f.val) - 1 == 1
+    return False
+
+
+def _replay_quadratic(f, verdict, data):
+    ctx = context_of(f, QuadIntRing, "expected a quadratic integer")
+    kind = verdict.cert
+    if kind == "trial-divisor":
+        if not verdict.is_reducible:
+            return False
+        g = ctx.parse(data["divisor"])
+        t = ctx.norm(g)
+        if not 1 < abs(t) < abs(ctx.norm(f.val)):
+            return False
+        num = ctx.mul(f.val, ctx.conj(g))
+        return num[0] % t == 0 and num[1] % t == 0
+    if kind == "prime-norm":
+        n = ctx.norm(f.val)
+        return verdict.is_irreducible and is_prime(n) and str(n) == data["n"]
+    if kind == "exhaustive":
+        return quad_irreducible_check(f).serialize() == verdict.serialize()
+    return False
 
 
 # ------------------------------------------------------------- pipeline
@@ -684,19 +674,19 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     the roots, as a trial divisor.  Over F_p Rabin's test and over
     imaginary quadratic rings norm exhaustion decide outright.
     """
-    if isinstance(_ctx(f), QuadIntRing):
+    ctx = context_of(f, (PolyRing, QuadIntRing),
+                     "no irreducibility test for {!r}")
+    if not hasattr(ctx, "base"):  # Z[sqrt d], as in _replay
         return quad_irreducible_check(f)
-    context_of(f, PolyRing, "no irreducibility test for {!r}")
-    if not has_irreducibility_test(f.ctx):
-        raise RingError(f"no irreducibility test over {f.ctx.base.name()}")
-    if prime_kernel(f.ctx):
-        deg = len(f.val) - 1
-        if deg < 1:
+    if prime_kernel(ctx):
+        if len(f.val) < 2:
             raise ConstantPolynomial("constants are not tested")
         g = _fp_divisor(f)
         if g is None:
             return _irr("exhaustive")
-        return _red("trial-divisor", divisor=f.ctx.show(g))
+        return _red("trial-divisor", divisor=ctx.show(g))
+    if not _zq(ctx):
+        raise RingError(f"no irreducibility test over {ctx.base.name()}")
     prim = primitive_associate(f)
     deg = len(prim.val) - 1
     if deg < 1:
@@ -704,8 +694,8 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     roots = rational_roots(prim) if deg > 1 else []
     if roots:
         return _red("rational-root", root=roots[0])
-    if over_z(f.ctx) and content(f) > 1:
-        return _red("trial-divisor", divisor=str(content(f)))
+    if not ctx.base.is_field and content(f) > 1:
+        return _red("trial-divisor", divisor=content(f))
     if deg == 1:
         return _irr("exhaustive")
     if deg in (2, 3):  # as low_degree_test(prim), whose roots are above

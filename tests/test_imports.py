@@ -93,3 +93,38 @@ def test_only_poly_reads_the_dense_crossovers():
         if names & CROSSOVERS:
             readers[path.name] = sorted(names & CROSSOVERS)
     assert readers == {}
+
+
+CONTEXT_TYPES = {"PolyRing", "QuadIntRing"}
+
+
+def test_factor_tells_its_ring_families_apart_by_hooks():
+    # F_p[x] is the ring prime_kernel answers for, Z[x] and Q[x] the
+    # polynomial rings of characteristic 0 over a base with a kernel()
+    # record: factor.py names a context type only to build a context or
+    # in a context_of gate, and imports neither Z's nor Q's class; the
+    # distinct- and equal-degree loops take F_p's kernel record
+    path = Path(ringkit.__file__).parent / "factor.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"IntegerRing", "RationalField"} == set()
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert defined & {"over_z", "over_z_or_q", "_ctx"} == set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in (
+                "_distinct_degree", "_equal_degree_split"):
+            assert node.args.args[0].arg == "K"
+            assert "prime_kernel" not in _references(node)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in CONTEXT_TYPES:
+                allowed.add(id(node.func))
+            elif node.func.id == "context_of" and len(node.args) > 1:
+                allowed.update(id(sub) for sub in ast.walk(node.args[1]))
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in CONTEXT_TYPES
+             and id(node) not in allowed]
+    assert named == []
