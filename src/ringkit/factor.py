@@ -38,6 +38,7 @@ from .errors import (
     NotPrimitive,
     ParseError,
     RingError,
+    TooLarge,
     ZeroInput,
 )
 from .euclid import gcd_payload
@@ -387,6 +388,8 @@ def low_degree_test(f):
 
         found = roots_over_finite(f)
     elif _zq(ctx):
+        if not ctx.base.is_field and content(f) > 1:
+            raise NotPrimitive("coefficients share a common factor")
         found = rational_roots(f)
     else:
         raise NotAField(f"no root search implemented over {ctx.base.name()}")
@@ -441,13 +444,16 @@ def eisenstein_translate_search(f, prime_bound=DEFAULT_PRIME_BOUND,
     Candidate primes for each shift are the primes up to the bound that
     divide the shifted constant term; shifts with constant term 0 prove
     reducibility is possible only through other routes and are skipped.
+    The 2 * shift_bound + 1 Taylor shifts of degree n are priced at n^2
+    steps each against the work budget before the first.
     """
     _require_primitive(f)
+    n = len(f.val) - 1
+    within_budget((2 * shift_bound + 1) * n * n, "Taylor-shift steps")
     primes = primes_up_to(prime_bound)
-    shifts = [0]
-    for a in range(1, shift_bound + 1):
-        shifts.extend((a, -a))
-    for a in shifts:
+    shifts = itertools.chain.from_iterable(
+        (a, -a) for a in range(1, shift_bound + 1))
+    for a in itertools.chain((0,), shifts):
         g = _shift_payload(f.val, a) if a else f.val
         if g[0] == 0:
             continue
@@ -691,16 +697,23 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     deg = len(prim.val) - 1
     if deg < 1:
         raise ConstantPolynomial("constants are not tested")
-    roots = rational_roots(prim) if deg > 1 else []
+    refusal = None
+    try:
+        roots = rational_roots(prim) if deg > 1 else []
+    except TooLarge as over:
+        roots, refusal = None, over
     if roots:
         return _red("rational-root", root=roots[0])
     if not ctx.base.is_field and content(f) > 1:
         return _red("trial-divisor", divisor=content(f))
     if deg == 1:
         return _irr("exhaustive")
-    if deg in (2, 3):  # as low_degree_test(prim), whose roots are above
+    if deg in (2, 3) and roots is not None:  # as low_degree_test(prim)
         return _irr("low-degree-no-root")
-    verdict = eisenstein_translate_search(prim, prime_bound, shift_bound)
+    try:
+        verdict = eisenstein_translate_search(prim, prime_bound, shift_bound)
+    except TooLarge as over:
+        verdict, refusal = INCONCLUSIVE, refusal or over
     if not verdict.is_inconclusive:
         return verdict
     primes = filter(is_prime, itertools.count(2))
@@ -709,4 +722,6 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
             v = reduction_mod_p_check(prim, p)
             if v.is_irreducible:
                 return v
+    if refusal:
+        raise refusal
     return INCONCLUSIVE

@@ -262,11 +262,16 @@ FORMER_HANGS = [
     (["irreducible", "Q", QUARTIC], 0, "IRREDUCIBLE cert=reduction p=5"),
     (["eval", "Series(Z,99999999)", "1"], 1, ""),
     (["series-invert", "Fp:7", "[1,1;100000000]"], 1, ""),
-    (["irreducible", "Q", "[160030080000,0,0,0,7016830618369]"], 1, ""),
+    # the rational-root search is over the budget; reduction decides
+    (["irreducible", "Q", "[160030080000,0,0,0,7016830618369]"], 0,
+     "IRREDUCIBLE cert=reduction p=29"),
     (["factor-int", "1000000000000000006000000000000000009"], 0,
      "1000000000000000003^2"),
     (["irreducible", "Quad:-5", "10000000000000079"], 1, ""),
     (["irreducible", "--prime-bound", "100000000", "Q", "[1,0,0,0,1]"], 1, ""),
+    # 2 * 10^9 + 1 Taylor shifts, priced before the first
+    (["irreducible", "--shift-bound", "1000000000", "Q", "[1,0,-10,0,1]"], 1,
+     ""),
     # the budget refusal of a context literal's modulus, not a parse error
     (["eval", f"Frac(Quot(Q,{COSTLY_ROOTS}))", "1/x"], 1, ""),
     # a gcd at every level of nested fraction fields

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ringkit import (
     GAUSSIAN,
@@ -45,7 +45,9 @@ from ringkit.errors import (
     DegreeDrops,
     DegreeOutOfRange,
     InvalidParameters,
+    NotAField,
     NotPrimitive,
+    RingError,
     TooLarge,
     ZeroInput,
 )
@@ -339,6 +341,34 @@ def test_low_degree_verdicts():
     assert str(w) == "REDUCIBLE cert=rational-root root=-1"
     with pytest.raises(DegreeOutOfRange):
         low_degree_test(PQ.element([Fraction(1), 0, 0, 0, Fraction(1)]))
+    with pytest.raises(NotAField):
+        low_degree_test(poly_ring(ModRing(12)).element([1, 0, 1]))
+
+
+def test_low_degree_test_refuses_a_content_above_one():
+    # 2x^2 + 2 = 2 (x^2 + 1) is reducible in Z[x], though not in Q[x]
+    f = PZ.element([2, 0, 2])
+    with pytest.raises(NotPrimitive):
+        low_degree_test(f)
+    assert str(irreducibility_pipeline(f)) == \
+        "REDUCIBLE cert=trial-divisor divisor=2"
+    assert str(low_degree_test(PQ.element([2, 0, 2]))) == \
+        "IRREDUCIBLE cert=low-degree-no-root"
+
+
+@given(st.sampled_from([ZZ, QQ, ModRing(2), ModRing(3), ModRing(7)]),
+       st.lists(st.integers(-6, 6), min_size=2, max_size=3),
+       st.integers(1, 6))
+@settings(max_examples=150)
+def test_every_low_degree_verdict_replays(base, tail, lead):
+    f = poly_ring(base).element(tail + [lead])
+    assume(len(f.val) in (3, 4))
+    try:
+        verdict = low_degree_test(f)
+    except NotPrimitive:
+        assert base == ZZ and content(f) > 1
+        return
+    assert verify_certificate(f, verdict)
 
 
 # ------------------------------------------------------------ eisenstein
@@ -363,6 +393,19 @@ def test_eisenstein_guards():
 def test_translate_search_keeps_an_already_witnessed_shift_at_zero():
     v = eisenstein_translate_search(PZ.element([-2, 0, 1]))
     assert str(v) == "IRREDUCIBLE cert=eisenstein p=2 shift=0"
+
+
+def test_translate_search_skips_a_shift_to_a_root():
+    # x^2 - 1 shifted by 1 or -1 has constant term 0
+    assert eisenstein_translate_search(PZ.element([-1, 0, 1])) is INCONCLUSIVE
+
+
+def test_the_shift_search_is_priced_before_the_first_shift():
+    # 2 * 10^9 + 1 shifts of a quartic, at 4^2 steps each
+    f = PZ.element([1, 0, -10, 0, 1])
+    with pytest.raises(TooLarge, match="Taylor-shift steps: 32000000016 "):
+        eisenstein_translate_search(f, shift_bound=10**9)
+    assert eisenstein_translate_search(f, shift_bound=1000) is INCONCLUSIVE
 
 
 def test_translate_search_finds_a_shift():
@@ -528,6 +571,51 @@ def test_pipeline_uses_roots_in_low_degree_and_sieving_over_prime_fields():
     assert verify_certificate(P3.element([1, 0, 1]), v)
 
 
+# 160030080000 + 7016830618369 x^4: 4435200 Horner steps of root search
+COSTLY_ROOTS = PQ.parse_element("[160030080000,0,0,0,7016830618369]")
+
+
+def test_a_stage_over_the_budget_passes_the_polynomial_on():
+    with pytest.raises(TooLarge, match="Horner steps"):
+        rational_roots(COSTLY_ROOTS)
+    v = irreducibility_pipeline(COSTLY_ROOTS)
+    assert v.serialize() == "IRREDUCIBLE cert=reduction p=29"
+    assert verify_certificate(COSTLY_ROOTS, v)
+    # the shift search is refused, and reduction mod 2 decides
+    v = irreducibility_pipeline(PZ.element([1, 1, 0, 0, 1]), shift_bound=10**9)
+    assert v.serialize() == "IRREDUCIBLE cert=reduction p=2"
+
+
+def test_the_first_refusal_stands_when_no_stage_decides():
+    # reducible mod every prime, so only a finished search could decide
+    f = PZ.element([1, 0, -10, 0, 1])
+    with pytest.raises(TooLarge, match="Taylor-shift steps"):
+        irreducibility_pipeline(f, shift_bound=10**9)
+    # the root search and the shift search are both refused: the first
+    # refusal is the one raised
+    g = PQ.element([1, 0, 0, 0, 0, 0, 0, 0, 1]) * COSTLY_ROOTS
+    with pytest.raises(TooLarge, match="Horner steps"):
+        irreducibility_pipeline(g, shift_bound=10**9)
+
+
+def test_no_low_degree_verdict_after_a_refused_root_search():
+    # 1540 x 288 divisor pairs of an x^2 + a0, and no root among them
+    a0, an = 2**10 * 3**6 * 5**4 * 7**3, 11**3 * 13**3 * 17**2 * 19**2 * 23
+    f = PZ.element([a0, 0, an])
+    with pytest.raises(TooLarge):
+        rational_roots(f)
+    v = irreducibility_pipeline(f)
+    assert v.cert != "low-degree-no-root"
+    assert verify_certificate(f, v)
+
+
+def test_the_rescued_verdict_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = sympy.Poly(7016830618369 * x**4 + 160030080000, x)
+    assert f.is_irreducible
+
+
 def test_certificates_fail_against_a_different_polynomial():
     v = eisenstein_check(PZ.element([-2, 0, 1]), 2)
     assert verify_certificate(PZ.element([-2, 0, 1]), v)
@@ -604,7 +692,52 @@ REPLAYS = [
      {"divisor": "2"}, False),
     ("Poly(Zn:12)", "[2,4]", "reducible", "trial-divisor",
      {"divisor": "2"}, False),
+    # a certificate that does not apply: a composite p, for which x^2 + 4
+    # meets Eisenstein's conditions; a linear f; an irreducible status on
+    # a divisor; a norm certificate on a polynomial; unknown kinds
+    ("Poly(Z)", "[4,0,1]", "irreducible", "eisenstein",
+     {"p": "4", "shift": "0"}, False),
+    ("Poly(Q)", "[-1,2]", "reducible", "rational-root", {"root": "1/2"},
+     False),
+    ("Poly(Z)", "[-4,0,1]", "irreducible", "trial-divisor",
+     {"divisor": "x-2"}, False),
+    ("Poly(Z)", "[1,1]", "irreducible", "prime-norm", {"n": "2"}, False),
+    ("Poly(Z)", "[1,1]", "irreducible", "sieve", {}, False),
+    ("Quad:-1", "3", "irreducible", "sieve", {}, False),
+    ("Quad:2", "3", "irreducible", "exhaustive", {}, False),
+    # contexts that are neither polynomial rings nor Z[sqrt d]
+    ("Zn:12", "5", "irreducible", "exhaustive", {}, False),
+    ("Zn:12", "5", "reducible", "trial-divisor", {"divisor": "2"}, False),
+    ("Series(Z,4)", "[-1,0,1]", "reducible", "rational-root",
+     {"root": "1"}, False),
+    # INCONCLUSIVE claims nothing, so it always holds
+    ("Poly(Z)", "[1,0,1]", "inconclusive", None, {}, True),
 ]
+
+
+def test_verify_certificate_wants_a_verdict():
+    with pytest.raises(InvalidParameters):
+        verify_certificate(PZ.element([1, 1]), "IRREDUCIBLE cert=exhaustive")
+
+
+def test_refusals_of_the_entry_points():
+    with pytest.raises(RingError, match="needs an integer"):
+        factor_integer(PZ.element([6]))
+    with pytest.raises(RingError, match="needs an integer, got 1.5"):
+        factor_integer(1.5)
+    assert factor_integer(parse_context("Z").parse_element("-12")).factors \
+        == ((2, 2), (3, 1))
+    with pytest.raises(ZeroInput):
+        factor_poly_fp(P3.element([]))
+    with pytest.raises(ZeroInput):
+        rational_roots(PQ.element([]))
+    assert rational_roots(PQ.element([Fraction(3, 5)])) == []
+    with pytest.raises(ConstantPolynomial):
+        irreducibility_pipeline(P3.element([2]))
+    with pytest.raises(ConstantPolynomial):
+        poly_is_irreducible_fp(P3.element([2]))
+    with pytest.raises(InvalidParameters):
+        quad_irreducible_check(parse_context("Quad:2").parse_element("3"))
 
 
 @pytest.mark.parametrize("ctx, text, status, cert, data, holds", REPLAYS)
