@@ -4,11 +4,11 @@ Everything here is exact and certificate-driven.  Integers factor by
 Pollard's rho with Brent's cycle finding, one budget unit per step
 under intutil's work budget; polynomials over a prime field by
 distinct-degree factorization and Cantor-Zassenhaus splitting, in
-polynomial time, both on tuples of ints mod p through the kernel of
-F_p (poly.prime_kernel: powmod, divmod, gcd) rather than the ring
+polynomial time, both on tuples of ints mod p through F_p's kernel
+record (poly.prime_kernel: powmod, divmod, gcd) rather than the ring
 contexts, which over F_2 (poly.F2Kernel) runs them by shift-and-XOR on
-one int per polynomial; elements of imaginary quadratic rings are tested by
-exhausting the divisors allowed by the norm.  For Z[x] and Q[x], where
+one int per polynomial; elements of imaginary quadratic rings are tested
+by exhausting the divisors allowed by the norm.  For Z[x] and Q[x], where
 no complete factorization is attempted, irreducibility is reported as
 a verdict carrying a checkable certificate (Eisenstein after a shift,
 reduction mod p, a rational root, a trial divisor) or INCONCLUSIVE.
@@ -16,10 +16,13 @@ Their inner loops run on integer lists too: a shift x -> x + a is a
 Taylor shift by synthetic division, and a rational root candidate s/q
 is tested by the homogenised Horner sum q^n f(s/q) in integers.
 
-Each function checks its input through one gate (_gate, or
-algebra.context_of) with a fixed message.  verify_certificate replays
-any certificate against the element it claims to describe, and answers
-True or False for every verdict, so none has to be taken on faith.
+Which of these rings a context is comes from hooks it answers, not
+from its type (see "ring families" below), and each function checks its
+input through one gate with a fixed message.  irreducibility_pipeline
+gives the order of its stages and its rule for a stage over the work
+budget.  verify_certificate replays any certificate against the element
+it claims to describe, and answers True or False for every verdict, so
+none has to be taken on faith.
 """
 
 import itertools
@@ -167,9 +170,7 @@ def _zq_poly(f, z_only=False):
 
 def factor_integer(n):
     """The factorization of a nonzero integer: sign unit, ascending primes."""
-    if isinstance(n, Element):
-        if n.ctx != ZZ:
-            raise RingError("factor_integer needs an integer")
+    if isinstance(n, Element) and n.ctx == ZZ:
         n = n.val
     if not isinstance(n, int):
         raise RingError(f"factor_integer needs an integer, got {n!r}")
@@ -272,7 +273,7 @@ def _fp_monic(f):
     """(F_p's kernel record, f made monic) for a nonconstant f in F_p[x]."""
     K = _fp_kernel(f)
     if len(f.val) < 2:
-        raise ConstantPolynomial("constants are not tested for divisors")
+        raise ConstantPolynomial("constants are not tested")
     return K, f.ctx.mul(f.ctx.canon_unit(f.val), f.val)
 
 
@@ -342,8 +343,6 @@ def rational_roots(f):
     _zq_poly(f)
     if not f.val:
         raise ZeroInput("every rational is a root of the zero polynomial")
-    if len(f.val) == 1:
-        return []
     g = primitive_associate(f)
     coeffs = list(g.val)
     roots = set()
@@ -411,11 +410,8 @@ def _shift_payload(coeffs, a):
 
 
 def _eisenstein_holds(coeffs, p):
-    if coeffs[-1] % p == 0:
-        return False
-    if any(c % p for c in coeffs[:-1]):
-        return False
-    return coeffs[0] % (p * p) != 0
+    return coeffs[-1] % p != 0 and not any(c % p for c in coeffs[:-1]) \
+        and coeffs[0] % (p * p) != 0
 
 
 def eisenstein_check(f, p):
@@ -448,8 +444,8 @@ def eisenstein_translate_search(f, prime_bound=DEFAULT_PRIME_BOUND,
     steps each against the work budget before the first.
     """
     _require_primitive(f)
-    n = len(f.val) - 1
-    within_budget((2 * shift_bound + 1) * n * n, "Taylor-shift steps")
+    within_budget((2 * shift_bound + 1) * (len(f.val) - 1) ** 2,
+                  "Taylor-shift steps")
     primes = primes_up_to(prime_bound)
     shifts = itertools.chain.from_iterable(
         (a, -a) for a in range(1, shift_bound + 1))
@@ -542,9 +538,7 @@ def _squarefree_part_q(f):
         if i % 2:
             out = qctx.mul(out, a)
     result = Element(qctx, out)
-    if f.ctx.base.is_field:
-        return result
-    return primitive_associate(result)
+    return result if f.ctx.base.is_field else primitive_associate(result)
 
 
 # ------------------------------------------------- imaginary quadratic
@@ -598,6 +592,10 @@ def verify_certificate(f, verdict):
 
 
 def _replay(f, verdict, data):
+    # a root or a divisor shows reducibility, every other kind the reverse
+    reducing = verdict.cert in ("rational-root", "trial-divisor")
+    if verdict.status != ("reducible" if reducing else "irreducible"):
+        return False
     # a polynomial ring has a base ring; Z[sqrt d] has none
     if hasattr(f.ctx, "base"):
         return _replay_polynomial(f, verdict, data)
@@ -612,24 +610,19 @@ def _replay_polynomial(f, verdict, data):
     if kind == "eisenstein":
         p, a = int(data["p"]), int(data["shift"])
         g = _shift_payload(primitive_associate(f).val, a)
-        return verdict.is_irreducible and is_prime(p) and \
-            _eisenstein_holds(g, p)
+        return is_prime(p) and _eisenstein_holds(g, p)
     if kind == "reduction":
-        g = primitive_associate(f)
-        return verdict.is_irreducible and reduction_mod_p_check(
-            g, int(data["p"])).is_irreducible
+        return reduction_mod_p_check(
+            primitive_associate(f), int(data["p"])).is_irreducible
     if kind == "rational-root":
-        if not verdict.is_reducible or len(f.val) - 1 < 2:
+        if len(f.val) - 1 < 2:
             return False
         if zq:
             return horner(QQ, f.val, Fraction(data["root"])) == 0
         return base.is_zero(horner(base, f.val, base.parse(data["root"])))
     if kind == "low-degree-no-root":
-        return verdict.is_irreducible and low_degree_test(
-            f).serialize() == verdict.serialize()
+        return low_degree_test(f).serialize() == verdict.serialize()
     if kind == "trial-divisor":
-        if not verdict.is_reducible:
-            return False
         g = ctx.parse(data["divisor"])
         if len(g) == 1 < len(f.val):
             # a non-unit constant that divides every coefficient
@@ -643,8 +636,8 @@ def _replay_polynomial(f, verdict, data):
             f, Element(ctx, g))[2].val
     if kind == "exhaustive":
         if prime_kernel(ctx):
-            return verdict.is_irreducible and poly_is_irreducible_fp(f)
-        return verdict.is_irreducible and len(f.val) - 1 == 1
+            return poly_is_irreducible_fp(f)
+        return len(f.val) - 1 == 1
     return False
 
 
@@ -652,8 +645,6 @@ def _replay_quadratic(f, verdict, data):
     ctx = context_of(f, QuadIntRing, "expected a quadratic integer")
     kind = verdict.cert
     if kind == "trial-divisor":
-        if not verdict.is_reducible:
-            return False
         g = ctx.parse(data["divisor"])
         t = ctx.norm(g)
         if not 1 < abs(t) < abs(ctx.norm(f.val)):
@@ -662,7 +653,7 @@ def _replay_quadratic(f, verdict, data):
         return num[0] % t == 0 and num[1] % t == 0
     if kind == "prime-norm":
         n = ctx.norm(f.val)
-        return verdict.is_irreducible and is_prime(n) and str(n) == data["n"]
+        return is_prime(n) and str(n) == data["n"]
     if kind == "exhaustive":
         return quad_irreducible_check(f).serialize() == verdict.serialize()
     return False
@@ -674,19 +665,20 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
                             shift_bound=DEFAULT_SHIFT_BOUND):
     """Best-effort verdict for Q[x]/Z[x], F_p[x], or quadratic integers.
 
-    Over Q the stages are: primitive associate, rational roots, degree
-    screen, Eisenstein with shifts, reduction mod small primes; anything
-    that survives is INCONCLUSIVE.  Over Z a content c > 1 decides after
-    the roots, as a trial divisor.  Over F_p Rabin's test and over
-    imaginary quadratic rings norm exhaustion decide outright.
+    Over F_p Rabin's test and over imaginary quadratic rings norm
+    exhaustion decide outright.  Over Z and Q the stages run on the
+    primitive associate, in this order: rational roots; over Z, a content
+    c > 1, as a trial divisor; the degree screen (degree 2 and 3 only
+    after a finished root search); Eisenstein with shifts; reduction mod
+    small primes.  A stage over the work budget passes the polynomial on
+    to the next.  When no stage decides, the first refusal is raised, or
+    else the verdict is INCONCLUSIVE.
     """
     ctx = context_of(f, (PolyRing, QuadIntRing),
                      "no irreducibility test for {!r}")
     if not hasattr(ctx, "base"):  # Z[sqrt d], as in _replay
         return quad_irreducible_check(f)
     if prime_kernel(ctx):
-        if len(f.val) < 2:
-            raise ConstantPolynomial("constants are not tested")
         g = _fp_divisor(f)
         if g is None:
             return _irr("exhaustive")
