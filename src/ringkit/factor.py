@@ -135,7 +135,8 @@ INCONCLUSIVE = IrreducibilityVerdict("inconclusive")
 # F_p[x] is the polynomial ring whose Euclid kernel is F_p's own record
 # (poly.prime_kernel).  Z[x] and Q[x] are the polynomial rings of
 # characteristic 0 whose base has a kernel() record, Z's IntKernel(0) or
-# Q's RatKernel; base.is_field tells Q from Z.
+# Q's RatKernel; base.is_field tells Q from Z.  Z[sqrt d], the other ring
+# irreducibility_pipeline takes, answers norm, which its tests rest on.
 
 def _zq(ctx):
     """Is ctx, a polynomial ring, Z[x] or Q[x]?"""
@@ -410,8 +411,11 @@ def _shift_payload(coeffs, a):
 
 
 def _eisenstein_holds(coeffs, p):
-    return coeffs[-1] % p != 0 and not any(c % p for c in coeffs[:-1]) \
-        and coeffs[0] % (p * p) != 0
+    if coeffs[-1] % p == 0:
+        return False
+    if any(c % p for c in coeffs[:-1]):
+        return False
+    return coeffs[0] % (p * p) != 0
 
 
 def eisenstein_check(f, p):
@@ -508,8 +512,9 @@ def _squarefree_part_fp(K, f):
     return Element(ctx, out)
 
 
-def _squarefree_decomposition_q(f):
-    """Yun's gcd chain: monic f over Q as prod a_i^i with a_i squarefree."""
+def _squarefree_part_q(f):
+    """Yun's gcd chain: monic f over Q is prod a_i^i with a_i squarefree,
+    and the part is the product of the a_i of odd i."""
     qctx = PolyRing(QQ)
     coeffs = qctx.canon(f.val)
     if not coeffs:
@@ -520,25 +525,18 @@ def _squarefree_decomposition_q(f):
     c = qctx.divmod_(monic, g)[0]
     d = qctx.sub(qctx.divmod_(d_monic, g)[0],
                  derivative(Element(qctx, c)).val)
-    parts = []
-    i = 1
+    out, i = qctx.one, 1
     while len(c) - 1 > 0:
         a = gcd_payload(qctx, c, d)
-        parts.append((a, i))
+        if i % 2:
+            out = qctx.mul(out, a)
         c = qctx.divmod_(c, a)[0]
         d = qctx.sub(qctx.divmod_(d, a)[0], derivative(Element(qctx, c)).val)
         i += 1
-    return qctx, parts
-
-
-def _squarefree_part_q(f):
-    qctx, parts = _squarefree_decomposition_q(f)
-    out = qctx.one
-    for a, i in parts:
-        if i % 2:
-            out = qctx.mul(out, a)
     result = Element(qctx, out)
-    return result if f.ctx.base.is_field else primitive_associate(result)
+    if f.ctx.base.is_field:
+        return result
+    return primitive_associate(result)
 
 
 # ------------------------------------------------- imaginary quadratic
@@ -596,10 +594,9 @@ def _replay(f, verdict, data):
     reducing = verdict.cert in ("rational-root", "trial-divisor")
     if verdict.status != ("reducible" if reducing else "irreducible"):
         return False
-    # a polynomial ring has a base ring; Z[sqrt d] has none
-    if hasattr(f.ctx, "base"):
-        return _replay_polynomial(f, verdict, data)
-    return _replay_quadratic(f, verdict, data)
+    if hasattr(f.ctx, "norm"):  # Z[sqrt d]
+        return _replay_quadratic(f, verdict, data)
+    return _replay_polynomial(f, verdict, data)
 
 
 def _replay_polynomial(f, verdict, data):
@@ -676,7 +673,7 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     """
     ctx = context_of(f, (PolyRing, QuadIntRing),
                      "no irreducibility test for {!r}")
-    if not hasattr(ctx, "base"):  # Z[sqrt d], as in _replay
+    if hasattr(ctx, "norm"):  # Z[sqrt d]
         return quad_irreducible_check(f)
     if prime_kernel(ctx):
         g = _fp_divisor(f)
