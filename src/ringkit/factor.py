@@ -140,7 +140,8 @@ INCONCLUSIVE = IrreducibilityVerdict("inconclusive")
 
 def _zq(ctx):
     """Is ctx, a polynomial ring, Z[x] or Q[x]?"""
-    return ctx.characteristic() == 0 and ctx.base.kernel() is not None
+    base = ctx.base
+    return base.characteristic() == 0 and base.kernel() is not None
 
 
 def has_irreducibility_test(ctx):
@@ -159,8 +160,8 @@ def _fp_kernel(f):
 def _zq_poly(f, z_only=False):
     """f's ring when it is Z[x] or Q[x] (Z[x] alone when z_only), else
     RingError."""
-    message = "expected a polynomial " + (
-        "with integer coefficients" if z_only else "over Z or Q")
+    message = ("expected a polynomial with integer coefficients" if z_only
+               else "expected a polynomial over Z or Q")
     ctx = context_of(f, PolyRing, message)
     if not _zq(ctx) or z_only and ctx.base.is_field:
         raise RingError(message)
@@ -331,12 +332,12 @@ def primitive_associate(f):
     if not f.val:
         raise ZeroInput("the zero polynomial has no primitive associate")
     # an int is its own numerator over the denominator 1
-    scale = math.lcm(*(c.denominator for c in f.val))
+    scale = math.lcm(*[c.denominator for c in f.val])
     ints = [c.numerator * (scale // c.denominator) for c in f.val]
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
-    return Element(PolyRing(ZZ), tuple(c // g for c in ints))
+    return Element(PolyRing(ZZ), tuple([c // g for c in ints]))
 
 
 def rational_roots(f):
