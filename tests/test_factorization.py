@@ -605,7 +605,7 @@ def test_no_low_degree_verdict_after_a_refused_root_search():
     with pytest.raises(TooLarge):
         rational_roots(f)
     v = irreducibility_pipeline(f)
-    assert v.cert != "low-degree-no-root"
+    assert v.serialize() == "IRREDUCIBLE cert=reduction p=29"
     assert verify_certificate(f, v)
 
 
@@ -708,6 +708,7 @@ REPLAYS = [
     # contexts that are neither polynomial rings nor Z[sqrt d]
     ("Zn:12", "5", "irreducible", "exhaustive", {}, False),
     ("Zn:12", "5", "reducible", "trial-divisor", {"divisor": "2"}, False),
+    ("Zn:12", "5", "reducible", "rational-root", {"root": "1"}, False),
     ("Series(Z,4)", "[-1,0,1]", "reducible", "rational-root",
      {"root": "1"}, False),
     # INCONCLUSIVE claims nothing, so it always holds
