@@ -59,6 +59,7 @@ from .parsing import atomic_or_parenthesized
 from .poly import PolyRing, derivative, divrem_scaled, horner, prime_kernel
 
 REDUCTION_PRIME_COUNT = 10
+_ZX = PolyRing(ZZ)  # where primitive associates live
 
 
 # --------------------------------------------------------------- results
@@ -101,8 +102,7 @@ class IrreducibilityVerdict(namedtuple(
         parts.extend(f"{k}={v}" for k, v in self.data)
         return head + " " + " ".join(parts)
 
-    def __str__(self):
-        return self.serialize()
+    __str__ = serialize
 
     @property
     def is_irreducible(self):
@@ -135,8 +135,8 @@ INCONCLUSIVE = IrreducibilityVerdict("inconclusive")
 # F_p[x] is the polynomial ring whose Euclid kernel is F_p's own record
 # (poly.prime_kernel).  Z[x] and Q[x] are the polynomial rings of
 # characteristic 0 whose base has a kernel() record, Z's IntKernel(0) or
-# Q's RatKernel; base.is_field tells Q from Z.  Z[sqrt d], the other ring
-# irreducibility_pipeline takes, answers norm, which its tests rest on.
+# Q's RatKernel; base.is_field tells Q from Z.  Past a context_of gate on
+# (PolyRing, QuadIntRing), the context that answers norm is Z[sqrt d].
 
 def _zq(ctx):
     """Is ctx, a polynomial ring, Z[x] or Q[x]?"""
@@ -328,25 +328,28 @@ def primitive_part(f):
 
 def primitive_associate(f):
     """The primitive integer polynomial with positive lead, from Z or Q."""
-    _zq_poly(f)
-    if not f.val:
+    return Element(_ZX, _primitive_ints(_zq_poly(f), f.val))
+
+
+def _primitive_ints(ctx, coeffs):
+    """primitive_associate's coefficients from those of Z[x] or Q[x]."""
+    if not coeffs:
         raise ZeroInput("the zero polynomial has no primitive associate")
-    # an int is its own numerator over the denominator 1
-    scale = math.lcm(*[c.denominator for c in f.val])
-    ints = [c.numerator * (scale // c.denominator) for c in f.val]
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
+    if ctx.base.is_field:
+        scale = math.lcm(*[c.denominator for c in coeffs])
+        coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+    g = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
         g = -g
-    return Element(PolyRing(ZZ), tuple([c // g for c in ints]))
+    return tuple(coeffs) if g == 1 else tuple([c // g for c in coeffs])
 
 
 def rational_roots(f):
     """All rational roots, ascending, via the rational root theorem."""
-    _zq_poly(f)
+    ctx = _zq_poly(f)
     if not f.val:
         raise ZeroInput("every rational is a root of the zero polynomial")
-    g = primitive_associate(f)
-    coeffs = list(g.val)
+    coeffs = list(_primitive_ints(ctx, f.val))
     roots = set()
     if coeffs[0] == 0:
         roots.add(Fraction(0))
@@ -432,7 +435,7 @@ def _require_primitive(f, p=None):
     _zq_poly(f, z_only=True)
     if len(f.val) < 2:
         raise ConstantPolynomial("need degree at least 1")
-    if content(f) != 1:
+    if math.gcd(*f.val) != 1:
         raise NotPrimitive("coefficients share a common factor")
     if p is not None and not is_prime(p):
         raise InvalidParameters(f"{p} is not prime")
@@ -445,16 +448,17 @@ def eisenstein_translate_search(f, prime_bound=DEFAULT_PRIME_BOUND,
     Candidate primes for each shift are the primes up to the bound that
     divide the shifted constant term; shifts with constant term 0 prove
     reducibility is possible only through other routes and are skipped.
-    The 2 * shift_bound + 1 Taylor shifts of degree n are priced at n^2
-    steps each against the work budget before the first.
+    Once shift 0 fails, the other 2 * shift_bound are priced against the
+    work budget at n(n - 1)/2 steps each on n coefficients (_shift_payload).
     """
     _require_primitive(f)
-    within_budget((2 * shift_bound + 1) * (len(f.val) - 1) ** 2,
-                  "Taylor-shift steps")
     primes = primes_up_to(prime_bound)
+    n = len(f.val)
     shifts = itertools.chain.from_iterable(
         (a, -a) for a in range(1, shift_bound + 1))
     for a in itertools.chain((0,), shifts):
+        if a == 1:  # shift 0 has failed
+            within_budget(shift_bound * n * (n - 1), "Taylor-shift steps")
         g = _shift_payload(f.val, a) if a else f.val
         if g[0] == 0:
             continue
@@ -595,13 +599,13 @@ def _replay(f, verdict, data):
     reducing = verdict.cert in ("rational-root", "trial-divisor")
     if verdict.status != ("reducible" if reducing else "irreducible"):
         return False
-    if hasattr(f.ctx, "norm"):  # Z[sqrt d]
-        return _replay_quadratic(f, verdict, data)
-    return _replay_polynomial(f, verdict, data)
+    ctx = context_of(f, (PolyRing, QuadIntRing), "no certificate for {!r}")
+    if hasattr(ctx, "norm"):
+        return _replay_quadratic(f, ctx, verdict, data)
+    return _replay_polynomial(f, ctx, verdict, data)
 
 
-def _replay_polynomial(f, verdict, data):
-    ctx = context_of(f, PolyRing, "expected a polynomial")
+def _replay_polynomial(f, ctx, verdict, data):
     base, kind, zq = ctx.base, verdict.cert, _zq(ctx)
     if verdict.is_irreducible and zq and not base.is_field and content(f) > 1:
         return False  # the content is a non-unit factor in Z[x]
@@ -639,8 +643,7 @@ def _replay_polynomial(f, verdict, data):
     return False
 
 
-def _replay_quadratic(f, verdict, data):
-    ctx = context_of(f, QuadIntRing, "expected a quadratic integer")
+def _replay_quadratic(f, ctx, verdict, data):
     kind = verdict.cert
     if kind == "trial-divisor":
         g = ctx.parse(data["divisor"])
@@ -674,7 +677,7 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
     """
     ctx = context_of(f, (PolyRing, QuadIntRing),
                      "no irreducibility test for {!r}")
-    if hasattr(ctx, "norm"):  # Z[sqrt d]
+    if hasattr(ctx, "norm"):
         return quad_irreducible_check(f)
     if prime_kernel(ctx):
         g = _fp_divisor(f)
@@ -683,7 +686,7 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
         return _red("trial-divisor", divisor=ctx.show(g))
     if not _zq(ctx):
         raise RingError(f"no irreducibility test over {ctx.base.name()}")
-    prim = primitive_associate(f)
+    prim = Element(_ZX, _primitive_ints(ctx, f.val))
     deg = len(prim.val) - 1
     if deg < 1:
         raise ConstantPolynomial("constants are not tested")
@@ -694,8 +697,8 @@ def irreducibility_pipeline(f, prime_bound=DEFAULT_PRIME_BOUND,
         roots, refusal = None, over
     if roots:
         return _red("rational-root", root=roots[0])
-    if not ctx.base.is_field and content(f) > 1:
-        return _red("trial-divisor", divisor=content(f))
+    if not ctx.base.is_field and math.gcd(*f.val) > 1:
+        return _red("trial-divisor", divisor=math.gcd(*f.val))
     if deg == 1:
         return _irr("exhaustive")
     if deg in (2, 3) and roots is not None:  # as low_degree_test(prim)

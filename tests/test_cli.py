@@ -269,7 +269,7 @@ FORMER_HANGS = [
      "1000000000000000003^2"),
     (["irreducible", "Quad:-5", "10000000000000079"], 1, ""),
     (["irreducible", "--prime-bound", "100000000", "Q", "[1,0,0,0,1]"], 1, ""),
-    # 2 * 10^9 + 1 Taylor shifts, priced before the first
+    # 2 * 10^9 Taylor shifts, priced once shift 0 has failed
     (["irreducible", "--shift-bound", "1000000000", "Q", "[1,0,-10,0,1]"], 1,
      ""),
     # the budget refusal of a context literal's modulus, not a parse error

@@ -400,12 +400,25 @@ def test_translate_search_skips_a_shift_to_a_root():
     assert eisenstein_translate_search(PZ.element([-1, 0, 1])) is INCONCLUSIVE
 
 
-def test_the_shift_search_is_priced_before_the_first_shift():
-    # 2 * 10^9 + 1 shifts of a quartic, at 4^2 steps each
+def test_the_shift_search_is_priced_after_shift_zero():
+    # 2 * 10^9 nonzero shifts of a quartic, at 5 * 4 / 2 steps each
     f = PZ.element([1, 0, -10, 0, 1])
-    with pytest.raises(TooLarge, match="Taylor-shift steps: 32000000016 "):
+    with pytest.raises(TooLarge, match="Taylor-shift steps: 20000000000 "):
         eisenstein_translate_search(f, shift_bound=10**9)
     assert eisenstein_translate_search(f, shift_bound=1000) is INCONCLUSIVE
+    # shift 0 costs no Taylor shift, so it is tried at any bound
+    v = eisenstein_translate_search(PZ.element([2, 0, 1]), shift_bound=10**9)
+    assert v.serialize() == "IRREDUCIBLE cert=eisenstein p=2 shift=0"
+
+
+def test_a_high_degree_keeps_its_eisenstein_verdict_at_shift_zero():
+    # x^220 + 2: reduction mod the first ten primes cannot prove it, and
+    # the 20 nonzero shifts of the default bound cost 486200 steps
+    for P in (PZ, PQ):
+        f = P.element([2] + [0] * 219 + [1])
+        v = irreducibility_pipeline(f)
+        assert v.serialize() == "IRREDUCIBLE cert=eisenstein p=2 shift=0"
+        assert verify_certificate(f, v)
 
 
 def test_translate_search_finds_a_shift():
@@ -578,12 +591,17 @@ COSTLY_ROOTS = PQ.parse_element("[160030080000,0,0,0,7016830618369]")
 def test_a_stage_over_the_budget_passes_the_polynomial_on():
     with pytest.raises(TooLarge, match="Horner steps"):
         rational_roots(COSTLY_ROOTS)
-    v = irreducibility_pipeline(COSTLY_ROOTS)
-    assert v.serialize() == "IRREDUCIBLE cert=reduction p=29"
-    assert verify_certificate(COSTLY_ROOTS, v)
+    rescued = irreducibility_pipeline(COSTLY_ROOTS)
+    assert rescued.serialize() == "IRREDUCIBLE cert=reduction p=29"
+    assert verify_certificate(COSTLY_ROOTS, rescued)
     # the shift search is refused, and reduction mod 2 decides
     v = irreducibility_pipeline(PZ.element([1, 1, 0, 0, 1]), shift_bound=10**9)
     assert v.serialize() == "IRREDUCIBLE cert=reduction p=2"
+    # the rescued verdict, against an independent test
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = sympy.Poly(7016830618369 * x**4 + 160030080000, x)
+    assert f.is_irreducible == rescued.is_irreducible
 
 
 def test_the_first_refusal_stands_when_no_stage_decides():
@@ -607,13 +625,6 @@ def test_no_low_degree_verdict_after_a_refused_root_search():
     v = irreducibility_pipeline(f)
     assert v.serialize() == "IRREDUCIBLE cert=reduction p=29"
     assert verify_certificate(f, v)
-
-
-def test_the_rescued_verdict_agrees_with_sympy():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    f = sympy.Poly(7016830618369 * x**4 + 160030080000, x)
-    assert f.is_irreducible
 
 
 def test_certificates_fail_against_a_different_polynomial():
