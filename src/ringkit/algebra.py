@@ -203,8 +203,9 @@ class RingContext:
     def radical(self, m):
         """A generator of the radical of the ideal (m) when this context
         finds one without factoring m (polynomials over F_p or in
-        characteristic 0), else None: then a quotient by m decides
-        nilpotence by repeated squaring (Z and Z[i] do)."""
+        characteristic 0, computed by factor.radical), else None: then a
+        quotient by m decides nilpotence by repeated squaring (Z and
+        Z[i] do)."""
         return None
 
     # -- Euclidean hooks (Z, polynomials over a field, Gaussian integers;

@@ -14,7 +14,11 @@ a verdict carrying a checkable certificate (Eisenstein after a shift,
 reduction mod p, a rational root, a trial divisor) or INCONCLUSIVE.
 Their inner loops run on integer lists too: a shift x -> x + a is a
 Taylor shift by synthetic division, and a rational root candidate s/q
-is tested by the homogenised Horner sum q^n f(s/q) in integers.
+is tested by the homogenised Horner sum q^n f(s/q) in integers.  One
+squarefree decomposition, _levels, gives the multiplicity levels of a
+polynomial over F_p or a field of characteristic 0 without splitting a
+factor: radical (which PolyRing.radical answers with) is the first
+level, squarefree_part the alternating fold of them all.
 
 Which of these rings a context is comes from hooks it answers, not
 from its type (see "ring families" below), and each function checks its
@@ -25,6 +29,7 @@ it claims to describe, and answers True or False for every verdict, so
 none has to be taken on faith.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -243,18 +248,6 @@ def _equal_degree_split(K, g, d):
                 t = K.add(K.powmod(a, (p ** d - 1) // 2, g), (p - 1,))
             h = K.gcd(g, t)
         todo += [h, tuple(K.divmod(g, h)[0])]
-    return out
-
-
-def radical_fp(ctx, m):
-    """The product of the distinct irreducible factors of a monic m over
-    F_p: the first distinct-degree group of each degree, so no group is
-    split."""
-    out, last = ctx.one, None
-    for g, d in _distinct_degree(prime_kernel(ctx), m):
-        if d != last:
-            out = ctx.mul(out, g)
-        last = d
     return out
 
 
@@ -482,66 +475,67 @@ def reduction_mod_p_check(f, p):
 
 # ------------------------------------------------------------- squarefree
 
+def _levels(ctx, f):
+    """The levels g1, g2, ... of a monic f over F_p or a field of
+    characteristic 0: gj is the product of the distinct irreducible
+    factors of multiplicity >= j, none split.  Over F_p gj is the
+    product of the j-th distinct-degree group of each degree.  In
+    characteristic 0, on the context's own gcd and division, u = gcd(f,
+    f') gives g1 = f / u, and each gcd(u, gj) takes the factors of least
+    multiplicity off gj while u loses a power of each factor left
+    (Musser 1971; Yun 1976 carries f' along to shrink each gcd)."""
+    K = prime_kernel(ctx)
+    if K:
+        groups = {}
+        for g, d in _distinct_degree(K, f):
+            groups.setdefault(d, []).append(g)
+        for level in itertools.zip_longest(*groups.values()):
+            yield functools.reduce(ctx.mul, filter(None, level))  # None pads
+        return
+    u = gcd_payload(ctx, f, derivative(Element(ctx, f)).val)
+    g = ctx.divmod_(f, u)[0]
+    while len(g) > 1:
+        yield g
+        g = gcd_payload(ctx, u, g)
+        u = ctx.divmod_(u, g)[0]
+
+
+def radical(ctx, m):
+    """The product of the distinct prime factors of a monic m of degree
+    >= 1 in the polynomial ring ctx: its first level over F_p or in
+    characteristic 0, else None (RingContext.radical's contract)."""
+    if prime_kernel(ctx) or ctx.characteristic() == 0:
+        return next(_levels(ctx, m))
+    return None
+
+
 def squarefree_part(x):
     """The odd-multiplicity part: x = unit * square * squarefree_part.
 
-    Integers get the product of their odd-power primes; polynomials over
-    a prime field take it from their distinct-degree groups; over Q (or
-    Z, mapped through Q) the decomposition comes from the gcd chain of f
-    and f'.  Neither polynomial case splits a group into irreducibles.
+    Integers get the product of their odd-power primes.  A polynomial
+    over F_p or Q, made monic, gets the alternating fold g1 / g2 * g3 /
+    g4 ... of its levels (_levels): each gj / gj+1 is exact and holds the
+    factors of multiplicity j, so no factor is split into irreducibles.
+    Over Z the fold runs in Q[x], and the part is its primitive associate
+    times the squarefree part of the content.
     """
     if isinstance(x, int) or isinstance(x, Element) and x.ctx == ZZ:
         return squarefree_part_int(x)
     ctx = context_of(x, PolyRing, "no squarefree decomposition for {!r}")
-    K = prime_kernel(ctx)
-    if K:
-        return _squarefree_part_fp(K, x)
-    if _zq(ctx):
-        return _squarefree_part_q(x)
-    raise RingError(f"no squarefree decomposition over {ctx.base.name()}")
-
-
-def _squarefree_part_fp(K, f):
-    """The j-th distinct-degree group of a degree holds the factors of
-    multiplicity >= j, so the alternating product g1 / g2 * g3 / g4 ...
-    over each degree keeps exactly the factors of odd multiplicity, and
-    each division is exact."""
-    ctx = f.ctx
-    if not f.val:
-        raise ZeroInput("0 has no factorization")
-    out, last, j = ctx.one, None, 0
-    for g, d in _distinct_degree(K, ctx.mul(ctx.canon_unit(f.val), f.val)):
-        j = j + 1 if d == last else 1
-        last = d
-        out = ctx.mul(out, g) if j % 2 else ctx.divmod_(out, g)[0]
-    return Element(ctx, out)
-
-
-def _squarefree_part_q(f):
-    """Yun's gcd chain: monic f over Q is prod a_i^i with a_i squarefree,
-    and the part is the product of the a_i of odd i."""
-    qctx = PolyRing(QQ)
-    coeffs = qctx.canon(f.val)
-    if not coeffs:
+    if not has_irreducibility_test(ctx):
+        raise RingError(f"no squarefree decomposition over {ctx.base.name()}")
+    if not x.val:
         raise ZeroInput("the zero polynomial has no squarefree part")
-    monic = qctx.mul(qctx.canon_unit(coeffs), coeffs)
-    d_monic = derivative(Element(qctx, monic)).val
-    g = gcd_payload(qctx, monic, d_monic)
-    c = qctx.divmod_(monic, g)[0]
-    d = qctx.sub(qctx.divmod_(d_monic, g)[0],
-                 derivative(Element(qctx, c)).val)
-    out, i = qctx.one, 1
-    while len(c) - 1 > 0:
-        a = gcd_payload(qctx, c, d)
-        if i % 2:
-            out = qctx.mul(out, a)
-        c = qctx.divmod_(c, a)[0]
-        d = qctx.sub(qctx.divmod_(d, a)[0], derivative(Element(qctx, c)).val)
-        i += 1
-    result = Element(qctx, out)
-    if f.ctx.base.is_field:
-        return result
-    return primitive_associate(result)
+    F = ctx if ctx.base.is_field else PolyRing(QQ)
+    f = F.canon(x.val)
+    levels = _levels(F, F.mul(F.canon_unit(f), f))
+    part = F.one
+    for g in levels:  # an odd level, then the next one
+        part = F.mul(part, F.divmod_(g, next(levels, F.one))[0])
+    if F is ctx:
+        return Element(ctx, part)
+    c = squarefree_part_int(math.gcd(*x.val))
+    return Element(ctx, tuple(c * a for a in _primitive_ints(F, part)))
 
 
 # ------------------------------------------------- imaginary quadratic

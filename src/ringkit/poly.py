@@ -920,20 +920,11 @@ class PolyRing(OverBase):
             factor.irreducibility_pipeline(Element(self, m)).is_irreducible
 
     def radical(self, m):
-        """The product of the distinct prime factors of m, found without
-        factoring it: over F_p the first distinct-degree group of each
-        degree (no equal-degree split), m / gcd(m, m') in characteristic
-        0; None over any other base."""
-        if prime_kernel(self):
-            from .factor import radical_fp
+        """factor.radical: the product of the distinct prime factors of m
+        over F_p or in characteristic 0, else None."""
+        from . import factor
 
-            return radical_fp(self, m)
-        if self.characteristic() != 0:
-            return None
-        from .euclid import gcd_payload
-
-        return self.divmod_(
-            m, gcd_payload(self, m, derivative(Element(self, m)).val))[0]
+        return factor.radical(self, m)
 
     def symbols(self):
         return {**super().symbols(), "x": self.gen.val}

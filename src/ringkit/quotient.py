@@ -19,9 +19,9 @@ hooks:
     makes the quotient a field, else a RING; for F_p[x] and Q[x] the
     verdict of factor.irreducibility_pipeline, INCONCLUSIVE counting no;
   * radical(m): a generator of the radical of (m) where the base finds
-    one without factoring m (polynomials over F_p from their
-    distinct-degree groups, in characteristic 0 from the gcd with the
-    derivative), else None, and nilpotence is decided by repeated
+    one without factoring m (polynomials over F_p or in characteristic
+    0, computed by factor.radical, the first level of its squarefree
+    decomposition), else None, and nilpotence is decided by repeated
     squaring.  A quotient asks once and keeps the answer;
   * residue_kernel(m): the kernel record that works on the remainders
     directly, which the quotient's kernel() hook returns to polynomial

@@ -1,6 +1,7 @@
 """Factorization and irreducibility: integers, prime-field polynomials, certificates."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from ringkit import (
     poly_ring,
     quotient_ring,
 )
-from ringkit.poly import horner
+from ringkit.euclid import gcd_payload
+from ringkit.poly import derivative, horner
 from ringkit.factor import (
     INCONCLUSIVE,
     _fp_divisor,
@@ -149,6 +151,9 @@ def test_prime_field_factorization_fixture():
     assert fac.unit == (2,)
     assert fac.factors == (((1, 0, 1), 1),)
     assert str(fac) == "2 * (x^2+1)"
+    # the two cubics over F_2, which the trace map splits apart
+    fac = factor_poly_fp(P2.element([1, 1, 1, 1, 1, 1, 1]))
+    assert fac.factors == (((1, 0, 1, 1), 1), ((1, 1, 0, 1), 1))
 
 
 # ------------------------------------- prime-field path against trial division
@@ -469,11 +474,15 @@ def test_squarefree_parts_take_the_odd_multiplicity_factors():
     assert squarefree_part(q).val == q.val
     assert squarefree_part(P3.element([1, 2, 1])).val == (1,)  # even multiplicity drops out
     assert squarefree_part(P3.element([0, 1, 2, 1])).val == (0, 1)
+    # over Z the content's own squarefree part stays: 12 = 3 * 2^2
+    assert squarefree_part(PZ.element([12])).val == (3,)
+    assert squarefree_part(PZ.element([6, -4, 2])).val == (6, -4, 2)
 
 
 def test_squarefree_part_of_zero_is_refused():
-    with pytest.raises(ZeroInput):
-        squarefree_part(PZ.element([]))
+    for P in (PZ, PQ, P3):
+        with pytest.raises(ZeroInput, match="the zero polynomial has no"):
+            squarefree_part(P.element([]))
 
 
 def _squarefree_part_by_factoring(f):
@@ -520,6 +529,87 @@ def test_prime_field_squarefree_part_matches_the_factorization(case):
     p, coeffs = case
     f = poly_ring(ModRing(p)).element(coeffs)
     assert squarefree_part(f).val == _squarefree_part_by_factoring(f)
+
+
+@st.composite
+def zq_powers(draw):
+    """u * a * b^2 * c^3 over Z or Q: u a nonzero integer up to 30 in
+    absolute value (a fraction with such a denominator over Q), a, b, c
+    of degree 1 or 2 with contents of their own."""
+    P = draw(st.sampled_from([PZ, PQ]))
+    num = draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1]))
+    den = 1 if P is PZ else draw(st.integers(1, 30))
+    f = P.element([Fraction(num, den)] if P is PQ else [num])
+    for e in (1, 2, 3):
+        d = draw(st.integers(1, 2))
+        tail = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+        f = f * P.element(tail + [draw(st.integers(1, 3))]) ** e
+    return f
+
+
+def _is_monic_square(q):
+    """Is the monic q over Q the square of some s?  s is solved for from
+    the top coefficient down, then squared."""
+    if (len(q) - 1) % 2:
+        return False
+    k = (len(q) - 1) // 2
+    s = [Fraction(0)] * k + [Fraction(1)]
+    for i in range(k - 1, -1, -1):  # q[k + i] = 2 s[i] + the s[j] s[k + i - j]
+        s[i] = (q[k + i] - sum(s[j] * s[k + i - j]
+                               for j in range(i + 1, k))) / 2
+    return PQ.mul(tuple(s), tuple(s)) == tuple(q)
+
+
+@given(st.one_of(zq_powers(),
+                 fp_powers().map(lambda c: poly_ring(ModRing(c[0])).element(c[1]))))
+@settings(max_examples=150, deadline=None)
+def test_the_squarefree_part_is_squarefree_and_leaves_a_square(f):
+    # f = unit * square * part, checked without a squarefree decomposition:
+    # gcd(part, part') = 1, and the cofactor's factors have even
+    # multiplicity over F_p; over Z and Q the monic cofactor has a square
+    # root in Q[x], and over Z its content is a square too
+    part = squarefree_part(f)
+    P = PQ if f.ctx == PZ else f.ctx
+    g, cof = P.canon(part.val), P.canon(f.val)
+    assert len(gcd_payload(P, g, derivative(P.element(g)).val)) == 1
+    cof, rest = P.divmod_(cof, g)
+    assert not rest
+    if P is PQ:
+        assert _is_monic_square(P.mul(P.canon_unit(cof), cof))
+        if f.ctx == PZ:
+            assert all(c.denominator == 1 for c in cof)
+            c = math.gcd(*map(int, cof))
+            assert math.isqrt(c) ** 2 == c
+    else:
+        assert all(e % 2 == 0 for _, e in factor_poly_fp(P.element(cof)).factors)
+
+
+@given(zq_powers())
+@settings(max_examples=100, deadline=None)
+def test_squarefree_part_and_radical_match_sympy(f):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    over_z = f.ctx == PZ
+    domain = "ZZ" if over_z else "QQ"
+    lead, parts = sympy.Poly(f.val[::-1], x, domain=domain).sqf_list()
+
+    def ours(g):
+        return f.ctx.canon([f.ctx.base.parse(str(c))
+                            for c in g.all_coeffs()[::-1]])
+
+    want = f.ctx.one
+    for g, k in parts:
+        if k % 2:
+            want = f.ctx.mul(want, ours(g))
+    if over_z:
+        want = f.ctx.mul((squarefree_part_int(int(lead)),), want)
+    assert squarefree_part(f).val in (want, f.ctx.neg(want))
+    if not over_z:
+        rad = PQ.one
+        for g, _ in parts:
+            rad = PQ.mul(rad, ours(g))
+        monic = PQ.mul(PQ.canon_unit(f.val), f.val)
+        assert PQ.radical(monic) == PQ.mul(PQ.canon_unit(rad), rad)
 
 
 def test_prime_field_squarefree_part_splits_no_group(monkeypatch):

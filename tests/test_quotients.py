@@ -339,6 +339,22 @@ def test_nilpotence_in_characteristic_zero_uses_the_radical():
     assert not N.is_finite
     assert N.is_nilpotent(N.canon([Fraction(0), Fraction(3), Fraction(3)]))
     assert not N.is_nilpotent(N.canon([Fraction(0), Fraction(1)]))
+    # over Q(i), whose polynomial ring has no kernel record, the gcd
+    # chain runs on the generic Euclid: (x^2 + 1)^2 = (x + i)^2 (x - i)^2
+    G = parse_context("Quot(Poly(QuadF:-1),[1,0,2,0,1])")
+    assert G.base.radical(G.modulus) == G.base.parse("x^2+1")
+    assert G.is_nilpotent(G.parse("x^2+1"))
+    assert not G.is_nilpotent(G.parse("x+i"))
+
+
+def test_nilpotence_without_a_radical_comes_from_squaring():
+    # GF(4)[x] is of characteristic 2 but not over a prime field, so it
+    # finds no radical; x^2 + 1 = (x + 1)^2, whose nilpotents are the
+    # multiples of x + 1
+    R = parse_context("Quot(Poly(Quot(Fp:2,[1,1,1])),[1,0,1])")
+    assert R.base.radical(R.modulus) is None
+    nilpotents = [R.show(a) for a in R.elements() if R.is_nilpotent(a)]
+    assert nilpotents == ["0", "[1,1]", "[x,x]", "[x+1,x+1]"]
 
 
 def test_a_quotient_decides_its_facts_when_first_asked(monkeypatch):
