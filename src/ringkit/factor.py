@@ -502,9 +502,10 @@ def _levels(ctx, f):
 
 def radical(ctx, m):
     """The product of the distinct prime factors of a monic m of degree
-    >= 1 in the polynomial ring ctx: its first level over F_p or in
-    characteristic 0, else None (RingContext.radical's contract)."""
-    if prime_kernel(ctx) or ctx.characteristic() == 0:
+    >= 1 in the polynomial ring ctx: its first level over F_p or a field
+    of characteristic 0, else None (RingContext.radical's contract), Z[x]
+    among them."""
+    if prime_kernel(ctx) or ctx.base.is_field and ctx.characteristic() == 0:
         return next(_levels(ctx, m))
     return None
 

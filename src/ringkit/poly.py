@@ -24,9 +24,10 @@ first or second:
   * IntKernel(n) for Z/n and Z (n = 0), Quot(Z, n) among them: a
     product is the schoolbook loop on short operands, else Kronecker
     substitution: kron_mul packs each operand into one int, in slots
-    that struct fills and reads for a whole list at once, lets CPython's
-    Karatsuba multiply them and reads back the coefficients, or only the
-    low ones a caller keeps.
+    that struct fills and reads for a whole list at once, cut to exactly
+    3, 5, 6 or 7 bytes on long products, lets CPython's Karatsuba
+    multiply them and reads back the coefficients, or only the low ones
+    a caller keeps.
   * F2Kernel for Z/2: IntKernel(2), except that division, gcd, xgcd and
     powmod pack each operand into one int, bit i the coefficient of
     x^i, and run by shift-and-XOR.
@@ -55,7 +56,8 @@ by the half-gcd of Thull and Yap (von zur Gathen and Gerhard, Modern
 Computer Algebra, 11.1): about half of the remaining steps at once, as
 a 2x2 transition matrix from two recursive calls of half the size, in
 O(M(n) log n) instead of O(n^2) coefficient operations, with the
-quotients, remainders and cofactors of the classical loop.  factor.py's
+quotients, remainders and cofactors of the classical loop, each of
+whose steps is one call of the kernel's step().  factor.py's
 distinct- and equal-degree loops call the kernel of F_p (prime_kernel)
 directly.
 This module alone chooses among the dense algorithms; the *_MIN
@@ -95,42 +97,61 @@ from .errors import (
 NEG_INF = float("-inf")
 
 # Measured crossovers: Kronecker products from KRONECKER_MIN coefficients
-# in the shorter factor; Newton division once quotient and divisor both
-# have NEWTON_MIN (with a short divisor the O(len(q) len(b)) loop stays
-# cheaper at any quotient length); Newton series inversion from that
+# in the shorter factor, in slots of exactly 3, 5, 6 or 7 bytes once the
+# product takes EXACT_MIN bytes (below, the copies cost more than the
+# smaller int product saves); Newton division once quotient and divisor
+# both have NEWTON_MIN (with a short divisor the O(len(q) len(b)) loop
+# stays cheaper at any quotient length); Newton series inversion from that
 # precision.  The half-gcd from HGCD_MIN coefficients in the divisor, and
 # from GCD_HGCD_MIN for a gcd alone, which has no cofactors to update.
 KRONECKER_MIN = 5
+EXACT_MIN = 768
 NEWTON_MIN = 32
-HGCD_MIN = 48
+HGCD_MIN = 64
 GCD_HGCD_MIN = 256
 
 
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_NEXT = {3: 4, 5: 8, 6: 8, 7: 8}  # struct's width for an exact one
 
 
-def _width(bits):
-    """Bytes per slot for values below 2^bits: 1, 2, 4 or 8, which struct
-    packs and reads for a whole list at once, else the exact count."""
+def _width(bits, m):
+    """Bytes per slot for values below 2^bits in m slots: exact from
+    EXACT_MIN bytes, else rounded up to a width struct handles."""
     w = (bits + 7) // 8 or 1
-    return 1 << (w - 1).bit_length() if w <= 8 else w
+    return w if m * w >= EXACT_MIN else _NEXT.get(w, w)
 
 
 def _pack(c, w):
-    if w <= 8:
-        data = struct.pack(f"<{len(c)}{_CODES[w]}", *c)
-    else:
-        data = b"".join([x.to_bytes(w, "little") for x in c])
+    """c in slots of w bytes: 3, 5, 6 or 7 by w strided copies out of
+    struct's next width."""
+    if w in _CODES:
+        return int.from_bytes(
+            struct.pack(f"<{len(c)}{_CODES[w]}", *c), "little")
+    if w > 8:
+        return int.from_bytes(
+            b"".join([x.to_bytes(w, "little") for x in c]), "little")
+    s = _NEXT[w]
+    wide = struct.pack(f"<{len(c)}{_CODES[s]}", *c)
+    data = bytearray(len(c) * w)
+    for j in range(w):
+        data[j::w] = wide[j::s]
     return int.from_bytes(data, "little")
 
 
 def _unpack(x, w, m, keep):
-    """The low keep of the m slots of x."""
+    """The low keep of the m slots of x, _pack reversed."""
     data = x.to_bytes(m * w, "little")
-    if w <= 8:
+    if w in _CODES:
         return struct.unpack_from(f"<{keep}{_CODES[w]}", data)
-    return [int.from_bytes(data[i:i + w], "little")
-            for i in range(0, keep * w, w)]
+    if w > 8:
+        return [int.from_bytes(data[i:i + w], "little")
+                for i in range(0, keep * w, w)]
+    s = _NEXT[w]
+    wide = bytearray(keep * s)
+    for j in range(w):
+        wide[j::s] = data[j:keep * w:w]
+    return struct.unpack_from(f"<{keep}{_CODES[s]}", wide)
 
 
 def kron_mul(a, b, n, keep=None):
@@ -147,12 +168,12 @@ def kron_mul(a, b, n, keep=None):
     m = len(a) + len(b) - 1
     keep = m if keep is None else min(keep, m)
     if n:
-        w = _width(((n - 1) ** 2 * k).bit_length())
+        w = _width(((n - 1) ** 2 * k).bit_length(), m)
         pa = _pack(a, w)
         c = _unpack(pa * (pa if a is b else _pack(b, w)), w, m, keep)
         return [x % n for x in c]
     w = _width((k * max(1, *map(abs, a)) * max(1, *map(abs, b)))
-               .bit_length() + 1)
+               .bit_length() + 1, m)
     h = 1 << (8 * w - 1)
     bias = int.from_bytes(h.to_bytes(w, "little") * m, "little")
     pa = _pack([x + h for x in a], w) - (bias >> 8 * w * (m - len(a)))
@@ -183,9 +204,15 @@ class Kernel:
         """a - b, trimmed."""
         return self.add(a, self.neg(b))
 
-    def submul(self, u, q, v):
-        """u - q v."""
-        return self.sub(u, self.mul(q, v))
+    def step(self, a, b, rows):
+        """a mod b, with rows, a transition matrix or one column of it
+        listed by rows, taken from (M0, M1) to (M1, M0 - q M1) for the
+        quotient q."""
+        q, r = self.divmod(a, b, False)
+        h = len(rows) // 2
+        rows[:] = rows[h:] + [self.sub(u, self.mul(q, v))
+                              for u, v in zip(rows, rows[h:])]
+        return r
 
     def seed(self, f, prec, u):
         """The first coefficients of 1/f, for u = 1/f[0]."""
@@ -241,15 +268,19 @@ class Kernel:
     def gcd(self, a, b):
         """The monic gcd of a and b over a field as a tuple (gcd(0, 0) =
         ())."""
-        return self._monic(_euclid(a, b, self, None))[0]
+        return self._monic(_euclid(a, b, self, []))[0]
 
     def xgcd(self, a, b):
         """(g, x, y) as tuples with a x + b y = g = gcd(a, b): the
         cofactors of the classical extended Euclid loop, of least degree,
-        scaled with g to make g monic (gcd(0, 0) = 0 * 1 + 0 * 0)."""
-        M = [[self.one], [], [], [self.one]]
-        g = _euclid(a, b, self, M)
-        return self._monic(g, M[0], M[1])
+        scaled with g to make g monic (gcd(0, 0) = 0 * 1 + 0 * 0).  The
+        loop carries x alone; y = (g - a x) / b, an exact division."""
+        S = [[self.one], []]
+        g = _euclid(a, b, self, S)
+        x = S[0]
+        y = self.divmod(self.sub(g, self.mul(a, x)), b, False)[0] if b \
+            else []
+        return self._monic(g, x, y)
 
     def _monic(self, g, *cofactors):
         vs = (g, *cofactors)
@@ -297,10 +328,10 @@ class IntKernel(Kernel):
                      else [x + y for x, y in s])
 
     def sub(self, a, b):
+        # over Z/n alone: only division and Euclid subtract
         n = self.n
-        s = itertools.zip_longest(a, b, fillvalue=0)
-        return _trim([(x - y) % n for x, y in s] if n
-                     else [x - y for x, y in s])
+        return _trim([(x - y) % n for x, y in
+                      itertools.zip_longest(a, b, fillvalue=0)])
 
     def neg(self, a):
         n = self.n
@@ -323,9 +354,8 @@ class IntKernel(Kernel):
 
     def divmod(self, a, b, memo=True):
         """As Kernel.divmod once quotient and divisor both have NEWTON_MIN
-        coefficients (with a short divisor the O(len(q) len(b)) loop stays
-        cheaper at any quotient length), else over F_p by short division,
-        one list comprehension per quotient coefficient."""
+        coefficients, else over F_p by short division, one list
+        comprehension per quotient coefficient."""
         m = len(a) - len(b) + 1
         if m >= NEWTON_MIN and len(b) >= NEWTON_MIN:
             return super().divmod(a, b, memo)
@@ -343,18 +373,27 @@ class IntKernel(Kernel):
                 r[k:k + db] = [(x - c * y) % p for x, y in zip(r[k:k + db], b)]
         return q, _trim(r[:db])
 
-    # kept beside Kernel.submul: dense ran 4-7 % slower without (BENCH_17.json)
-    def submul(self, u, q, v):
-        """u - q v: one pass per coefficient of q while q is the shorter
-        factor and below KRONECKER_MIN, as in a remainder step."""
-        if len(q) >= KRONECKER_MIN or len(q) > len(v):
-            return super().submul(u, q, v)
-        n = len(v)
-        out = list(u) + [0] * (len(q) + n - 1 - len(u))
-        for i, c in enumerate(q):
-            if c:
-                out[i:i + n] = [x - c * y for x, y in zip(out[i:i + n], v)]
-        return _trim([x % self.n for x in out])
+    def step(self, a, b, rows):
+        """As Kernel.step, over F_p: a quotient q1 x + q0 of one or two
+        coefficients in one list pass for the remainder and one per row,
+        c_i - q0 d_i - q1 d_(i-1) for c - q d; a longer one by divmod."""
+        d = len(a) - len(b)
+        if not 0 <= d <= 1:
+            return super().step(a, b, rows) if rows else \
+                self.divmod(a, b, False)[1]
+        p, db, sb = self.n, len(b) - 1, [0] + b
+        inv = pow(b[-1], -1, p)
+        q1 = a[-1] * inv % p if d else 0
+        q0 = (a[db] - q1 * sb[db]) * inv % p
+        r = [(x - q0 * y - q1 * z) % p for x, y, z in zip(a, b, sb)]
+        r.pop()  # c_db, which q cancels
+        if rows:
+            h = len(rows) // 2
+            rows[:] = rows[h:] + [
+                _trim([(x - q0 * y - q1 * z) % p for x, y, z in
+                       itertools.zip_longest(u, v, [0] + v, fillvalue=0)])
+                for u, v in zip(rows, rows[h:])]
+        return _trim(r)
 
 
 # -- F_2[x] on ints: bit i of an int is the coefficient of x^i
@@ -491,7 +530,8 @@ class TowerKernel(Kernel):
         a, b = a[:keep], b[:keep]
         s = 2 * k - 1
         d = (k - 1) * (p - 1)
-        w = _width((len(b) * k * (p - 1) ** 2 * (1 + d * d)).bit_length())
+        w = _width((len(b) * k * (p - 1) ** 2 * (1 + d * d)).bit_length(),
+                   n * s)
         pa = _tower_pack(a, k, w)
         c = pa * (pa if square else _tower_pack(b, k, w))
         if k > 1:
@@ -727,22 +767,17 @@ def _dot(u, v, a, b, K):
 
 
 def _matmul(S, R, K):
-    a, b, c, d = S
-    e, f, g, h = R
-    return [_dot(a, b, e, g, K), _dot(a, b, f, h, K),
-            _dot(c, d, e, g, K), _dot(c, d, f, h, K)]
+    """S R, R a transition matrix or one column of it, listed by rows."""
+    h = len(R) // 2
+    return [_dot(u, v, e, g, K) for u, v in (S[:2], S[2:])
+            for e, g in zip(R, R[h:])]
 
 
 def _euclid_steps(a, b, M, K, stop):
     """Remainder steps (a, b) -> (b, a mod b) while len(b) > stop, each
-    applied to the rows of M, (M0, M1) -> (M1, M0 - q M1), unless M is
-    None.  Returns the last pair."""
+    applied to the rows of M by K.step.  Returns the last pair."""
     while len(b) > stop:
-        q, r = K.divmod(a, b, False)
-        a, b = b, r
-        if M is not None:
-            s0, t0, s1, t1 = M
-            M[:] = s1, t1, K.submul(s0, q, s1), K.submul(t0, q, t1)
+        a, b = b, K.step(a, b, M)
     return a, b
 
 
@@ -781,20 +816,23 @@ def _hgcd_above(a, b, k, K):
 
 
 def _euclid(a, b, K, M):
-    """The last nonzero remainder of Euclid's sequence on (a, b), with
-    M, unless None, multiplied by that sequence's transition matrix."""
+    """The last nonzero remainder of Euclid's sequence on (a, b), with M,
+    one column of a transition matrix or none ([]), multiplied by that
+    sequence's transition matrix."""
     a, b = list(a), list(b)
-    start = GCD_HGCD_MIN if M is None else HGCD_MIN
+    if len(a) < len(b):  # a step whose quotient is 0
+        a, b = b, a
+        M.reverse()
+    start = HGCD_MIN if M else GCD_HGCD_MIN
     while b:
         if len(b) < start:
             a, b = _euclid_steps(a, b, M, K, 0)
-        elif len(b) <= len(a) // 2 or len(a) < len(b):
+        elif len(b) <= len(a) // 2:
             # the half-gcd takes no step here; one remainder step does
             a, b = _euclid_steps(a, b, M, K, len(b) - 1)
         else:
             T, a, b = _hgcd(a, b, K)
-            if M is not None:
-                M[:] = _matmul(T, M, K)
+            M[:] = _matmul(T, M, K)
     return a
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringkit.poly
-from loop_bases import LoopMod
+from loop_bases import LoopMod, LoopQuot, tower_and_loop_bases
 from ringkit import ModRing, QQ, ZZ, extended_gcd, poly_ring, series_ring
 from ringkit.algebra import ring_pow_payload
 from ringkit.euclid import gcd_payload, xgcd_payload
@@ -94,6 +94,42 @@ def test_abnormal_remainder_sequences_equal_the_classical_loop(p):
         a, b = _from_quotients(loop, g, qs)
         _assert_matches_the_loop(p, a, b)
         _assert_matches_the_loop(p, b, a)
+
+
+GF256 = (1, 1, 0, 1, 1, 0, 0, 0, 1)
+
+
+def _field_pairs():
+    """(kernel ring, loop ring) over F_101, GF(2^8) and Quot(Z, 101)."""
+    yield PolyRing(ModRing(101)), PolyRing(LoopMod(101))
+    yield tuple(map(PolyRing, tower_and_loop_bases(2, GF256)))
+    yield PolyRing(QuotientRing(ZZ, 101)), PolyRing(LoopQuot(ZZ, 101))
+
+
+@pytest.mark.parametrize("dense, loop", list(_field_pairs()),
+                         ids=["F_101", "GF(2^8)", "Quot(Z,101)"])
+def test_every_kind_of_remainder_step_equals_the_classical_loop(dense, loop):
+    # K.step on zero operands, a shorter dividend (the quotient is 0),
+    # quotients of 3 to 5 coefficients, and lengths about HGCD_MIN, where
+    # Euclid hands over to the half-gcd; g, x and y equal payloads
+    rng = random.Random(len(dense.base.name()))
+    pool = list(dense.base.elements())
+
+    def poly(deg):
+        return dense.canon([rng.choice(pool) for _ in range(deg)]
+                           + [rng.choice(pool[1:])])
+
+    long = _from_quotients(
+        loop, poly(1), [poly(rng.randrange(1, 5)) for _ in range(12)])
+    cases = [((), ()), (poly(6), ()), ((), poly(6)), (poly(5), poly(20)),
+             long, long[::-1]]
+    for n in (HGCD_MIN - 1, HGCD_MIN, HGCD_MIN + 1):
+        cases += [(poly(n - 1), poly(n - 2)), (poly(n - 1), poly(n - 1))]
+    c = poly(4)
+    cases.append((dense.mul(c, poly(HGCD_MIN)), dense.mul(c, poly(40))))
+    for a, b in cases:
+        assert xgcd_payload(dense, a, b) == xgcd_payload(loop, a, b)
+        assert gcd_payload(dense, a, b) == gcd_payload(loop, a, b)
 
 
 @pytest.mark.parametrize("cut", [2, 3, 5, 8])

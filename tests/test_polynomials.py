@@ -36,6 +36,7 @@ from ringkit.errors import (
     ParseError,
 )
 from ringkit.poly import (
+    EXACT_MIN,
     KRONECKER_MIN,
     NEG_INF,
     NEWTON_MIN,
@@ -44,6 +45,7 @@ from ringkit.poly import (
     LoopKernel,
     PolyRing,
     RatKernel,
+    _width,
     kron_mul,
 )
 
@@ -366,6 +368,45 @@ def test_kron_mul_fills_every_slot_width_over_z(width):
                  (mixed, plus), (mixed, mixed)):
         _check_kron_mul(loop, a, b, 0)
     assert kron_mul(plus, [0] * k, 0) == [0] * (2 * k - 1)
+
+
+def _top(width, k, signed):
+    """The largest M whose k M^2, with a sign bit over Z, needs exactly
+    width bytes: the widest product coefficient when the shorter factor
+    has k coefficients of size M (n = M + 1 over Z/n); None if none."""
+    bits = 8 * width - signed
+    top = math.isqrt((2 ** bits - 1) // k)
+    return top if top and (k * top * top).bit_length() > bits - 8 else None
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["Z/n", "Z"])
+@pytest.mark.parametrize("exact", [False, True], ids=["rounded", "exact"])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_kron_mul_at_every_slot_width_on_both_sides_of_exact_min(
+        width, exact, signed):
+    # a long second factor, or a long square, takes the product to
+    # EXACT_MIN bytes: slots of exactly 3, 5, 6 and 7 bytes from there
+    rng = random.Random(width)
+    slots = EXACT_MIN // width + 1 if exact else 2 * KRONECKER_MIN
+    for k, other in ((KRONECKER_MIN, slots), (slots // 2 + 1, None)):
+        top = _top(width, k, signed)
+        if top is None:  # no square of 385 one-byte coefficients
+            continue
+        n = 0 if signed else top + 1
+        loop = PolyRing(dense_and_loop_bases(n)[1])
+        ends = (top, -top) if signed else (top,)
+        a = [rng.choice(ends) for _ in range(k)]
+        b = a if other is None else [
+            rng.choice(ends) if rng.random() < 0.7
+            else rng.randint(-top if signed else 0, top)
+            for _ in range(other)]
+        m = len(a) + len(b) - 1
+        assert (m * width >= EXACT_MIN) == exact
+        rounded = 1 << (width - 1).bit_length() if width <= 8 else width
+        assert _width(8 * width, m) == (width if exact else rounded)
+        _check_kron_mul(loop, a, b, n)
+        _check_kron_mul(loop, b, a, n)
+        _check_kron_mul(loop, [top] * k, [top] * len(b), n)
 
 
 def test_kron_inverse_over_z_with_a_vanishing_correction():

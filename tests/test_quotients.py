@@ -357,6 +357,14 @@ def test_nilpotence_without_a_radical_comes_from_squaring():
     assert nilpotents == ["0", "[1,1]", "[x,x]", "[x+1,x+1]"]
 
 
+def test_no_radical_over_z():
+    # Z[x] is of characteristic 0 but has no division with remainder, so
+    # the gcd chain cannot run: no radical, and no refusal either
+    for m in ((1, 2, 1), (0, 0, 1), (5, 1)):
+        assert PolyRing(ZZ).radical(m) is None
+    assert PolyRing(QQ).radical(tuple(map(Fraction, (1, 2, 1)))) == (1, 1)
+
+
 def test_a_quotient_decides_its_facts_when_first_asked(monkeypatch):
     # building one neither inverts m (the tower kernel does) nor asks
     # whether m is prime; each fact is asked of the base once
