@@ -33,16 +33,16 @@ _EXPORTS = {
         "BezoutCert", "are_comaximal", "crt_idempotents", "crt_solve",
         "euclid_gcd", "extended_gcd", "gcd_many", "lcm"),
     "factor": (
-        "Factorization", "IrreducibilityVerdict", "content",
-        "eisenstein_check", "eisenstein_translate_search", "factor_integer",
-        "factor_poly_fp", "irreducibility_pipeline", "low_degree_test",
-        "monic_irreducibles", "poly_is_irreducible_fp",
-        "primitive_associate", "primitive_part", "quad_irreducible_check",
-        "rational_roots", "reduction_mod_p_check", "squarefree_part",
-        "verify_certificate"),
+        "IrreducibilityVerdict", "content", "eisenstein_check",
+        "eisenstein_translate_search", "factor_poly_fp",
+        "irreducibility_pipeline", "low_degree_test", "monic_irreducibles",
+        "poly_is_irreducible_fp", "primitive_associate", "primitive_part",
+        "quad_irreducible_check", "rational_roots", "reduction_mod_p_check",
+        "squarefree_part", "verify_certificate"),
     "fracfield": (
         "FracField", "frac_den", "frac_embed", "frac_field", "frac_make",
         "frac_num"),
+    "intutil": ("ideal_divisor_lattice",),
     "literals": ("parse_context",),
     "matrix": (
         "MatrixRing", "adjugate", "cramer_solve", "det", "mat_inverse",
@@ -52,20 +52,20 @@ _EXPORTS = {
         "homogeneous_components", "homogenize", "is_homogeneous", "mv_eval",
         "mv_ring", "scaling_check", "total_degree", "variables_of"),
     "number_rings": (
-        "GAUSSIAN", "HH", "IntegerRing", "ModRing", "QQ", "QuadFieldRing",
-        "QuadIntRing", "QuaternionAlgebra", "ZZ", "euler_phi",
-        "fundamental_unit_search", "gaussian_divmod", "imaginary_unit_group",
-        "pythagorean_triple", "quad_conj", "quad_inverse", "quad_is_unit",
-        "quad_norm", "quat_conj", "quat_from_pair", "quat_inverse",
-        "quat_norm_sq", "sum_of_two_squares"),
+        "Factorization", "GAUSSIAN", "HH", "IntegerRing", "ModRing", "QQ",
+        "QuadFieldRing", "QuadIntRing", "QuaternionAlgebra", "ZZ",
+        "euler_phi", "factor_integer", "fundamental_unit_search",
+        "gaussian_divmod", "imaginary_unit_group", "pythagorean_triple",
+        "quad_conj", "quad_inverse", "quad_is_unit", "quad_norm",
+        "quat_conj", "quat_from_pair", "quat_inverse", "quat_norm_sq",
+        "sum_of_two_squares"),
     "poly": (
         "PolyRing", "degree", "derivative", "divrem_field", "divrem_scaled",
         "factor_theorem_split", "lagrange_interpolate", "leading_coefficient",
         "poly_eval", "poly_ring", "roots_over_finite"),
     "quotient": (
-        "QuotientRing", "ideal_divisor_lattice", "iso_check_crt",
-        "q_cardinality", "q_inverse", "q_is_unit", "q_lift", "q_reduce",
-        "quotient_ring"),
+        "QuotientRing", "iso_check_crt", "q_cardinality", "q_inverse",
+        "q_is_unit", "q_lift", "q_reduce", "quotient_ring"),
     "series": (
         "LaurentSeries", "OrderVal", "SeriesRing", "laurent_from_fraction",
         "laurent_show", "series_ring", "ts_add", "ts_invert", "ts_mul",

@@ -169,6 +169,14 @@ class RingContext:
             a = self.mul(a, a)
         return self.is_zero(a)
 
+    def local_structure(self):
+        """(is_unit, is_nilpotent, idempotents) when this finite
+        commutative context knows its decomposition into local rings:
+        two predicates on payloads that do no ring arithmetic, and the
+        set of idempotent payloads (see local_structure_of).  None
+        otherwise, and classify tests each element."""
+        return None
+
     # -- size ------------------------------------------------------------
 
     @property
@@ -206,6 +214,13 @@ class RingContext:
         characteristic 0, computed by factor.radical), else None: then a
         quotient by m decides nilpotence by repeated squaring (Z and
         Z[i] do)."""
+        return None
+
+    def prime_factors(self, m):
+        """The distinct canonical primes g of m with their exponents e,
+        as (g, e) pairs, when this context splits m (Z by
+        intutil.factorize, F_p[x] by factor.factor_poly_fp), else None:
+        then a quotient by m has no local_structure."""
         return None
 
     # -- Euclidean hooks (Z, polynomials over a field, Gaussian integers;
@@ -563,29 +578,68 @@ class Classification(namedtuple(
     __slots__ = ()
 
 
+def local_structure_of(ctx, primes, multiples, radical, crt):
+    """The local_structure triple of ctx = B/(m), m = g1^e1 ... gk^ek
+    in a principal ideal ring B, which is the product of the local rings
+    B/(gi^ei) (Atiyah and Macdonald, Thm 8.7): a is a unit when no gi
+    divides it, so the non-units are the multiples of the primes gi; a
+    is nilpotent when the radical g1 ... gk divides it; and the
+    idempotents are the 2^k sums of subsets of the CRT idempotents crt,
+    each 1 modulo one gi^ei and 0 modulo the others (with one local
+    factor, 0 and 1).  multiples(g) iterates over the payloads of ctx
+    that g divides, each once."""
+    nonunits = set()
+    for g in primes:
+        nonunits.update(multiples(g))
+    nilpotents = set(multiples(radical))
+    idempotents = {ctx.zero}
+    for e in crt:
+        idempotents |= {ctx.add(s, e) for s in idempotents}
+    return (lambda a: a not in nonunits), nilpotents.__contains__, idempotents
+
+
 def classify(ctx):
     """Exhaustive unit/zero-divisor/nilpotent/idempotent classification.
 
-    One enumeration decides all four, with one is_unit per element (a
-    quotient asks for one gcd with the modulus, no cofactors): a unit, or
-    a zero divisor when it is none and the element is nonzero.  That is right in any finite ring, where the
-    zero divisors (nonzero a annihilating some nonzero b on either side)
-    are exactly the nonzero non-units: if a annihilates nothing on either
-    side, x -> ax and x -> xa are injective on a finite set, hence onto,
-    so ab = 1 = ca for some b, c, and then b = c is a two-sided inverse.
-    No commutativity is needed.  The trivial ring has no units under the
+    One enumeration decides all four, in enumeration order.  Where the
+    context answers local_structure (Z/n, Quot(Z, n), Quot(F_p[x], m),
+    series and products over them), its predicates and idempotent set
+    decide each element with no ring arithmetic; it is asked only once
+    the enumeration has passed the work budget, so an over-budget ring
+    is refused before its modulus is factored.  Anywhere else (matrix
+    rings, Quot over Z[i] or GF(q)[x]) each element costs one is_unit
+    (a quotient asks for one gcd with the modulus, no cofactors), one
+    is_nilpotent and one square a^2 = a.
+
+    An element is a unit, or a zero divisor when it is none and nonzero.
+    That is right in any finite ring, where the zero divisors (nonzero a
+    annihilating some nonzero b on either side) are exactly the nonzero
+    non-units: if a annihilates nothing on either side, x -> ax and
+    x -> xa are injective on a finite set, hence onto, so ab = 1 = ca
+    for some b, c, and then b = c is a two-sided inverse.  No
+    commutativity is needed.  The trivial ring has no units under the
     usual 1 != 0 convention.
     """
+    elements = enumerate_elements(ctx)
+    local = ctx.local_structure()
+    if local is None:
+        is_unit, is_nilpotent = ctx.is_unit, ctx.is_nilpotent
+
+        def is_idempotent(a):
+            return ctx.eq(ctx.mul(a, a), a)
+    else:
+        is_unit, is_nilpotent, idempotent_set = local
+        is_idempotent = idempotent_set.__contains__
     units, zero_divisors, nilpotents, idempotents = [], [], [], []
-    for e in enumerate_elements(ctx):
+    for e in elements:
         a = e.val
-        if ctx.is_unit(a):
+        if is_unit(a):
             units.append(e)
         elif not ctx.is_zero(a):
             zero_divisors.append(e)
-        if ctx.is_nilpotent(a):
+        if is_nilpotent(a):
             nilpotents.append(e)
-        if ctx.eq(ctx.mul(a, a), a):
+        if is_idempotent(a):
             idempotents.append(e)
     return Classification(
         units=() if ctx.is_zero(ctx.one) else tuple(units),
@@ -684,8 +738,22 @@ class ProductRing(RingContext):
             invs.append(ix)
         return tuple(invs)
 
+    def is_unit(self, a):
+        return all(c.is_unit(x) for c, x in zip(self.components, a))
+
     def is_nilpotent(self, a):
         return all(c.is_nilpotent(x) for c, x in zip(self.components, a))
+
+    def local_structure(self):
+        """Componentwise, when every component answers: the idempotents
+        are the tuples of the components' idempotents."""
+        parts = [c.local_structure() for c in self.components]
+        if any(p is None for p in parts):
+            return None
+        units, nils, idems = zip(*parts)
+        return (lambda a: all(u(x) for u, x in zip(units, a)),
+                lambda a: all(n(x) for n, x in zip(nils, a)),
+                set(itertools.product(*idems)))
 
     def cardinality(self):
         total = 1

@@ -24,7 +24,12 @@ import sys
 
 from .algebra import classify
 from .errors import ParseError, TooLarge
-from .intutil import DEFAULT_PRIME_BOUND, DEFAULT_SHIFT_BOUND, MAX_DIGITS
+from .intutil import (
+    DEFAULT_PRIME_BOUND,
+    DEFAULT_SHIFT_BOUND,
+    MAX_DIGITS,
+    ideal_divisor_lattice,
+)
 from .literals import parse_context
 from .number_rings import (
     HH,
@@ -32,6 +37,7 @@ from .number_rings import (
     QuadIntRing,
     QuadraticRing,
     euler_phi,
+    factor_integer,
     quad_norm,
 )
 from .parsing import group_items, split_top
@@ -203,8 +209,6 @@ def _h_phi(args):
 
 @verb("factor-int", "n")
 def _h_factor_int(args):
-    from .factor import factor_integer
-
     return {"context": "Z", "result": str(factor_integer(ZZ.parse(args.n)))}
 
 
@@ -369,8 +373,6 @@ verb("quot-eval", "ctx", "expr")(_h_eval)
 
 @verb("ideal-lattice", "n")
 def _h_ideal_lattice(args):
-    from .quotient import ideal_divisor_lattice
-
     n = ZZ.parse(args.n)
     lattice = ideal_divisor_lattice(n)
     divisors = [d for d, _, _ in lattice]

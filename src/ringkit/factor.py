@@ -2,7 +2,9 @@
 
 Everything here is exact and certificate-driven.  Integers factor by
 Pollard's rho with Brent's cycle finding, one budget unit per step
-under intutil's work budget; polynomials over a prime field by
+under intutil's work budget (factor_integer and Factorization live
+beside ZZ in number_rings, so factoring an integer loads no polynomial
+code; this module re-exports them); polynomials over a prime field by
 distinct-degree factorization and Cantor-Zassenhaus splitting, in
 polynomial time, both on tuples of ints mod p through F_p's kernel
 record (poly.prime_kernel: powmod, divmod, gcd) rather than the ring
@@ -36,7 +38,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .algebra import Element, context_of, ring_pow_payload
+from .algebra import Element, context_of
 from .errors import (
     ConstantPolynomial,
     DegreeDrops,
@@ -54,13 +56,18 @@ from .intutil import (
     DEFAULT_PRIME_BOUND,
     DEFAULT_SHIFT_BOUND,
     divisors,
-    factorize,
     is_prime,
     primes_up_to,
     within_budget,
 )
-from .number_rings import QQ, ZZ, ModRing, QuadIntRing
-from .parsing import atomic_or_parenthesized
+from .number_rings import (
+    QQ,
+    ZZ,
+    Factorization,
+    ModRing,
+    QuadIntRing,
+    factor_integer,
+)
 from .poly import PolyRing, derivative, divrem_scaled, horner, prime_kernel
 
 REDUCTION_PRIME_COUNT = 10
@@ -68,30 +75,6 @@ _ZX = PolyRing(ZZ)  # where primitive associates live
 
 
 # --------------------------------------------------------------- results
-
-class Factorization(namedtuple("Factorization", "ctx unit factors")):
-    """unit * prod(factor^multiplicity) with payload-level parts."""
-
-    __slots__ = ()
-
-    def value(self):
-        acc = self.unit
-        for f, m in self.factors:
-            acc = self.ctx.mul(acc, ring_pow_payload(self.ctx, f, m))
-        return Element(self.ctx, acc)
-
-    def __str__(self):
-        parts = []
-        if not self.ctx.eq(self.unit, self.ctx.one) or not self.factors:
-            parts.append(self._piece(self.unit, 1))
-        for f, m in self.factors:
-            parts.append(self._piece(f, m))
-        return " * ".join(parts)
-
-    def _piece(self, payload, mult):
-        text = atomic_or_parenthesized(self.ctx.show(payload))
-        return text if mult == 1 else f"{text}^{mult}"
-
 
 class IrreducibilityVerdict(namedtuple(
         "IrreducibilityVerdict", "status cert data", defaults=(None, ()))):
@@ -174,18 +157,6 @@ def _zq_poly(f, z_only=False):
 
 
 # --------------------------------------------------------------- integers
-
-def factor_integer(n):
-    """The factorization of a nonzero integer: sign unit, ascending primes."""
-    if isinstance(n, Element) and n.ctx == ZZ:
-        n = n.val
-    if not isinstance(n, int):
-        raise RingError(f"factor_integer needs an integer, got {n!r}")
-    if n == 0:
-        raise ZeroInput("0 has no factorization into primes")
-    unit = -1 if n < 0 else 1
-    return Factorization(ZZ, unit, tuple(factorize(abs(n))))
-
 
 def squarefree_part_int(n):
     """Product of the primes dividing n to an odd power, positive."""

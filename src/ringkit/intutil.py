@@ -3,7 +3,8 @@
 is_prime is Miller-Rabin, factorize splits perfect powers by integer
 roots and the rest by Pollard's rho with Brent's cycle finding after the
 small primes, each rho step counted against the budget, and divisors
-are expanded from the factorization.  Every search
+are expanded from the factorization, which with the primes gives the
+ideal lattice of Z/n.  Every search
 whose cost grows with its input calls within_budget first, so work above
 BUDGET raises TooLarge instead of running unbounded.
 """
@@ -13,7 +14,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .errors import TooLarge
+from .errors import InvalidParameters, TooLarge
 
 BUDGET = 10**6
 # decimal digits of an int read or printed: 10^5 print in about 0.15 s
@@ -148,6 +149,15 @@ def divisors(n):
     for p, e in factors:
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
+
+
+def ideal_divisor_lattice(n):
+    """All ideals of Z/n as divisor generators, with prime/maximal flags:
+    (d) is prime, hence maximal, exactly when d is a prime factor of n."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidParameters(f"need a positive modulus, got {n!r}")
+    primes = {p for p, _ in factorize(n)}
+    return [(d, d in primes, d in primes) for d in divisors(n)]
 
 
 def primes_up_to(bound):

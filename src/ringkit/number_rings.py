@@ -18,6 +18,7 @@ the first quadrant (positive real part, nonnegative imaginary part).
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (
@@ -28,6 +29,8 @@ from .algebra import (
     Element,
     RingContext,
     context_of,
+    local_structure_of,
+    ring_pow_payload,
     show_terms,
 )
 from .errors import (
@@ -35,8 +38,11 @@ from .errors import (
     InvalidParameters,
     NotInvertible,
     RingError,
+    TooLarge,
+    ZeroInput,
 )
 from .intutil import factorize, is_prime, is_squarefree
+from .parsing import atomic_or_parenthesized
 
 
 @functools.cache
@@ -157,6 +163,9 @@ class IntegerRing(RingContext):
     def is_prime_element(self, m):
         return is_prime(m)
 
+    def prime_factors(self, m):
+        return factorize(m)
+
     def show(self, a):
         return str(a)
 
@@ -236,7 +245,7 @@ class ModRing(RingContext):
             raise InvalidParameters(f"modulus must be a positive integer, got {n!r}")
         self.n = n
         self.level = FIELD if is_prime(n) else RING
-        self._kernel = None
+        self._kernel = self._factors = self._radical = None
 
     def _key(self):
         return ("Mod", self.n)
@@ -287,6 +296,36 @@ class ModRing(RingContext):
                 f"{a % self.n} is not invertible modulo {self.n} "
                 f"(gcd {g})", gcd=g)
         return pow(a, -1, self.n)
+
+    def _factorization(self):
+        # factorize(n), once per context, kept as _kernel is
+        if self._factors is None:
+            self._factors = factorize(self.n)
+        return self._factors
+
+    def is_nilpotent(self, a):
+        # a^k = 0 mod n exactly when every prime of n divides a; where
+        # factoring n is over the work budget (radical 0), by squarings
+        if self._radical is None:
+            try:
+                self._radical = math.prod(p for p, _ in self._factorization())
+            except TooLarge:
+                self._radical = 0
+        if self._radical:
+            return a % self._radical == 0
+        return super().is_nilpotent(a)
+
+    def local_structure(self):
+        """From n = p1^e1 ... pk^ek: the non-units are the multiples of
+        the pi, the nilpotents those of p1 ... pk, and the CRT idempotent
+        of q = pi^ei is c (c^-1 mod q) for c = n / q."""
+        n, factors = self.n, self._factorization()
+        primes, crt = [p for p, _ in factors], []
+        for p, e in factors:
+            c = n // p**e
+            crt.append(c * pow(c, -1, p**e) % n)
+        return local_structure_of(self, primes, lambda g: range(0, n, g),
+                                  math.prod(primes), crt)
 
     def characteristic(self):
         return self.n
@@ -560,6 +599,42 @@ def euler_phi(n):
     for p, e in factorize(n):
         result *= (p - 1) * p ** (e - 1)
     return result
+
+
+class Factorization(namedtuple("Factorization", "ctx unit factors")):
+    """unit * prod(factor^multiplicity) with payload-level parts."""
+
+    __slots__ = ()
+
+    def value(self):
+        acc = self.unit
+        for f, m in self.factors:
+            acc = self.ctx.mul(acc, ring_pow_payload(self.ctx, f, m))
+        return Element(self.ctx, acc)
+
+    def __str__(self):
+        parts = []
+        if not self.ctx.eq(self.unit, self.ctx.one) or not self.factors:
+            parts.append(self._piece(self.unit, 1))
+        for f, m in self.factors:
+            parts.append(self._piece(f, m))
+        return " * ".join(parts)
+
+    def _piece(self, payload, mult):
+        text = atomic_or_parenthesized(self.ctx.show(payload))
+        return text if mult == 1 else f"{text}^{mult}"
+
+
+def factor_integer(n):
+    """The factorization of a nonzero integer: sign unit, ascending primes."""
+    if isinstance(n, Element) and n.ctx == ZZ:
+        n = n.val
+    if not isinstance(n, int):
+        raise RingError(f"factor_integer needs an integer, got {n!r}")
+    if n == 0:
+        raise ZeroInput("0 has no factorization into primes")
+    unit = -1 if n < 0 else 1
+    return Factorization(ZZ, unit, tuple(factorize(abs(n))))
 
 
 _NOT_QUAD = "expected an element of a quadratic ring or field"

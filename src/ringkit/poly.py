@@ -964,6 +964,15 @@ class PolyRing(OverBase):
 
         return factor.radical(self, m)
 
+    def prime_factors(self, m):
+        """factor.factor_poly_fp's monic factors of m over F_p, else
+        None."""
+        if prime_kernel(self) is None:
+            return None
+        from . import factor
+
+        return factor.factor_poly_fp(Element(self, m)).factors
+
     def symbols(self):
         return {**super().symbols(), "x": self.gen.val}
 

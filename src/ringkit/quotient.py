@@ -23,6 +23,10 @@ hooks:
     0, computed by factor.radical, the first level of its squarefree
     decomposition), else None, and nilpotence is decided by repeated
     squaring.  A quotient asks once and keeps the answer;
+  * prime_factors(m): the canonical primes of m with their exponents
+    where the base splits m (Z by intutil.factorize, F_p[x] by
+    factor.factor_poly_fp), else None (Z[i]).  local_structure builds
+    classify's predicates from them, with no arithmetic per element;
   * residue_kernel(m): the kernel record that works on the remainders
     directly, which the quotient's kernel() hook returns to polynomial
     and series rings over it: poly.int_kernel(m) over Z, where they are
@@ -42,7 +46,18 @@ force, within the work budget: the factors must multiply to n, and the
 residue map is checked for bijectivity on all of Z/n.
 """
 
-from .algebra import FIELD, RING, Element, OverBase, payload_in
+import functools
+
+from . import intutil
+from .algebra import (
+    FIELD,
+    RING,
+    Element,
+    OverBase,
+    local_structure_of,
+    payload_in,
+    ring_pow_payload,
+)
 from .errors import (
     ContextNotEuclidean,
     FactorsMismatch,
@@ -50,8 +65,8 @@ from .errors import (
     InvalidParameters,
     NotInvertible,
 )
-from .euclid import gcd_payload, xgcd_payload
-from .intutil import divisors, factorize, within_budget
+from .euclid import crt_idempotents, gcd_payload, xgcd_payload
+from .intutil import within_budget
 
 
 _UNSET = object()
@@ -140,6 +155,26 @@ class QuotientRing(OverBase):
             return super().is_nilpotent(a)
         return self.base.is_zero(self.base.divmod_(a, self._radical)[1])
 
+    def local_structure(self):
+        """From the base's prime_factors of the modulus, else None: the
+        multiples of a prime g are the g h for the residues h modulo
+        m / g, each a remainder already."""
+        base, m = self.base, self.modulus
+        factors = base.prime_factors(m)
+        if factors is None:
+            return None
+        primes = [g for g, _ in factors]
+
+        def multiples(g):
+            return (base.mul(g, h)
+                    for h in base.residues(base.divmod_(m, g)[0]))
+
+        crt = crt_idempotents(
+            [Element(base, ring_pow_payload(base, g, e)) for g, e in factors])
+        return local_structure_of(self, primes, multiples,
+                                  functools.reduce(base.mul, primes),
+                                  [e.val for e in crt])
+
     def characteristic(self):
         return self.base.residue_characteristic(self.modulus)
 
@@ -212,10 +247,5 @@ def iso_check_crt(n, factors):
     return len(images) == n
 
 
-def ideal_divisor_lattice(n):
-    """All ideals of Z/n as divisor generators, with prime/maximal flags:
-    (d) is prime, hence maximal, exactly when d is a prime factor of n."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameters(f"need a positive modulus, got {n!r}")
-    primes = {p for p, _ in factorize(n)}
-    return [(d, d in primes, d in primes) for d in divisors(n)]
+# the integer verb's lattice, kept under its name here
+ideal_divisor_lattice = intutil.ideal_divisor_lattice

@@ -100,9 +100,25 @@ class SeriesRing(OverBase):
         inv = self.base_kernel.inverse(a, self.prec)
         return None if inv is None else tuple(inv)
 
+    # the ideal (x) is nilpotent here, so the constant term decides
+    # units, and nilpotents over a commutative base
+    def is_unit(self, a):
+        return self.base.is_unit(a[0])
+
     def is_nilpotent(self, a):
-        # the ideal (x) is nilpotent here, so the constant term decides
         return self.base.is_nilpotent(a[0])
+
+    def local_structure(self):
+        """The base's, through the constant term; an idempotent lifts
+        uniquely over the nilpotent ideal (x), so the idempotents are
+        the base's constants."""
+        local = self.base.local_structure()
+        if local is None:
+            return None
+        is_unit, is_nilpotent, idempotents = local
+        pad = (self.base.zero,) * (self.prec - 1)
+        return (lambda a: is_unit(a[0]), lambda a: is_nilpotent(a[0]),
+                {(e,) + pad for e in idempotents})
 
     def cardinality(self):
         n = self.base.cardinality()

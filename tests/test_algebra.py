@@ -352,14 +352,15 @@ def test_probes_match_the_pairwise_definitions(literal):
     assert [e.val for e in zero_divisors_of(ctx)] == _zero_divisors_by_pairs(ctx)
 
 
-@pytest.mark.parametrize("literal", [
-    "Zn:12", "Quot(Quad:-1,4+2i)", "Quot(Fp:3,[1,0,0,1])", "Zn:1"])
-def test_classify_enumerates_once_and_inverts_each_element_once(
-        literal, monkeypatch):
+@pytest.mark.parametrize("literal, unit_calls", [
+    ("Zn:12", 0), ("Zn:1", 0), ("Quot(Fp:3,[1,0,0,1])", 0),
+    # Z[i] splits no modulus, so each element asks is_unit once
+    ("Quot(Quad:-1,4+2i)", 20)])
+def test_classify_enumerates_once_and_asks_is_unit_only_without_a_decomposition(
+        literal, unit_calls, monkeypatch):
     ctx = parse_context(literal)
     cls = type(ctx)
-    # the unit test is is_unit, which a quotient answers by one gcd
-    enumerations, inversions = [], []
+    enumerations, unit_tests = [], []
     real_elements, real_is_unit = cls.elements, cls.is_unit
 
     def elements(self):
@@ -367,14 +368,16 @@ def test_classify_enumerates_once_and_inverts_each_element_once(
         return real_elements(self)
 
     def is_unit(self, a):
-        inversions.append(a)
+        unit_tests.append(a)
         return real_is_unit(self, a)
 
     monkeypatch.setattr(cls, "elements", elements)
     monkeypatch.setattr(cls, "is_unit", is_unit)
     c = classify(ctx)
     assert len(enumerations) == 1
-    assert sorted(inversions) == sorted(real_elements(ctx))
+    if unit_calls:
+        assert sorted(unit_tests) == sorted(real_elements(ctx))
+    assert len(unit_tests) == unit_calls
     assert c == (units_of(ctx), zero_divisors_of(ctx), nilpotents_of(ctx),
                  idempotents_of(ctx))
 
@@ -530,6 +533,8 @@ VERB_MODULES = [
     (["quat-mul", "i", "j"], CLI_CORE),
     (["inv", "Zn:40", "13"], CLI_CORE),
     (["classify", "Zn:6"], CLI_CORE),
+    (["factor-int", "-252"], CLI_CORE),
+    (["ideal-lattice", "12"], CLI_CORE),
     (["gcd", "Z", "252", "198"], CLI_CORE | {"euclid"}),
     (["crt", "Z", "3:4", "8:13"], CLI_CORE | {"euclid"}),
     (["mat-inv", "Zn:9", "[[2,5],[8,6]]"], CLI_CORE | {"matrix"}),
