@@ -196,12 +196,16 @@ class RingContext:
 
     def kernel(self):
         """The kernel record that works on this context's payloads
-        directly, built once per context, else None: poly.IntKernel(n)
-        for the ints of Z/n (n = 0 for Z), poly.F2Kernel in place of it
-        for n = 2 (poly.int_kernel picks), poly.TowerKernel(p, m) for
-        the remainders mod m in F_p[y].  Polynomial and series contexts
-        over such a base hand it their arithmetic, with no call into
-        this context; over any other base, to a poly.LoopKernel."""
+        directly, built once per context, else None:
+          * poly.IntKernel(n) for the ints of Z/n (n = 0 for Z), and
+            gf2.F2Kernel in place of it for n = 2 (poly.int_kernel
+            picks);
+          * for the remainders mod m in F_p[y], poly.TowerKernel(p, m)
+            for odd p and gf2.GF2kKernel(m) for p = 2
+            (PolyRing.residue_kernel picks).
+        Polynomial and series contexts over such a base hand it their
+        arithmetic, with no call into this context; over any other
+        base, to a poly.LoopKernel."""
         return None
 
     def residue_kernel(self, m):
@@ -210,10 +214,11 @@ class RingContext:
 
     def radical(self, m):
         """A generator of the radical of the ideal (m) when this context
-        finds one without factoring m (polynomials over F_p or in
-        characteristic 0, computed by factor.radical), else None: then a
-        quotient by m decides nilpotence by repeated squaring (Z and
-        Z[i] do)."""
+        finds one, else None: then a quotient by m decides nilpotence by
+        repeated squaring (Z[i] does, and Z past the work budget).
+        Polynomials over F_p or in characteristic 0 find it without
+        factoring m (factor.radical), Z as the product of the primes of
+        m, which ModRing's nilpotence test reads too."""
         return None
 
     def prime_factors(self, m):

@@ -11,8 +11,9 @@ divmod_.  A context whose euclid_kernel() is not None hands its payloads
 to that kernel's gcd / xgcd instead, with the same g, x and y: Z runs
 the loop below on plain ints; a polynomial ring over F_p, Quot(Z, p) or
 F_p[y]/(m) a field runs the same remainder sequence on coefficient
-lists, by half-gcd on long operands, and Q[x] the primitive
-pseudo-remainder sequence on integer numerators (poly.py).
+lists, by half-gcd on long operands, or for p = 2 on one int per
+polynomial (gf2.py), and Q[x] the primitive pseudo-remainder sequence
+on integer numerators (poly.py).
 
 The CRT solver follows the idempotent recipe: for pairwise comaximal
 moduli m_1..m_r with canonical product M, one Bezout relation

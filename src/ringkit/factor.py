@@ -8,7 +8,7 @@ code; this module re-exports them); polynomials over a prime field by
 distinct-degree factorization and Cantor-Zassenhaus splitting, in
 polynomial time, both on tuples of ints mod p through F_p's kernel
 record (poly.prime_kernel: powmod, divmod, gcd) rather than the ring
-contexts, which over F_2 (poly.F2Kernel) runs them by shift-and-XOR on
+contexts, which over F_2 (gf2.F2Kernel) runs them by shift-and-XOR on
 one int per polynomial; elements of imaginary quadratic rings are tested
 by exhausting the divisors allowed by the norm.  For Z[x] and Q[x], where
 no complete factorization is attempted, irreducibility is reported as

@@ -55,6 +55,15 @@ def _poly():
     return poly
 
 
+def _radical(factorization):
+    """The product of the primes p of factorization(), a list of (p, e)
+    pairs, or None when factoring is over the work budget."""
+    try:
+        return math.prod(p for p, _ in factorization())
+    except TooLarge:
+        return None
+
+
 class _IntEuclid:
     """Euclid over Z on the ints themselves: xgcd_payload's loop with
     IntegerRing's remainders and sign, so g, x and y are the ones that
@@ -162,6 +171,10 @@ class IntegerRing(RingContext):
 
     def is_prime_element(self, m):
         return is_prime(m)
+
+    def radical(self, m):
+        """The product of the primes of m, or None past the work budget."""
+        return _radical(functools.partial(factorize, m))
 
     def prime_factors(self, m):
         return factorize(m)
@@ -307,10 +320,7 @@ class ModRing(RingContext):
         # a^k = 0 mod n exactly when every prime of n divides a; where
         # factoring n is over the work budget (radical 0), by squarings
         if self._radical is None:
-            try:
-                self._radical = math.prod(p for p, _ in self._factorization())
-            except TooLarge:
-                self._radical = 0
+            self._radical = _radical(self._factorization) or 0
         if self._radical:
             return a % self._radical == 0
         return super().is_nilpotent(a)

@@ -16,10 +16,11 @@ and reports the scaling exponent.
 
 PolyRing and SeriesRing hand each sum, negative, product, division and
 series inverse to the kernel record of their base in one call
-(base_kernel).  There are five records, all on lists of coefficients.
+(base_kernel).  There are six records, all on lists of coefficients.
 A base whose payloads the dense algorithms read directly returns one of
-the first four from its kernel() hook, and int_kernel(n) picks the
-first or second:
+the first five from its kernel() hook; int_kernel(n) picks between the
+first two, and the residue_kernel(m) hook of F_p[y] between the next
+two:
 
   * IntKernel(n) for Z/n and Z (n = 0), Quot(Z, n) among them: a
     product is the schoolbook loop on short operands, else Kronecker
@@ -28,12 +29,18 @@ first or second:
     3, 5, 6 or 7 bytes on long products, lets CPython's Karatsuba
     multiply them and reads back the coefficients, or only the low ones
     a caller keeps.
-  * F2Kernel for Z/2: IntKernel(2), except that division, gcd, xgcd and
-    powmod pack each operand into one int, bit i the coefficient of
+  * gf2.F2Kernel for Z/2: IntKernel(2), except that division, gcd, xgcd
+    and powmod pack each operand into one int, bit i the coefficient of
     x^i, and run by shift-and-XOR.
-  * TowerKernel(p, m) for F_p[y]/(m): two-level Kronecker substitution,
-    three products of ints in all, with every coefficient reduced mod m
-    by one packed Barrett step; sums and negatives on the ints mod p.
+  * TowerKernel(p, m) for F_p[y]/(m), p odd: two-level Kronecker
+    substitution, three products of ints in all, with every coefficient
+    reduced mod m by one packed Barrett step; sums and negatives on the
+    ints mod p.
+  * gf2.GF2kKernel(m) for F_2[y]/(m), GF(2^k) among them: TowerKernel(2,
+    m)'s products, sums and series inverse, but division, gcd, xgcd,
+    powmod and the coefficient inverse pack each polynomial into one
+    int, coefficient i in bits [iW, iW + W) for W = 2k - 1, and run by
+    shift-and-XOR with one packed reduction mod m for all slots.
   * RatKernel for Q, its payloads Fractions: a product, division, gcd
     or xgcd takes its operands once to integer numerators over a common
     denominator, computes on those ints and builds one Fraction per
@@ -44,13 +51,14 @@ first or second:
   * LoopKernel(base) for every other base: the schoolbook loops and the
     series recurrence, one base call per coefficient operation.
 
-The dense records share the rest (Kernel), the methods F2Kernel and
+The dense records share the rest (Kernel), the methods the two kernels
+of characteristic 2 (module gf2, imported when the first is built) and
 RatKernel give themselves aside.  Series invert by Newton iteration,
 from the recurrence below NEWTON_MIN over Z/n.  Division multiplies by
 a Newton inverse of the reversed divisor, which the kernel keeps for
 its last divisor, so a chain of reductions mod one f computes it once;
-over F_p short division runs below NEWTON_MIN.  Over a field other
-than F_2 and Q the Euclidean remainder sequence (gcd, xgcd, which
+over F_p short division runs below NEWTON_MIN.  Over F_p and F_p[y]/(m)
+for odd p the Euclidean remainder sequence (gcd, xgcd, which
 euclid reaches through euclid_kernel()) runs from HGCD_MIN coefficients
 by the half-gcd of Thull and Yap (von zur Gathen and Gerhard, Modern
 Computer Algebra, 11.1): about half of the remaining steps at once, as
@@ -396,105 +404,22 @@ class IntKernel(Kernel):
         return _trim(r)
 
 
-# -- F_2[x] on ints: bit i of an int is the coefficient of x^i
-
-_ASCII = bytes.maketrans(b"\0\1", b"01")
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _to_int(a):
-    """A list of 0/1, ascending, as an int."""
-    return int(bytes(a[::-1]).translate(_ASCII) or b"0", 2)
-
-
-def _to_list(x):
-    return list(bin(x)[:1:-1].encode().translate(_BITS)) if x else []
-
-
-def _clmul(a, b):
-    """The carry-less product: shift-and-XOR over the shorter's bits."""
-    if a.bit_length() > b.bit_length():
-        a, b = b, a
-    out = 0
-    for i, c in enumerate(bin(a)[:1:-1]):
-        if c == "1":
-            out ^= b << i
-    return out
-
-
-def _rem(a, b):
-    """a mod b, b != 0, by a ^= b << s."""
-    db = b.bit_length()
-    s = a.bit_length() - db
-    while s >= 0:
-        a ^= b << s
-        s = a.bit_length() - db
-    return a
-
-
-def _divmod2(a, b):
-    """(q, r) of a by b != 0: _rem's loop, with q the sum of the x^s
-    (gcd and powmod keep to _rem, which takes a third less time)."""
-    q, db = 0, b.bit_length()
-    s = a.bit_length() - db
-    while s >= 0:
-        q |= 1 << s
-        a ^= b << s
-        s = a.bit_length() - db
-    return q, a
-
-
-class F2Kernel(IntKernel):
-    """Z/2 with IntKernel's list interface, mul, add, neg and series
-    inverse: divmod, gcd, xgcd and powmod convert each operand once to
-    an int and run by shift-and-XOR (von zur Gathen and Gerhard, ch. 14),
-    which beats the Newton division at every degree, so there is no
-    memo; a square is a bit spread."""
-
-    def __init__(self):
-        super().__init__(2)
-
-    def divmod(self, a, b, memo=True):
-        q, r = _divmod2(_to_int(a), _to_int(b))
-        return _to_list(q), _to_list(r)
-
-    def powmod(self, a, e, f):
-        f = _to_int(f)
-        a = out = _rem(_to_int(a), f)
-        for bit in bin(e)[3:]:
-            out = _rem(int("0".join(bin(out)[2:]), 2), f)
-            if bit == "1":
-                out = _rem(_clmul(out, a), f)
-        return _to_list(out)
-
-    def gcd(self, a, b):
-        a, b = _to_int(a), _to_int(b)
-        while b:
-            a, b = b, _rem(a, b)
-        return tuple(_to_list(a))
-
-    def xgcd(self, a, b):
-        """The classical loop: its cofactors are the ones Kernel.xgcd
-        gives."""
-        a, b = _to_int(a), _to_int(b)
-        s0, t0, s1, t1 = 1, 0, 0, 1
-        while b:
-            q, r = _divmod2(a, b)
-            a, b = b, r
-            s0, t0, s1, t1 = s1, t1, s0 ^ _clmul(q, s1), t0 ^ _clmul(q, t1)
-        return tuple(tuple(_to_list(v)) for v in (a, s0, t0))
-
-
 def int_kernel(n):
-    """The kernel of Z/n, or of Z for n = 0: F2Kernel for n = 2."""
-    return F2Kernel() if n == 2 else IntKernel(n)
+    """The kernel of Z/n, or of Z for n = 0: gf2.F2Kernel for n = 2."""
+    if n == 2:
+        from .gf2 import F2Kernel
+
+        return F2Kernel()
+    return IntKernel(n)
 
 
 class TowerKernel(Kernel):
     """F_p[y]/(m), m monic of degree k >= 1 over the prime p: remainders
     mod m as tuples of ints in range(p), no trailing zeros, which add
     coefficientwise.  Built once per ring with what mul needs: 1/rev(m)
-    mod y^(k-1) and rev(-m mod p), rev reversing the coefficient order."""
+    mod y^(k-1) and rev(-m mod p), rev reversing the coefficient order.
+    The rings over F_2[y] run gf2.GF2kKernel, which keeps its products,
+    sums and series inverse."""
 
     zero, one = (), (1,)
 
@@ -945,7 +870,13 @@ class PolyRing(OverBase):
 
     def residue_kernel(self, m):
         K = prime_kernel(self)
-        return None if K is None else TowerKernel(K.n, m)
+        if K is None:
+            return None
+        if K.n == 2:
+            from .gf2 import GF2kKernel
+
+            return GF2kKernel(m)
+        return TowerKernel(K.n, m)
 
     def is_prime_element(self, m):
         """Degree 1 is prime, any other m when factor's irreducibility

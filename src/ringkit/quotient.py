@@ -19,21 +19,26 @@ hooks:
     makes the quotient a field, else a RING; for F_p[x] and Q[x] the
     verdict of factor.irreducibility_pipeline, INCONCLUSIVE counting no;
   * radical(m): a generator of the radical of (m) where the base finds
-    one without factoring m (polynomials over F_p or in characteristic
-    0, computed by factor.radical, the first level of its squarefree
-    decomposition), else None, and nilpotence is decided by repeated
-    squaring.  A quotient asks once and keeps the answer;
+    one (polynomials over F_p or in characteristic 0 without factoring
+    m, by factor.radical, the first level of its squarefree
+    decomposition; Z as the product of the primes of m within the work
+    budget), else None, and nilpotence is decided by repeated squaring.
+    A quotient asks once and keeps the answer;
   * prime_factors(m): the canonical primes of m with their exponents
     where the base splits m (Z by intutil.factorize, F_p[x] by
     factor.factor_poly_fp), else None (Z[i]).  local_structure builds
     classify's predicates from them, with no arithmetic per element;
   * residue_kernel(m): the kernel record that works on the remainders
     directly, which the quotient's kernel() hook returns to polynomial
-    and series rings over it: poly.int_kernel(m) over Z, where they are
-    the ints of range(m) as in Z/m (F2Kernel for m = 2, IntKernel(m)
-    otherwise), and TowerKernel(p, m) over F_p[y], where they are
-    tuples of ints mod p; None over any other base, a tower included,
-    so there is no tower of towers.
+    and series rings over it; None over any other base, a tower
+    included, so there is no tower of towers:
+      - over Z, poly.int_kernel(m), where the remainders are the ints of
+        range(m) as in Z/m: gf2.F2Kernel for m = 2, IntKernel(m)
+        otherwise;
+      - over F_p[y] for odd p, poly.TowerKernel(p, m), where they are
+        tuples of ints mod p;
+      - over F_2[y], gf2.GF2kKernel(m), on tuples of 0/1 too, whose
+        division, Euclid and powers run on one int per polynomial.
 
 Z, the polynomial rings over a field and the Gaussian integers
 implement them.  They are the only bases a quotient can be built on: a

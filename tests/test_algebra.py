@@ -538,7 +538,13 @@ VERB_MODULES = [
     (["gcd", "Z", "252", "198"], CLI_CORE | {"euclid"}),
     (["crt", "Z", "3:4", "8:13"], CLI_CORE | {"euclid"}),
     (["mat-inv", "Zn:9", "[[2,5],[8,6]]"], CLI_CORE | {"matrix"}),
+    # characteristic 2 alone compiles gf2: not a series over F_5, nor
+    # factoring over F_3
     (["series-invert", "Fp:5", "[1,2,3;6]"], CLI_CORE | {"poly", "series"}),
+    (["factor-poly", "Fp:3", "[1,0,1]"],
+     CLI_CORE | {"euclid", "factor", "poly"}),
+    (["factor-poly", "Fp:2", "[1,1,1]"],
+     CLI_CORE | {"euclid", "factor", "gf2", "poly"}),
     (["irreducible", "Q", "[-9,26,16,6,1]"],
      CLI_CORE | {"euclid", "factor", "poly"}),
 ]
@@ -604,6 +610,38 @@ def test_nilpotence_in_log_log_squarings_matches_the_orbit_walk(literal, i):
     ctx, elements = _elements_of(literal)
     a = elements[i % len(elements)]
     assert ctx.is_nilpotent(a) == _nilpotent_by_orbit(ctx, a)
+
+
+def test_quotients_of_z_read_nilpotence_from_the_radical(monkeypatch):
+    # Quot(Z, n) reads a % rad(n), as Zn:n does: with its product gone,
+    # every answer still comes, and matches the orbit walk
+    from ringkit.quotient import QuotientRing
+
+    rings = [QuotientRing(ZZ, n) for n in (2, 12, 72, 97, 360, 1024, 28227)]
+    monkeypatch.setattr(QuotientRing, "mul", None)
+    got = [[R.is_nilpotent(a) for a in range(R.modulus)] for R in rings]
+    monkeypatch.undo()
+    for R, nilpotent in zip(rings, got):
+        assert nilpotent == [_nilpotent_by_orbit(R, a)
+                             for a in range(R.modulus)]
+
+
+def test_quotients_of_z_past_the_factoring_budget_square():
+    # Pollard's rho needs about 10^7 steps for these primes, over BUDGET:
+    # no radical, and the squarings decide, on elements whose orbit
+    # under squaring is short enough for the oracle, and on p
+    from ringkit.intutil import is_prime
+    from ringkit.quotient import QuotientRing
+
+    p = next(n for n in range(10**14 + 31, 10**15, 2) if is_prime(n))
+    q = next(n for n in range(p + 2, 10**15, 2) if is_prime(n))
+    n = p * q * q
+    assert ZZ.radical(n) is None
+    ctx = QuotientRing(ZZ, n)
+    for a in (0, 1, n - 1, p * q, 2 * p * q, p * q * q - p * q):
+        assert ctx.is_nilpotent(a) == _nilpotent_by_orbit(ctx, a)
+    assert ctx.is_nilpotent(p * q) and not ctx.is_nilpotent(p)
+    assert not ctx.is_nilpotent(q * q)
 
 
 def test_int_scale_by_zero_and_by_negatives():

@@ -1,4 +1,4 @@
-"""F_2[x] on packed ints (poly.F2Kernel) against the int-list kernel.
+"""F_2[x] on packed ints (gf2.F2Kernel) against the int-list kernel.
 
 IntKernel(2) runs the same list interface on lists of 0/1 by the
 schoolbook loop, Newton division and half-gcd; it is the oracle here, so
@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 from ringkit import ModRing, ZZ
 from ringkit.algebra import Element
 from ringkit.factor import factor_poly_fp, poly_is_irreducible_fp
+from ringkit.gf2 import F2Kernel, GF2kKernel
 from ringkit.poly import (
-    F2Kernel, IntKernel, PolyRing, TowerKernel, int_kernel, prime_kernel)
+    IntKernel, PolyRing, TowerKernel, int_kernel, prime_kernel)
 from ringkit.quotient import QuotientRing
 
 F2, LIST = int_kernel(2), IntKernel(2)
@@ -80,7 +81,7 @@ def test_series_inverse_matches_the_list_kernel(f, prec):
 
 @pytest.mark.parametrize("m", MODULI)
 def test_tower_inverses_match_a_tower_on_the_list_kernel(m):
-    packed, oracle = TowerKernel(2, m), TowerKernel(2, m)
+    packed, oracle = GF2kKernel(m), TowerKernel(2, m)
     oracle.fp = LIST
     assert type(packed.fp) is F2Kernel
     rng = random.Random(len(m))

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import ringkit.poly
 from ringkit import QQ, ZZ
 from ringkit.euclid import gcd_payload, xgcd_payload
+from ringkit.gf2 import F2Kernel, GF2kKernel
 from ringkit.poly import (
-    HGCD_MIN, F2Kernel, IntKernel, PolyRing, TowerKernel, prime_kernel)
+    HGCD_MIN, IntKernel, PolyRing, TowerKernel, prime_kernel)
 from ringkit.quotient import QuotientRing
 from ringkit.series import SeriesRing
 
@@ -181,7 +182,7 @@ def test_quotients_of_z_run_the_dense_kernels(n):
 def test_quotients_of_polynomials_answer_the_tower_hook():
     tower, loop = tower_and_loop_bases(*FIELDS[0])
     K = tower.kernel()
-    assert type(K) is TowerKernel and (K.p, K.m) == FIELDS[0]
+    assert type(K) is GF2kKernel and (K.p, K.m) == FIELDS[0]
     assert tower.kernel() is K
     assert PolyRing(tower).euclid_kernel() is K
     assert prime_kernel(PolyRing(tower)) is None
@@ -189,6 +190,7 @@ def test_quotients_of_polynomials_answer_the_tower_hook():
     assert QuotientRing(PolyRing(QQ), (-2, 0, 1)).kernel() is None
     # F_5 as Quot(Z, 5) is a prime kernel too; a tower over a tower is not
     gf25 = QuotientRing(PolyRing(QuotientRing(ZZ, 5)), (2, 0, 1))
+    assert type(gf25.kernel()) is TowerKernel
     assert (gf25.kernel().p, gf25.kernel().m) == (5, (2, 0, 1))
     assert QuotientRing(PolyRing(tower), [[1], [], [1]]).kernel() is None
 
@@ -235,14 +237,16 @@ def test_gcd_and_xgcd_over_gf_q_equal_the_classical_loop(case):
         assert xgcd_payload(tower, x, y) == xgcd_payload(loop, x, y)
 
 
-def test_degree_200_xgcd_over_gf256_takes_the_half_gcd(monkeypatch):
+@pytest.mark.parametrize("p, m", FIELDS[:2])
+def test_degree_200_xgcd_over_gf_q_runs_on_the_kernel(p, m, monkeypatch):
     # a fall back to the generic loop shows as QuotientRing calls on the
-    # coefficient field, and the half-gcd as calls of _hgcd
-    tower, loop = rings(*FIELDS[0])
+    # coefficient field; GF(3^5) takes the half-gcd (calls of _hgcd), and
+    # GF(2^8) the classical loop on packed ints, which is faster there
+    tower, loop = rings(p, m)
     rng = random.Random(200)
 
     def poly(deg):
-        return tower.canon([[rng.randrange(2) for _ in range(8)]
+        return tower.canon([[rng.randrange(p) for _ in m[1:]]
                             for _ in range(deg)] + [[1]])
 
     a, b = poly(200), poly(199)
@@ -262,7 +266,7 @@ def test_degree_200_xgcd_over_gf256_takes_the_half_gcd(monkeypatch):
     monkeypatch.setattr(QuotientRing, "mul", mul)
     assert xgcd_payload(tower, a, b) == want
     assert counts["QuotientRing.mul"] == 0
-    assert counts["_hgcd"] > 0
+    assert (counts["_hgcd"] > 0) == (p != 2)
 
 
 @pytest.mark.parametrize("n", [12, 0])
