@@ -31,11 +31,12 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 def _to_int(a):
     """A list of 0/1, ascending, as an int."""
-    return int(bytes(a[::-1]).translate(_ASCII) or b"0", 2)
+    return int(bytes(a).translate(_ASCII)[::-1] or b"0", 2)
 
 
-def _to_list(x):
-    return list(bin(x)[:1:-1].encode().translate(_BITS)) if x else []
+def _to_list(x, kind=list):
+    """An int as its list of 0/1, ascending, or as another kind."""
+    return kind(bin(x)[:1:-1].encode().translate(_BITS)) if x else kind()
 
 
 def _clmul(a, b):
@@ -132,10 +133,10 @@ class F2Kernel(IntKernel):
                                 _clmul))
 
     def gcd(self, a, b):
-        return tuple(_to_list(_gcd(_to_int(a), _to_int(b), _rem)))
+        return _to_list(_gcd(_to_int(a), _to_int(b), _rem), tuple)
 
     def xgcd(self, a, b):
-        return tuple(tuple(_to_list(v)) for v in
+        return tuple(_to_list(v, tuple) for v in
                      _bezout(_to_int(a), _to_int(b), _divmod2, _clmul))
 
 
@@ -214,7 +215,7 @@ class GF2kKernel(TowerKernel):
 
     def invert(self, c):
         u = self.inverse_int(_to_int(c))
-        return None if u is None else tuple(_to_list(u))
+        return None if u is None else _to_list(u, tuple)
 
     def _divisor(self, b):
         """(u, top, T) for b != 0: u = 1/lc(b), top the slot of lc(b), and
